@@ -29,7 +29,6 @@ COMMON_DEFAULTS = {
     "out_dir": None,
     "dim": 32,
     "seed": 0,
-    "threads": 1,
     "geometry": "hyperbolic",
     "curvature_mode": "attention",
     "no_inter_level": False,
@@ -63,7 +62,6 @@ def _add_common_flags(p):
     p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--dim", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--geometry", choices=("hyperbolic", "euclidean"))
     p.add_argument("--curvature-mode", choices=tuple(CLI_MODE_MAP),
                    dest="curvature_mode")
@@ -150,7 +148,7 @@ def train_config_from(cfg):
         neg_samples=cfg["neg_samples"], lr=cfg["lr"],
         optimizer=cfg["optimizer"], seed=cfg["seed"],
         grad_clip=cfg["grad_clip"], eval_every=cfg["eval_every"],
-        patience=cfg["patience"], threads=cfg["threads"],
+        patience=cfg["patience"],
     ).validate()
 
 
@@ -211,15 +209,15 @@ def cmd_eval(cfg):
         )
     filters = data.build_filter_index(astore)
     triples = astore.split(cfg["split"])
-    report = evaluation.evaluate_split(model, triples, filters, seed=cfg["seed"])
+    ranks = evaluation.compute_ranks(model, triples, filters, seed=cfg["seed"])
+    report = evaluation.aggregate(ranks)
     print(f"split={cfg['split']} n={report.n_queries} mrr={report.mrr:.4f} "
           + " ".join(f"h{k}={v:.4f}" for k, v in report.hits.items()))
     evaluation.write_global_csv(os.path.join(out_dir, "metrics.csv"), report,
                                 cfg["split"])
     if cfg["per_relation"]:
         rows = evaluation.per_relation_report(
-            model, triples, filters, astore.relations, astore.n_base_relations,
-            seed=cfg["seed"],
+            ranks, triples, astore.relations, astore.n_base_relations
         )
         evaluation.write_per_relation_csv(
             os.path.join(out_dir, "per_relation.csv"), rows

@@ -212,11 +212,17 @@ def augment_reciprocal(store):
 
 def build_filter_index(store):
     """(h, r) -> sorted array of every tail seen in any split."""
-    sets = {}
-    for split_name in ("train", "valid", "test"):
-        for h, r, t in store.split(split_name):
-            sets.setdefault((int(h), int(r)), set()).add(int(t))
-    return {k: np.fromiter(sorted(v), dtype=np.int64) for k, v in sets.items()}
+    triples = np.concatenate([store.split(s) for s in ("train", "valid", "test")])
+    if not len(triples):
+        return {}
+    h, r, t = triples.astype(np.int64).T
+    n_r, n_t = int(r.max()) + 1, int(t.max()) + 1
+    # one sorted key per distinct triple; a query's tails are a contiguous run
+    hr, tails = np.divmod(np.unique((h * n_r + r) * n_t + t), n_t)
+    starts = np.flatnonzero(np.diff(hr)) + 1
+    queries = hr[np.concatenate([[0], starts])]
+    return {(int(q // n_r), int(q % n_r)): run
+            for q, run in zip(queries.tolist(), np.split(tails, starts))}
 
 
 def write_vocab_files(store, out_dir):

@@ -97,14 +97,14 @@ def evaluate_split(model, triples, filters, ks=DEFAULT_KS, tie_mode="random", se
     return aggregate(compute_ranks(model, triples, filters, tie_mode, seed), ks)
 
 
-def per_relation_report(model, triples, filters, relation_names, n_base_relations,
-                        ks=DEFAULT_KS, tie_mode="random", seed=0):
-    """Metrics grouped by base relation; reciprocal queries fold back
-    onto their original relation.  Returns rows sorted by name."""
+def per_relation_report(ranks, triples, relation_names, n_base_relations, ks=DEFAULT_KS):
+    """Metrics of precomputed `ranks` (one per row of `triples`) grouped
+    by base relation; reciprocal queries fold back onto their original
+    relation.  Returns rows sorted by name."""
     triples = np.asarray(triples)
     if not len(triples):
         raise ValueError("empty split: nothing to evaluate")
-    ranks = compute_ranks(model, triples, filters, tie_mode, seed)
+    ranks = np.asarray(ranks)
     base = np.where(triples[:, 1] < n_base_relations,
                     triples[:, 1], triples[:, 1] - n_base_relations)
     rows = []

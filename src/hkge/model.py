@@ -5,16 +5,33 @@ translations) or are plain reals (scales, angles, biases, curvature
 pre-activations), so optimization stays Euclidean; the ball only ever
 holds intermediate values.
 
-The whole pipeline for a batch of queries runs through ``_forward``,
-which both ``score``/``score_against_all`` and the trainer use, so a
+Scoring has two stages.  ``_head`` maps each query (h, r) to its
+transformed head ``lhs`` and, on the ball, its curvature c.  ``_tails``
+scores tail embeddings against it.  On the ball the tail stage (tail
+exp0, the Mobius addition (-lhs) (+)_c exp0(t), the projection and the
+gyrodistance) is written in Gram form: a (query, tail) pair enters only
+through a = ||lhs||^2, n = ||t||^2 and x = <lhs, t>, so apart from the
+tail embeddings no (B, M, d) tensor is built, and the gradient of each
+tail is alpha*lhs + beta*t, which ``_gather`` sums with one sparse
+product.
+
+Training (``_forward``, gathered tails) and ``score_against_all``
+(contiguous slices of the embedding table) share both stages, so a
 number scored during evaluation is bitwise the number scored during
-training.  ``backward`` consumes the cache that ``_forward`` builds and
+training.  That rests on one rule: every reduction over the embedding
+axis is done row by row (``np.sum(u * v, axis=-1)`` on the head side,
+``np.vecdot`` on the tails), so a row's result does not depend on how
+many rows there are or where they live.  A BLAS matrix product such as
+``lhs @ ent_emb.T`` blocks over rows, depends on the shape and would
+break it.
+``backward`` consumes the cache that ``_forward`` builds and
 hand-accumulates reverse-mode gradients; there is no autograd anywhere.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import geometry
 from .geometry import BALL_EPS, DEN_EPS, artanh_ratio, tanh_ratio, tanh_ratio_prime_over_z
@@ -112,16 +129,44 @@ class SparseGrads:
 
 def _segment_sum(values, index, n_segments):
     """Sum `values` rows into `n_segments` buckets given by `index`."""
-    values = np.asarray(values, dtype=np.float64)
-    flat_idx = index.ravel()
-    if values.ndim == index.ndim:
-        return np.bincount(flat_idx, weights=values.ravel(), minlength=n_segments)
-    d = values.shape[-1]
-    flat = values.reshape(-1, d)
-    out = np.empty((n_segments, d))
-    for j in range(d):
-        out[:, j] = np.bincount(flat_idx, weights=flat[:, j], minlength=n_segments)
-    return out
+    if values.ndim == 1:
+        return np.bincount(index, weights=values, minlength=n_segments)
+    n = index.shape[0]
+    summer = sparse.csr_matrix((np.ones(n), (index, np.arange(n))), shape=(n_segments, n))
+    return summer @ values
+
+
+def _pairs(x):
+    return x.reshape(x.shape[:-1] + (-1, 2))
+
+
+def _scale(x, k):
+    """Scale coordinate pair i of each row of x by k[..., i]."""
+    return (_pairs(x) * k[..., None]).reshape(x.shape)
+
+
+def _rotate(x, cos, sin):
+    """Rotate coordinate pair i of each row of x by the angle with (cos, sin)[..., i]."""
+    xp = _pairs(x)
+    out = np.empty_like(xp)
+    out[..., 0] = xp[..., 0] * cos - xp[..., 1] * sin
+    out[..., 1] = xp[..., 0] * sin + xp[..., 1] * cos
+    return out.reshape(x.shape)
+
+
+def _exp0(v, sc):
+    """exp0 of each row of v at curvature sc**2, plus what its VJP needs."""
+    n2 = np.sum(v * v, axis=-1)
+    z = sc * np.sqrt(n2)
+    f = tanh_ratio(z)
+    return f[:, None] * v, (f, tanh_ratio_prime_over_z(z), n2)
+
+
+def _exp0_backward(y_bar, v, aux, c):
+    """VJP of y = exp0(v) through v and c."""
+    f, r, n2 = aux
+    dot = np.sum(y_bar * v, axis=-1)
+    return f[:, None] * y_bar + (dot * r * c)[:, None] * v, dot * r * n2 / 2.0
 
 
 class KGEModel:
@@ -216,6 +261,27 @@ class KGEModel:
         dcdq = np.where(floored, 0.0, sigmoid(q))
         return c, {"alpha_h": alpha_h, "alpha_r": alpha_r, "v": v, "dcdq": dcdq}
 
+    def _curvature_backward(self, head, c_bar, q):
+        """Route c_bar (B,) into the curvature parameters' entries of q."""
+        mode, aux = self.config.curvature_mode, head["curv_aux"]
+        if mode == "global":
+            q["curv_raw"] = np.asarray(np.sum(c_bar) * aux["dcdraw"])
+        elif mode == "per_relation":
+            q["curv_raw"] = c_bar * aux["dcdraw"]
+        elif mode == "attention":
+            he, re = head["he"], head["re"]
+            a, p = self.params["attn_a"], self.params["attn_p"]
+            alpha_h, alpha_r, v = aux["alpha_h"], aux["alpha_r"], aux["v"]
+            q_bar = c_bar * aux["dcdq"]                # (B,)
+            q["attn_p"] = np.sum(q_bar[:, None] * v, axis=0)
+            v_bar = q_bar[:, None] * p
+            ah_bar = np.sum(v_bar * he, axis=-1)
+            ar_bar = np.sum(v_bar * re, axis=-1)
+            delta_bar = alpha_h * alpha_r * (ah_bar - ar_bar)
+            q["attn_a"] = np.sum(delta_bar[:, None] * (he - re), axis=0)
+            q["ent_emb"] = q["ent_emb"] + alpha_h[:, None] * v_bar + delta_bar[:, None] * a
+            q["rel_emb"] = alpha_r[:, None] * v_bar - delta_bar[:, None] * a
+
     def curvature(self, h, r):
         """c_{h,r} for a single query, as a python float."""
         h = int(self._check_entities(np.asarray([h]))[0])
@@ -250,13 +316,17 @@ class KGEModel:
         return float(scores[0, 0])
 
     def score_against_all(self, h, r, chunk=16384):
-        """score(h, r, j) for every entity j, bitwise equal to the loop."""
-        h = np.asarray([h])
-        r = np.asarray([r])
+        """score(h, r, j) for every entity j, bitwise equal to the loop.
+
+        Tails are contiguous slices of the embedding table, not gathers.
+        """
+        head = self._head(self._check_entities(np.asarray([h])),
+                          self._check_relations(np.asarray([r])))
+        emb, bias = self.params["ent_emb"], self.params["ent_bias"]
         out = np.empty(self.n_entities)
         for start in range(0, self.n_entities, chunk):
-            tails = np.arange(start, min(start + chunk, self.n_entities))
-            out[tails] = self._forward(h, r, tails[None, :], need_cache=False)[0]
+            stop = min(start + chunk, self.n_entities)
+            out[start:stop] = self._tails(head, emb[None, start:stop], bias[None, start:stop])[0]
         return out
 
     def _forward(self, h_ids, r_ids, t_ids, need_cache=False):
@@ -267,50 +337,42 @@ class KGEModel:
         h_ids = self._check_entities(np.asarray(h_ids))
         r_ids = self._check_relations(np.asarray(r_ids))
         t_ids = self._check_entities(np.asarray(t_ids))
-        P = self.params
-        he = P["ent_emb"][h_ids]          # (B, d)
+        head = self._head(h_ids, r_ids)
+        te = self.params["ent_emb"][t_ids]          # (B, M, d)
+        out = self._tails(head, te, self.params["ent_bias"][t_ids], need_cache)
+        if not need_cache:
+            return out
+        scores, tails = out
+        return scores, {"head": head, "tails": tails, "te": te, "t_ids": t_ids}
+
+    def _head(self, h_ids, r_ids):
+        """Per-query head stage: scale, exp0, rotation and translation.
+
+        Returns a dict whose ``lhs`` (B, d) is the transformed head: a
+        point on the ball of curvature ``c`` (B,), or a plain vector in
+        euclidean geometry.  The rest is what ``backward`` needs.
+        """
+        P, cfg = self.params, self.config
+        he = P["ent_emb"][h_ids]
         re = P["rel_emb"][r_ids]
         w = P["rel_trans"][r_ids]
-        te = P["ent_emb"][t_ids]          # (B, M, d)
-        bias = P["ent_bias"][h_ids][:, None] + P["ent_bias"][t_ids]
+        k = P["rel_scale"][r_ids] if cfg.use_inter_level else None
+        th = P["rel_theta"][r_ids] if cfg.use_intra_level else None
+        cos, sin = (np.cos(th), np.sin(th)) if th is not None else (None, None)
+        hd = {"h_ids": h_ids, "r_ids": r_ids, "he": he, "re": re, "w": w,
+              "k": k, "cos": cos, "sin": sin, "bias": P["ent_bias"][h_ids]}
+        u = he if k is None else _scale(he, k)
+        if cfg.geometry == "euclidean":
+            x2 = u if th is None else _rotate(u, cos, sin)
+            hd.update(x2=x2, lhs=x2 + w)
+            return hd
 
-        if self.config.geometry == "euclidean":
-            return self._forward_euclidean(h_ids, r_ids, t_ids, he, w, te, bias, need_cache)
-
-        c, curv_aux = self._curvature_batch(he, re, r_ids)
-        sc = np.sqrt(c)                   # (B,)
-
-        # head: inter-level scaling in tangent space, exp0, rotation
-        if self.config.use_inter_level:
-            k = P["rel_scale"][r_ids]
-            u = (he.reshape(he.shape[:-1] + (-1, 2)) * k[..., None]).reshape(he.shape)
-        else:
-            k = None
-            u = he
-        nu2 = np.sum(u * u, axis=-1)
-        nu = np.sqrt(nu2)
-        zu = sc * nu
-        fu = tanh_ratio(zu)
-        ru = tanh_ratio_prime_over_z(zu)
-        x1 = fu[:, None] * u
-        if self.config.use_intra_level:
-            th = P["rel_theta"][r_ids]
-            cos, sin = np.cos(th), np.sin(th)
-            x1p = x1.reshape(x1.shape[:-1] + (-1, 2))
-            x2 = np.empty_like(x1p)
-            x2[..., 0] = x1p[..., 0] * cos - x1p[..., 1] * sin
-            x2[..., 1] = x1p[..., 0] * sin + x1p[..., 1] * cos
-            x2 = x2.reshape(x1.shape)
-        else:
-            th = cos = sin = None
-            x2 = x1
-
+        c, hd["curv_aux"] = self._curvature_batch(he, re, r_ids)
+        sc = np.sqrt(c)
+        x1, hd["exp_u"] = _exp0(u, sc)
+        x2 = x1 if th is None else _rotate(x1, cos, sin)
         # relation translation mapped onto the ball at this query's c
-        nw2 = np.sum(w * w, axis=-1)
-        zw = sc * np.sqrt(nw2)
-        fw = tanh_ratio(zw)
-        rw = tanh_ratio_prime_over_z(zw)
-        eps = fw[:, None] * w
+        eps, hd["exp_w"] = _exp0(w, sc)
 
         # lhs = x2 (+)_c eps
         cB = c[:, None]
@@ -323,86 +385,60 @@ class KGEModel:
         self._check_denominator(D1, h_ids, r_ids)
         lhs_raw = (A1 * x2 + B1 * eps) / D1
         lhs, proj1 = self._project(lhs_raw, cB)
+        hd.update(c=c, sc=sc, u=u, x2=x2, eps=eps, mob1=(dot1, a1, b1, A1, B1, D1),
+                  lhs_raw=lhs_raw, proj1=proj1, lhs=lhs, a=np.sum(lhs * lhs, axis=-1))
+        return hd
 
-        # tails onto the ball
-        nt2 = np.sum(te * te, axis=-1)    # (B, M)
-        zt = sc[:, None] * np.sqrt(nt2)
+    def _tails(self, head, te, t_bias, need_cache=False):
+        """Scores of tail embeddings te[b, m] against head[b]: (B, M).
+
+        On the ball this is the Gram form of tail exp0, md = (-lhs) (+)_c
+        exp0(t), the projection of md and the gyrodistance: a pair enters
+        only through a = ||lhs||^2, n = ||t||^2 and x = <lhs, t>.
+        """
+        lhs = head["lhs"]
+        bias = head["bias"][:, None] + t_bias
+        if self.config.geometry == "euclidean":
+            diff = lhs[:, None, :] - te
+            scores = -4.0 * np.sum(diff * diff, axis=-1) + bias  # -(2||x-y||)^2
+            return (scores, {}) if need_cache else scores
+
+        c, sc, a = head["c"][:, None], head["sc"][:, None], head["a"][:, None]
+        # one dot product per row: a row's result does not depend on M (a BLAS
+        # lhs @ te.T would), which keeps eval and training scores bitwise equal
+        n = np.vecdot(te, te)
+        x = np.vecdot(lhs[:, None, :], te)
+        zt = sc * np.sqrt(n)
         ft = tanh_ratio(zt)
-        rt = tanh_ratio_prime_over_z(zt)
-        tH = ft[..., None] * te
 
-        # md = (-lhs) (+)_c tH, then the gyrodistance
-        cM = c[:, None, None]
-        xneg = -lhs[:, None, :]
-        dot2 = np.sum(xneg * tH, axis=-1, keepdims=True)
-        a2 = np.sum(lhs * lhs, axis=-1)[:, None, None]
-        b2 = np.sum(tH * tH, axis=-1, keepdims=True)
-        A2 = 1.0 + 2.0 * cM * dot2 + cM * b2
-        B2 = 1.0 - cM * a2
-        D2 = 1.0 + 2.0 * cM * dot2 + cM * cM * a2 * b2
-        self._check_denominator(D2, h_ids, r_ids)
-        md_raw = (A2 * xneg + B2 * tH) / D2
-        md, proj2 = self._project(md_raw, cM)
+        # md = (-lhs) (+)_c tH with tH = ft*t: p = <-lhs, tH>, b = ||tH||^2
+        p = -ft * x
+        b = ft * ft * n
+        A2 = 1.0 + 2.0 * c * p + c * b
+        B2 = 1.0 - c * a
+        D2 = 1.0 + 2.0 * c * p + c * c * a * b
+        self._check_denominator(D2, head["h_ids"], head["r_ids"])
+        N2 = A2 * A2 * a + 2.0 * A2 * B2 * p + B2 * B2 * b
+        # ||md||^2 = N2/D2^2 cancels to rounding noise when lhs ~ tH
+        nm = np.sqrt(np.maximum(N2 / (D2 * D2), 0.0))
 
-        nm2 = np.sum(md * md, axis=-1)     # (B, M)
-        nm = np.sqrt(nm2)
-        g = sc[:, None] * nm
+        # md projected inside the clamp radius, then the gyrodistance
+        limit = (1.0 - BALL_EPS) / sc
+        over = nm > limit
+        geometry._count_clamps(over)
+        nm = np.minimum(nm, limit)
+        g = sc * nm
         gmask = g > 1.0 - BALL_EPS
         geometry._count_clamps(gmask)
         gcl = np.minimum(g, 1.0 - BALL_EPS)
         atg = np.arctanh(gcl)
-        dist = 2.0 * atg / sc[:, None]
+        dist = 2.0 * atg / sc
         scores = -dist * dist + bias
-
         if not need_cache:
             return scores
-        cache = {
-            "h_ids": h_ids, "r_ids": r_ids, "t_ids": t_ids,
-            "he": he, "re": re, "w": w, "te": te,
-            "c": c, "sc": sc, "curv_aux": curv_aux,
-            "k": k, "u": u, "nu2": nu2, "nu": nu, "zu": zu, "fu": fu, "ru": ru,
-            "x1": x1, "cos": cos, "sin": sin, "x2": x2,
-            "nw2": nw2, "fw": fw, "rw": rw, "eps": eps,
-            "dot1": dot1, "a1": a1, "b1": b1, "A1": A1, "B1": B1, "D1": D1,
-            "lhs_raw": lhs_raw, "lhs": lhs, "proj1": proj1,
-            "nt2": nt2, "ft": ft, "rt": rt, "tH": tH,
-            "dot2": dot2, "a2": a2, "b2": b2, "A2": A2, "B2": B2, "D2": D2,
-            "md_raw": md_raw, "md": md, "proj2": proj2,
-            "nm": nm, "g": g, "gmask": gmask, "gcl": gcl, "atg": atg, "dist": dist,
-        }
-        return scores, cache
-
-    def _forward_euclidean(self, h_ids, r_ids, t_ids, he, w, te, bias, need_cache):
-        P = self.params
-        if self.config.use_inter_level:
-            k = P["rel_scale"][r_ids]
-            u = (he.reshape(he.shape[:-1] + (-1, 2)) * k[..., None]).reshape(he.shape)
-        else:
-            k = None
-            u = he
-        if self.config.use_intra_level:
-            th = P["rel_theta"][r_ids]
-            cos, sin = np.cos(th), np.sin(th)
-            up = u.reshape(u.shape[:-1] + (-1, 2))
-            x2 = np.empty_like(up)
-            x2[..., 0] = up[..., 0] * cos - up[..., 1] * sin
-            x2[..., 1] = up[..., 0] * sin + up[..., 1] * cos
-            x2 = x2.reshape(u.shape)
-        else:
-            cos = sin = None
-            x2 = u
-        lhs = x2 + w
-        diff = lhs[:, None, :] - te        # (B, M, d)
-        dist2 = 4.0 * np.sum(diff * diff, axis=-1)  # (2||x-y||)^2
-        scores = -dist2 + bias
-        if not need_cache:
-            return scores
-        cache = {
-            "h_ids": h_ids, "r_ids": r_ids, "t_ids": t_ids,
-            "he": he, "te": te, "k": k, "u": u,
-            "cos": cos, "sin": sin, "x2": x2, "diff": diff,
-        }
-        return scores, cache
+        return scores, {"n": n, "x": x, "zt": zt, "ft": ft, "p": p, "b": b,
+                        "A2": A2, "B2": B2, "D2": D2, "N2": N2, "nm": nm,
+                        "live": ~(over | gmask), "gcl": gcl, "atg": atg, "dist": dist}
 
     @staticmethod
     def _check_denominator(D, h_ids, r_ids):
@@ -427,193 +463,97 @@ class KGEModel:
 
     def backward(self, cache, sbar):
         """Accumulate d(sum(sbar * scores))/d(params) as SparseGrads."""
+        head, te = cache["head"], cache["te"]
+        ga, alpha, beta, c_bar = self._tails_backward(head, cache["tails"], sbar)
+        lhs = head["lhs"]
+        lhs_bar = ga[:, None] * lhs + np.einsum("bm,bmd->bd", alpha, te)
+        q = self._head_backward(head, lhs_bar, c_bar)
+        return self._gather(head["h_ids"], head["r_ids"], cache["t_ids"], q,
+                            lhs, alpha, beta, sbar)
+
+    def _tails_backward(self, head, tails, sbar):
+        """VJP of ``_tails``: (ga, alpha, beta, c_bar).
+
+        d/d lhs[b] = ga[b]*lhs[b] + sum_m alpha[b, m]*t[b, m], and
+        d/d t[b, m] = alpha[b, m]*lhs[b] + beta[b, m]*t[b, m].
+        """
         if self.config.geometry == "euclidean":
-            return self._backward_euclidean(cache, sbar)
-        P = self.params
-        h_ids, r_ids, t_ids = cache["h_ids"], cache["r_ids"], cache["t_ids"]
-        c, sc = cache["c"], cache["sc"]
-        cB = c[:, None]
-        cM = c[:, None, None]
+            return -8.0 * np.sum(sbar, axis=-1), 8.0 * sbar, -8.0 * sbar, None
 
-        # score = -dist^2 + b_h + b_t
-        dist, g, gcl, gmask, nm, md = (
-            cache["dist"], cache["g"], cache["gcl"], cache["gmask"], cache["nm"], cache["md"],
-        )
-        bias_h_bar = np.sum(sbar, axis=-1)             # (B,)
-        bias_t_bar = sbar                              # (B, M)
-
-        # distance through arctanh(sqrt(c)*||md||)*2/sqrt(c):
-        # md_bar = -8 * artanh_ratio(g)/(1-g^2) * sbar * md  (0 when clamped)
-        one_m_g2 = 1.0 - gcl * gcl
-        coef = np.where(gmask, 0.0, -8.0 * artanh_ratio(gcl) / one_m_g2 * sbar)
-        md_bar = coef[..., None] * md
+        c, sc, a = head["c"][:, None], head["sc"][:, None], head["a"][:, None]
+        T = tails
+        live = T["live"]            # neither the md projection nor arctanh clamped
+        one_m_g2 = 1.0 - T["gcl"] * T["gcl"]
+        dist_bar = -2.0 * T["dist"] * sbar
         # c enters dist directly: d(dist)/dc = -atg/c^{3/2} + nm/(c(1-g^2)) (2nd term 0 if clamped)
-        dist_bar = -2.0 * dist * sbar
-        ddist_dc = -cache["atg"] / (c[:, None] * sc[:, None]) + np.where(
-            gmask, 0.0, nm / (c[:, None] * one_m_g2)
-        )
-        c_bar = np.sum(dist_bar * ddist_dc, axis=-1)   # (B,)
+        c_bar = dist_bar * (-T["atg"] / (c * sc) + np.where(live, T["nm"] / (c * one_m_g2), 0.0))
+        # d(score)/d(||md||^2) = -4 artanh_ratio(g)/(1-g^2), free of 1/||md||
+        m2_bar = np.where(live, -4.0 * artanh_ratio(T["gcl"]) * sbar / one_m_g2, 0.0)
 
-        # projection 2 backward
-        md_raw_bar, c_bar2 = self._project_backward(
-            md_bar, cache["md_raw"], cache["proj2"], cM
-        )
-        c_bar += np.sum(c_bar2, axis=(-1, -2)) if np.ndim(c_bar2) else 0.0
+        # ||md||^2 = N2/D2^2, N2 = A2^2 a + 2 A2 B2 p + B2^2 b
+        p, b, A2, B2, D2 = T["p"], T["b"], T["A2"], T["B2"], T["D2"]
+        N_bar = m2_bar / (D2 * D2)
+        D_bar = -2.0 * N_bar * T["N2"] / D2
+        A_bar = 2.0 * N_bar * (A2 * a + B2 * p)
+        B_bar = 2.0 * N_bar * (A2 * p + B2 * b)
+        a_bar = N_bar * A2 * A2 - c * B_bar + D_bar * c * c * b
+        p_bar = 2.0 * N_bar * A2 * B2 + 2.0 * c * (A_bar + D_bar)
+        b_bar = N_bar * B2 * B2 + c * A_bar + D_bar * c * c * a
+        c_bar += A_bar * (2.0 * p + b) - B_bar * a + D_bar * (2.0 * p + 2.0 * c * a * b)
 
-        # mobius 2 backward: md_raw = (-lhs) (+)_c tH
-        lhs = cache["lhs"]
-        xneg = -lhs[:, None, :]
-        tH = cache["tH"]
-        xb, yb, cb = self._mobius_backward(
-            md_raw_bar, cache["md_raw"], xneg, tH,
-            cache["dot2"], cache["a2"], cache["b2"],
-            cache["A2"], cache["B2"], cache["D2"], cM,
-        )
-        lhs_bar = -np.sum(xb, axis=1)                  # (B, d)
-        tH_bar = yb
-        c_bar += np.sum(cb, axis=1)                    # cb is (B, M)
+        # p = -ft*x, b = ft^2*n, ft = tanh_ratio(sqrt(c*n))
+        ft, n = T["ft"], T["n"]
+        rt = tanh_ratio_prime_over_z(T["zt"])
+        ft_bar = -T["x"] * p_bar + 2.0 * ft * n * b_bar
+        n_bar = ft * ft * b_bar + ft_bar * rt * c / 2.0
+        c_bar += ft_bar * rt * n / 2.0
+        return 2.0 * np.sum(a_bar, axis=-1), -ft * p_bar, 2.0 * n_bar, np.sum(c_bar, axis=-1)
 
-        # tail exp0 backward
-        te, ft, rt, nt2 = cache["te"], cache["ft"], cache["rt"], cache["nt2"]
-        dot_t = np.sum(tH_bar * te, axis=-1)           # (B, M)
-        te_bar = ft[..., None] * tH_bar + (dot_t * rt * c[:, None])[..., None] * te
-        c_bar += np.sum(dot_t * rt * nt2 / 2.0, axis=-1)
-
-        # projection 1 backward
-        lhs_raw_bar, c_bar1 = self._project_backward(
-            lhs_bar, cache["lhs_raw"], cache["proj1"], cB
-        )
-        if np.ndim(c_bar1):
-            c_bar += np.sum(c_bar1, axis=-1)
-
-        # mobius 1 backward: lhs_raw = x2 (+)_c eps
-        x2, eps = cache["x2"], cache["eps"]
-        xb, yb, cb = self._mobius_backward(
-            lhs_raw_bar, cache["lhs_raw"], x2, eps,
-            cache["dot1"], cache["a1"], cache["b1"],
-            cache["A1"], cache["B1"], cache["D1"], cB,
-        )
-        x2_bar = xb
-        eps_bar = yb
-        c_bar += cb                                    # cb is (B,)
-
-        # translation exp0 backward
-        w, fw, rw, nw2 = cache["w"], cache["fw"], cache["rw"], cache["nw2"]
-        dot_w = np.sum(eps_bar * w, axis=-1)           # (B,)
-        w_bar = fw[:, None] * eps_bar + (dot_w * rw * c)[:, None] * w
-        c_bar += dot_w * rw * nw2 / 2.0
-
-        # rotation backward
-        x1 = cache["x1"]
-        if self.config.use_intra_level:
-            cos, sin = cache["cos"], cache["sin"]
-            x2b = x2_bar.reshape(x2_bar.shape[:-1] + (-1, 2))
-            x1p = x1.reshape(x1.shape[:-1] + (-1, 2))
-            x1_bar = np.empty_like(x2b)
-            x1_bar[..., 0] = x2b[..., 0] * cos + x2b[..., 1] * sin
-            x1_bar[..., 1] = -x2b[..., 0] * sin + x2b[..., 1] * cos
-            x1_bar = x1_bar.reshape(x1.shape)
-            th_bar = (
-                x2b[..., 0] * (-sin * x1p[..., 0] - cos * x1p[..., 1])
-                + x2b[..., 1] * (cos * x1p[..., 0] - sin * x1p[..., 1])
-            )                                          # (B, d/2)
+    def _head_backward(self, head, lhs_bar, c_bar):
+        """VJP of ``_head``: per-query gradients keyed by parameter name."""
+        he, cos, sin = head["he"], head["cos"], head["sin"]
+        q = {"rel_emb": None, "attn_a": None, "attn_p": None, "curv_raw": None}
+        hyp = self.config.geometry == "hyperbolic"
+        if hyp:
+            c = head["c"]
+            lhs_raw_bar, cb = self._project_backward(
+                lhs_bar, head["lhs_raw"], head["proj1"], c[:, None])
+            c_bar = c_bar + cb
+            # mobius 1 backward: lhs_raw = x2 (+)_c eps
+            x2_bar, eps_bar, cb = self._mobius_backward(
+                lhs_raw_bar, head["lhs_raw"], head["x2"], head["eps"],
+                *head["mob1"], c[:, None])
+            c_bar = c_bar + cb
+            q["rel_trans"], cb = _exp0_backward(eps_bar, head["w"], head["exp_w"], c)
+            c_bar = c_bar + cb
         else:
+            x2_bar = q["rel_trans"] = lhs_bar
+
+        # rotation backward: d(x2)/d(theta) turns each pair of x2 by +90 degrees
+        if cos is not None:
+            x2b, x2p = _pairs(x2_bar), _pairs(head["x2"])
+            q["rel_theta"] = x2b[..., 1] * x2p[..., 0] - x2b[..., 0] * x2p[..., 1]
+            x1_bar = _rotate(x2_bar, cos, -sin)
+        else:
+            q["rel_theta"] = None
             x1_bar = x2_bar
-            th_bar = None
-
-        # head exp0 backward
-        u, fu, ru, nu2 = cache["u"], cache["fu"], cache["ru"], cache["nu2"]
-        dot_u = np.sum(x1_bar * u, axis=-1)
-        u_bar = fu[:, None] * x1_bar + (dot_u * ru * c)[:, None] * u
-        c_bar += dot_u * ru * nu2 / 2.0
-
-        # inter-level scaling backward
-        he = cache["he"]
-        if self.config.use_inter_level:
-            k = cache["k"]
-            ub = u_bar.reshape(u_bar.shape[:-1] + (-1, 2))
-            hep = he.reshape(he.shape[:-1] + (-1, 2))
-            he_bar = (ub * k[..., None]).reshape(he.shape)
-            k_bar = np.sum(ub * hep, axis=-1)          # (B, d/2)
+        if hyp:
+            u_bar, cb = _exp0_backward(x1_bar, head["u"], head["exp_u"], c)
+            c_bar = c_bar + cb
+        else:
+            u_bar = x1_bar
+        k = head["k"]
+        if k is not None:
+            he_bar = _scale(u_bar, k)
+            q["rel_scale"] = np.sum(_pairs(u_bar) * _pairs(he), axis=-1)
         else:
             he_bar = u_bar
-            k_bar = None
+            q["rel_scale"] = None
 
-        # curvature head backward
-        re = cache["re"]
-        re_bar = np.zeros_like(re)
-        attn_a_bar = np.zeros(self.config.dim)
-        attn_p_bar = np.zeros(self.config.dim)
-        curv_raw_bar = None
-        mode = self.config.curvature_mode
-        aux = cache["curv_aux"]
-        if mode == "global":
-            curv_raw_bar = np.asarray(np.sum(c_bar) * aux["dcdraw"])
-        elif mode == "per_relation":
-            curv_raw_bar = c_bar * aux["dcdraw"]       # (B,) scattered below
-        elif mode == "attention":
-            p = P["attn_p"]
-            a = P["attn_a"]
-            alpha_h, alpha_r, v = aux["alpha_h"], aux["alpha_r"], aux["v"]
-            q_bar = c_bar * aux["dcdq"]                # (B,)
-            attn_p_bar = np.sum(q_bar[:, None] * v, axis=0)
-            v_bar = q_bar[:, None] * p
-            ah_bar = np.sum(v_bar * he, axis=-1)
-            ar_bar = np.sum(v_bar * re, axis=-1)
-            he_bar = he_bar + alpha_h[:, None] * v_bar
-            re_bar = re_bar + alpha_r[:, None] * v_bar
-            delta_bar = alpha_h * alpha_r * (ah_bar - ar_bar)
-            attn_a_bar = np.sum(delta_bar[:, None] * (he - re), axis=0)
-            he_bar = he_bar + delta_bar[:, None] * a
-            re_bar = re_bar - delta_bar[:, None] * a
-
-        return self._gather(
-            h_ids, r_ids, t_ids, he_bar, bias_h_bar, te_bar, bias_t_bar,
-            re_bar, k_bar, th_bar, w_bar, attn_a_bar, attn_p_bar, curv_raw_bar,
-        )
-
-    def _backward_euclidean(self, cache, sbar):
-        h_ids, r_ids, t_ids = cache["h_ids"], cache["r_ids"], cache["t_ids"]
-        diff = cache["diff"]
-        bias_h_bar = np.sum(sbar, axis=-1)
-        bias_t_bar = sbar
-        diff_bar = -8.0 * sbar[..., None] * diff
-        lhs_bar = np.sum(diff_bar, axis=1)
-        te_bar = -diff_bar
-        w_bar = lhs_bar
-        x2_bar = lhs_bar
-        x1 = cache["u"]
-        if self.config.use_intra_level:
-            cos, sin = cache["cos"], cache["sin"]
-            x2b = x2_bar.reshape(x2_bar.shape[:-1] + (-1, 2))
-            x1p = x1.reshape(x1.shape[:-1] + (-1, 2))
-            x1_bar = np.empty_like(x2b)
-            x1_bar[..., 0] = x2b[..., 0] * cos + x2b[..., 1] * sin
-            x1_bar[..., 1] = -x2b[..., 0] * sin + x2b[..., 1] * cos
-            x1_bar = x1_bar.reshape(x1.shape)
-            th_bar = (
-                x2b[..., 0] * (-sin * x1p[..., 0] - cos * x1p[..., 1])
-                + x2b[..., 1] * (cos * x1p[..., 0] - sin * x1p[..., 1])
-            )
-        else:
-            x1_bar = x2_bar
-            th_bar = None
-        he = cache["he"]
-        if self.config.use_inter_level:
-            k = cache["k"]
-            ub = x1_bar.reshape(x1_bar.shape[:-1] + (-1, 2))
-            hep = he.reshape(he.shape[:-1] + (-1, 2))
-            he_bar = (ub * k[..., None]).reshape(he.shape)
-            k_bar = np.sum(ub * hep, axis=-1)
-        else:
-            he_bar = x1_bar
-            k_bar = None
-        re_bar = np.zeros_like(self.params["rel_emb"][r_ids])
-        d = self.config.dim
-        return self._gather(
-            h_ids, r_ids, t_ids, he_bar, bias_h_bar, te_bar, bias_t_bar,
-            re_bar, k_bar, th_bar, w_bar, np.zeros(d), np.zeros(d), None,
-        )
+        q["ent_emb"] = he_bar
+        if hyp:
+            self._curvature_backward(head, c_bar, q)
+        return q
 
     @staticmethod
     def _project_backward(out_bar, x_raw, proj, c_col):
@@ -623,11 +563,9 @@ class KGEModel:
         dot = np.sum(out_bar * x_raw, axis=-1, keepdims=True)
         # projected: out = limit * x/||x||; grad is tangential, scaled
         n2 = np.where(over, n * n, 1.0)
-        tang = scale * (out_bar - (dot / n2) * x_raw)
-        x_bar = np.where(over, tang, out_bar)
+        x_bar = np.where(over, scale * (out_bar - (dot / n2) * x_raw), out_bar)
         # limit = (1-eps)/sqrt(c) pulls c into the projected outputs
-        c_contrib = np.where(over, dot * scale * (-0.5 / c_col), 0.0)
-        return x_bar, c_contrib
+        return x_bar, np.where(over, dot * scale * (-0.5 / c_col), 0.0)[:, 0]
 
     @staticmethod
     def _mobius_backward(g_bar, out_raw, x, y, dot, nx2, ny2, A, B, D, c_col):
@@ -644,38 +582,45 @@ class KGEModel:
                  - go * (2.0 * dot + 2.0 * c_col * nx2 * ny2)) / D
         return x_bar, y_bar, np.squeeze(c_bar, axis=-1)
 
-    def _gather(self, h_ids, r_ids, t_ids, he_bar, bias_h_bar, te_bar, bias_t_bar,
-                re_bar, k_bar, th_bar, w_bar, attn_a_bar, attn_p_bar, curv_raw_bar):
-        """Scatter per-query gradients into unique-row sparse arrays."""
+    def _gather(self, h_ids, r_ids, t_ids, q, lhs, alpha, beta, sbar):
+        """Scatter per-query gradients into unique-row sparse arrays.
+
+        `q` maps parameter names to per-query gradients (None: zero).  Tail
+        t_ids[b, m] gets alpha[b, m]*lhs[b] + beta[b, m]*t and sbar[b, m]
+        on its bias, so no per-pair d-vector is ever built.
+        """
         d = self.config.dim
-        ent_ids = np.concatenate([h_ids, t_ids.ravel()])
-        ent_rows, ent_inv = np.unique(ent_ids, return_inverse=True)
-        B = h_ids.shape[0]
-        inv_h = ent_inv[:B]
-        inv_t = ent_inv[B:].reshape(t_ids.shape)
+        B, M = t_ids.shape
+        ent_rows, ent_inv = np.unique(np.concatenate([h_ids, t_ids.ravel()]),
+                                      return_inverse=True)
         K = ent_rows.shape[0]
-        ent_emb_g = _segment_sum(he_bar, inv_h, K) + _segment_sum(te_bar, inv_t, K)
-        ent_bias_g = _segment_sum(bias_h_bar, inv_h, K) + _segment_sum(bias_t_bar, inv_t, K)
+        # one sparse product adds the head rows and every alpha*lhs term
+        cols = np.concatenate([np.arange(B), B + np.repeat(np.arange(B), M)])
+        weights = np.concatenate([np.ones(B), alpha.ravel()])
+        summer = sparse.csr_matrix((weights, (ent_inv, cols)), shape=(K, 2 * B))
+        ent_emb_g = (summer @ np.concatenate([q["ent_emb"], lhs])
+                     + np.bincount(ent_inv[B:], weights=beta.ravel(), minlength=K)[:, None]
+                     * self.params["ent_emb"][ent_rows])
+        ent_bias_g = np.bincount(
+            ent_inv, weights=np.concatenate([np.sum(sbar, axis=-1), sbar.ravel()]), minlength=K)
 
         rel_rows, rel_inv = np.unique(r_ids, return_inverse=True)
         L = rel_rows.shape[0]
-        rel_emb_g = _segment_sum(re_bar, rel_inv, L)
-        rel_scale_g = (_segment_sum(k_bar, rel_inv, L) if k_bar is not None
-                       else np.zeros((L, d // 2)))
-        rel_theta_g = (_segment_sum(th_bar, rel_inv, L) if th_bar is not None
-                       else np.zeros((L, d // 2)))
-        rel_trans_g = _segment_sum(w_bar, rel_inv, L)
 
-        curv_g = None
+        def rel(name, width):
+            return np.zeros((L, width)) if q[name] is None else _segment_sum(q[name], rel_inv, L)
+
+        curv_g = q["curv_raw"]
         if self.config.curvature_mode == "global":
-            curv_g = np.asarray(0.0 if curv_raw_bar is None else curv_raw_bar)
+            curv_g = np.asarray(0.0 if curv_g is None else curv_g)
         elif self.config.curvature_mode == "per_relation":
-            curv_g = (np.zeros(L) if curv_raw_bar is None
-                      else _segment_sum(curv_raw_bar, rel_inv, L))
+            curv_g = np.zeros(L) if curv_g is None else _segment_sum(curv_g, rel_inv, L)
 
         return SparseGrads(
             ent_rows=ent_rows, ent_emb=ent_emb_g, ent_bias=ent_bias_g,
-            rel_rows=rel_rows, rel_emb=rel_emb_g, rel_scale=rel_scale_g,
-            rel_theta=rel_theta_g, rel_trans=rel_trans_g,
-            attn_a=attn_a_bar, attn_p=attn_p_bar, curv_raw=curv_g,
+            rel_rows=rel_rows, rel_emb=rel("rel_emb", d), rel_scale=rel("rel_scale", d // 2),
+            rel_theta=rel("rel_theta", d // 2), rel_trans=rel("rel_trans", d),
+            attn_a=np.zeros(d) if q["attn_a"] is None else q["attn_a"],
+            attn_p=np.zeros(d) if q["attn_p"] is None else q["attn_p"],
+            curv_raw=curv_g,
         )

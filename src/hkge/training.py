@@ -31,7 +31,6 @@ class TrainConfig:
     grad_clip: float | None = None
     eval_every: int = 10
     patience: int = 10  # non-improving validation rounds before stopping
-    threads: int = 1
 
     def validate(self):
         if self.epochs < 0:
@@ -48,8 +47,6 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         return self
 
 

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from hkge import data
+from hkge import checkpoint, data, evaluation
 from hkge.cli import main
+from hkge.model import KGEModel
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +126,37 @@ class TestEval:
         lines = (eval_dir / "per_relation.csv").read_text().strip().split("\n")
         assert lines[0] == "relation,n,mrr,h1,h3,h10"
         assert [line.split(",")[0] for line in lines[1:]] == ["child_of", "parent_of"]
+
+    def test_per_relation_ranks_once_and_csvs_unchanged(self, tree_dir, tmp_path,
+                                                         monkeypatch):
+        run_dir = tmp_path / "run"
+        run_train(tree_dir, run_dir)
+        calls = []
+        scorer = KGEModel.score_against_all
+        monkeypatch.setattr(KGEModel, "score_against_all",
+                            lambda self, h, r: calls.append((h, r)) or scorer(self, h, r))
+        eval_dir = tmp_path / "eval"
+        assert main(["eval", "--dataset-dir", tree_dir, "--out-dir", str(eval_dir),
+                     "--checkpoint", str(run_dir / "checkpoint.bin"),
+                     "--split", "test", "--per-relation", "--seed", "3"]) == 0
+        monkeypatch.undo()
+        store = data.augment_reciprocal(data.load_dataset(tree_dir))
+        assert len(calls) == len(store.test)
+        # both CSVs equal ranking the split, and each relation's queries, on their own
+        model = checkpoint.load(str(run_dir / "checkpoint.bin"))
+        filters = data.build_filter_index(store)
+        want_global = tmp_path / "want_metrics.csv"
+        evaluation.write_global_csv(
+            want_global, evaluation.evaluate_split(model, store.test, filters, seed=3), "test")
+        base = store.test[:, 1] % store.n_base_relations
+        rows = sorted(({"relation": store.relations[rel],
+                        **evaluation.evaluate_split(model, store.test[base == rel], filters,
+                                                    seed=3).row()}
+                       for rel in np.unique(base)), key=lambda row: row["relation"])
+        want_rel = tmp_path / "want_per_relation.csv"
+        evaluation.write_per_relation_csv(want_rel, rows)
+        assert (eval_dir / "metrics.csv").read_text() == want_global.read_text()
+        assert (eval_dir / "per_relation.csv").read_text() == want_rel.read_text()
 
     def test_corrupt_checkpoint(self, tree_dir, tmp_path, capsys):
         bad = tmp_path / "bad.bin"

@@ -4,6 +4,7 @@ import pytest
 from hkge import data
 from hkge.data import (
     DatasetError,
+    TripleStore,
     augment_reciprocal,
     build_filter_index,
     build_vocab,
@@ -142,6 +143,30 @@ class TestFilterIndex:
         store = build_vocab(splits)
         filters = build_filter_index(store)
         np.testing.assert_array_equal(filters[(0, 0)], [1, 2, 3])
+
+
+    def test_matches_set_based_reference(self):
+        # many duplicate triples, within splits and across them
+        rng = np.random.default_rng(0)
+        triples = rng.integers(0, [9, 3, 9], size=(400, 3))
+        store = augment_reciprocal(TripleStore(
+            entities=[f"e{i}" for i in range(9)], relations=["r0", "r1", "r2"],
+            train=triples[:300], valid=np.concatenate([triples[300:350], triples[:40]]),
+            test=np.concatenate([triples[350:], triples[280:320]]), n_base_relations=3))
+        sets = {}
+        for split in ("train", "valid", "test"):
+            for h, r, t in store.split(split):
+                sets.setdefault((int(h), int(r)), set()).add(int(t))
+        filters = build_filter_index(store)
+        assert filters.keys() == sets.keys()
+        for key, tails in sets.items():
+            assert filters[key].dtype == np.int64
+            np.testing.assert_array_equal(filters[key], sorted(tails))
+
+    def test_empty_store(self):
+        empty = np.empty((0, 3), dtype=np.int64)
+        store = TripleStore(entities=[], relations=[], train=empty, valid=empty, test=empty)
+        assert build_filter_index(store) == {}
 
 
 class TestReferenceCheck:

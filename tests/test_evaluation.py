@@ -204,23 +204,26 @@ class TestPerRelation:
         # relations: 2 base + 2 reciprocal; queries under r and r+2
         # aggregate into the same row
         triples = np.asarray([[0, 0, 0], [1, 2, 1], [2, 1, 0], [3, 3, 5]])
-        rows = per_relation_report(m, triples, None, ["r_a", "r_b", "r_a^-1", "r_b^-1"],
-                                   n_base_relations=2, tie_mode="optimistic")
+        ranks = compute_ranks(m, triples, None, tie_mode="optimistic")
+        rows = per_relation_report(ranks, triples, ["r_a", "r_b", "r_a^-1", "r_b^-1"],
+                                   n_base_relations=2)
         assert [row["relation"] for row in rows] == ["r_a", "r_b"]
         assert rows[0]["n"] == 2 and rows[1]["n"] == 2
 
     def test_rows_sorted_by_name(self):
         m = scored_model(np.zeros(4), n_relations=3)
         triples = np.asarray([[0, 2, 1], [0, 1, 1], [0, 0, 1]])
-        rows = per_relation_report(m, triples, None, ["zeta", "alpha", "mid"],
-                                   n_base_relations=3, tie_mode="optimistic")
+        ranks = compute_ranks(m, triples, None, tie_mode="optimistic")
+        rows = per_relation_report(ranks, triples, ["zeta", "alpha", "mid"],
+                                   n_base_relations=3)
         assert [row["relation"] for row in rows] == ["alpha", "mid", "zeta"]
 
     def test_single_relation_matches_global(self):
         rng = np.random.default_rng(13)
         m = scored_model(rng.normal(size=8))
         triples = np.asarray([[0, 0, 1], [2, 0, 5], [7, 0, 3]])
-        rows = per_relation_report(m, triples, None, ["only"], 1, seed=2)
+        rows = per_relation_report(compute_ranks(m, triples, None, seed=2), triples,
+                                   ["only"], 1)
         report = evaluate_split(m, triples, None, seed=2)
         assert rows[0]["mrr"] == report.mrr
         assert rows[0]["n"] == report.n_queries

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hkge import geometry
 from hkge.model import (
     CURV_FLOOR,
+    CURVATURE_MODES,
     SOFTPLUS_UNIT,
     KGEModel,
     ModelConfig,
@@ -400,6 +402,81 @@ class TestScoreAgainstAll:
         out = m.score_against_all(0, 0)
         assert out.shape == (1,)
         assert out[0] == 0.0
+
+
+class TestOneKernel:
+    """Training, score() and score_against_all() share one tail kernel."""
+
+    @pytest.mark.parametrize("mode", CURVATURE_MODES)
+    def test_training_forward_bitwise_equal_to_scoring(self, mode):
+        m = random_model(ModelConfig(dim=8, curvature_mode=mode), 30, 5, seed=21)
+        rng = np.random.default_rng(22)
+        h = rng.integers(0, 30, 12)
+        r = rng.integers(0, 5, 12)
+        t = rng.integers(0, 30, (12, 9))
+        t[:, 4] = t[0, 4]  # one tail in every query
+        scores, _ = m._forward(h, r, t, need_cache=True)
+        for b in range(12):
+            full = m.score_against_all(int(h[b]), int(r[b]), chunk=7)
+            for j in range(9):
+                assert scores[b, j] == m.score(int(h[b]), int(r[b]), int(t[b, j]))
+                assert scores[b, j] == full[t[b, j]]
+
+    @pytest.mark.parametrize("mode", CURVATURE_MODES)
+    def test_near_coincident_tail_matches_reference(self, mode):
+        # a tail placed on (or next to) the transformed head: ||md||^2 in
+        # Gram form cancels almost entirely and must stay finite and exact
+        offsets = (0.0, 1e-12, 1e-8, 1e-4)
+        for seed in range(12):
+            m = random_model(ModelConfig(dim=8, curvature_mode=mode), 4, 3, seed=seed)
+            h, r, t = 0, seed % 3, 3
+            c = m.curvature(h, r)
+            lhs = geometry.mobius_add(m.transform_head(h, r, c),
+                                      geometry.exp0(m.params["rel_trans"][r], c), c)
+            direction = np.random.default_rng(seed).normal(size=8)
+            bias = m.params["ent_bias"][h] + m.params["ent_bias"][t]
+            for offset in offsets:
+                m.params["ent_emb"][t] = geometry.log0(lhs + offset * direction, c)
+                dist = geometry.hyp_distance(lhs, geometry.exp0(m.params["ent_emb"][t], c), c)
+                got = m.score(h, r, t)
+                assert np.isfinite(got)
+                assert abs(got - (bias - dist * dist)) < 1e-12, (seed, offset)
+            scores, cache = m._forward([h], [r], [[t]], need_cache=True)
+            grads = m.backward(cache, np.ones_like(scores))
+            assert all(np.all(np.isfinite(g)) for g in grads.to_dense(m).values())
+
+    def test_clamp_sites_counted_separately(self, monkeypatch):
+        # lhs projection, md projection and arctanh clamp each report their
+        # own count, in that order; at c = 0.6 a projected md rounds to
+        # sqrt(c)*||md|| just above 1 - BALL_EPS, so the arctanh clamp fires too
+        m = random_model(ModelConfig(dim=4, curvature_mode="global"), 6, 2, seed=30)
+        m.params["curv_raw"] = np.asarray(np.log(np.expm1(0.6)))
+        m.params["rel_trans"][1] *= 40.0              # relation 1: lhs leaves the ball
+        m.params["ent_emb"][5] *= 40.0                # tail 5: near the boundary
+        h, r = np.asarray([0, 1, 2]), np.asarray([0, 1, 0])
+        t = np.asarray([[5, 1, 5], [5, 2, 3], [4, 5, 1]])
+        P = m.params
+        c = m.curvature(0, 0)
+        sc = math.sqrt(c)
+        limit = (1.0 - geometry.BALL_EPS) / sc
+        want = [0, 0, 0]
+        for b in range(3):
+            x = (P["ent_emb"][h[b]].reshape(-1, 2) * P["rel_scale"][r[b]][:, None]).ravel()
+            x = geometry.block_rotate(_exp0(x, c), P["rel_theta"][r[b]])
+            lhs = _mobius(x, _exp0(P["rel_trans"][r[b]], c), c)
+            if np.linalg.norm(lhs) > limit:
+                want[0] += 1
+                lhs = lhs * limit / np.linalg.norm(lhs)
+            for j in t[b]:
+                nm = np.linalg.norm(_mobius(-lhs, _exp0(P["ent_emb"][j], c), c))
+                want[1] += nm > limit
+                want[2] += sc * min(nm, limit) > 1.0 - geometry.BALL_EPS
+        counts = []
+        monkeypatch.setattr(geometry, "_count_clamps",
+                            lambda mask: counts.append(int(np.count_nonzero(mask))))
+        m._forward(h, r, t)
+        assert counts == want
+        assert want[0] == 1 and want[1] >= 3 and want[2] == want[1]
 
 
 class TestCopy:

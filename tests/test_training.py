@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hkge import data
-from hkge.model import KGEModel, ModelConfig
+from hkge import data, geometry
+from hkge.model import CURVATURE_MODES, KGEModel, ModelConfig
 from hkge.training import (
     Adagrad,
     Adam,
@@ -132,31 +132,61 @@ class TestLoss:
         assert value == loss(m, pos, neg)
 
 
+def assert_matches_central_differences(m, pos, neg):
+    _, grads = loss_and_grads(m, pos, neg)
+    dense = grads.to_dense(m)
+    h = 1e-6
+    for name, param in m.params.items():
+        it = np.ndindex(param.shape) if param.ndim else [()]
+        for idx in it:
+            orig = param[idx]
+            param[idx] = orig + h
+            up = loss(m, pos, neg)
+            param[idx] = orig - h
+            down = loss(m, pos, neg)
+            param[idx] = orig
+            fd = (up - down) / (2.0 * h)
+            got = dense[name][idx] if dense[name].ndim else float(dense[name])
+            # combined bound: FD noise dominates once the gradient
+            # itself is at the 1e-5 scale
+            assert abs(fd - got) < 1e-4 * max(abs(fd), abs(got)) + 1e-8, \
+                f"{name}{idx}: fd={fd} grad={got}"
+
+
 class TestGradients:
-    @pytest.mark.parametrize("mode", ("fixed_one", "global", "per_relation", "attention"))
+    @pytest.mark.parametrize("mode", CURVATURE_MODES)
     def test_matches_central_differences(self, mode):
         cfg = ModelConfig(dim=4, curvature_mode=mode)
         m = random_model(cfg, 3, 2, seed=3)
         pos = np.asarray([[0, 0, 1], [2, 1, 0]])
         neg = np.asarray([[1, 2], [0, 1]])
-        _, grads = loss_and_grads(m, pos, neg)
-        dense = grads.to_dense(m)
-        h = 1e-6
-        for name, param in m.params.items():
-            it = np.ndindex(param.shape) if param.ndim else [()]
-            for idx in it:
-                orig = param[idx]
-                param[idx] = orig + h
-                up = loss(m, pos, neg)
-                param[idx] = orig - h
-                down = loss(m, pos, neg)
-                param[idx] = orig
-                fd = (up - down) / (2.0 * h)
-                got = dense[name][idx] if dense[name].ndim else float(dense[name])
-                # combined bound: FD noise dominates once the gradient
-                # itself is at the 1e-5 scale
-                assert abs(fd - got) < 1e-4 * max(abs(fd), abs(got)) + 1e-8, \
-                    f"{name}{idx}: fd={fd} grad={got}"
+        assert_matches_central_differences(m, pos, neg)
+
+    @pytest.mark.parametrize("mode", CURVATURE_MODES)
+    def test_repeated_tails_match_central_differences(self, mode):
+        # tail 1 recurs within queries and across all of them, and is a head too
+        m = random_model(ModelConfig(dim=4, curvature_mode=mode), 4, 2, seed=8)
+        pos = np.asarray([[0, 0, 1], [2, 1, 1], [1, 0, 3], [2, 1, 1]])
+        neg = np.asarray([[1, 1, 2], [1, 3, 1], [1, 0, 1], [3, 1, 0]])
+        assert_matches_central_differences(m, pos, neg)
+
+    @pytest.mark.parametrize("mode", CURVATURE_MODES)
+    def test_md_projection_matches_central_differences(self, mode, monkeypatch):
+        # tail 1 sits near the boundary opposite the head of query (0, 0),
+        # so (-lhs) (+) t leaves the clamp radius and is projected
+        m = random_model(ModelConfig(dim=4, curvature_mode=mode), 3, 2, seed=3)
+        c = m.curvature(0, 0)
+        lhs = geometry.mobius_add(m.transform_head(0, 0, c),
+                                  geometry.exp0(m.params["rel_trans"][0], c), c)
+        m.params["ent_emb"][1] = -lhs / np.linalg.norm(lhs) * 8.0 / np.sqrt(c)
+        pos = np.asarray([[0, 0, 1], [2, 1, 0]])
+        neg = np.asarray([[1, 2], [0, 1]])
+        counts = []
+        monkeypatch.setattr(geometry, "_count_clamps",
+                            lambda mask: counts.append(int(np.count_nonzero(mask))))
+        loss(m, pos, neg)
+        assert counts[1] == 3  # the md projection site fired, on every (h, r, 1) pair
+        assert_matches_central_differences(m, pos, neg)
 
     def test_euclidean_matches_central_differences(self):
         cfg = ModelConfig(dim=4, geometry="euclidean")
@@ -268,7 +298,7 @@ class TestConfigValidation:
     def test_rejects_bad_values(self):
         for kwargs in ({"epochs": -1}, {"batch_size": 0}, {"neg_samples": 0},
                        {"lr": 0.0}, {"optimizer": "sgd"}, {"eval_every": 0},
-                       {"patience": 0}, {"threads": 0}):
+                       {"patience": 0}):
             with pytest.raises(ValueError):
                 TrainConfig(**kwargs).validate()
 
