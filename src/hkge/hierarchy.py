@@ -7,23 +7,33 @@ curvature of the shortest-path metric from sampled triangles: pick
 (a, b, c), find the midpoint m of a shortest b-c path, and compare
 d(a, m) against what a flat metric would predict; trees come out
 negative.
+
+A relation graph is held as its directed edge array plus one symmetric
+CSR adjacency matrix, both built with NumPy.  Distances are BFS levels
+read off `breadth_first_order`, exact small integers in float64, so xi
+results are the same as from an unweighted Dijkstra.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order
 
 DEFAULT_XI_SAMPLES = 10_000
+
+# BFS levels are found one level per step while the graph is shallow;
+# past this many levels (long chains) pointer jumping takes over, whose
+# cost grows with log(depth) instead.
+_LEVEL_STEPS = 256
 
 
 @dataclass
 class RelationGraph:
     relation: str
     node_ids: np.ndarray        # sorted original entity ids
-    directed_edges: set         # (i, j) in compact node indices, deduplicated
-    adjacency: list             # undirected: compact index -> sorted neighbor array
+    directed_edges: np.ndarray  # (E, 2) compact (i, j) pairs, sorted and unique
+    csgraph: csr_matrix         # symmetric adjacency without self-loops, sorted indices
 
     @property
     def n_nodes(self):
@@ -33,34 +43,29 @@ class RelationGraph:
     def n_edges(self):
         return len(self.directed_edges)
 
-    def csgraph(self):
-        rows, cols = [], []
-        for i, nbrs in enumerate(self.adjacency):
-            rows.extend([i] * len(nbrs))
-            cols.extend(nbrs.tolist())
-        n = self.n_nodes
-        return csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(n, n)
-        )
+
+def _decode_unique(keys, n):
+    """Sorted unique (i, j) pairs from i*n + j keys."""
+    return np.stack(np.divmod(np.unique(keys), n), axis=1)
 
 
 def build_graph(relation, edge_list):
     """RelationGraph from directed (head_id, tail_id) pairs."""
-    edges = {(int(h), int(t)) for h, t in edge_list}
-    if not edges:
+    edges = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
+    if not len(edges):
         raise ValueError(f"relation {relation!r} has no edges")
-    node_ids = np.unique(np.asarray(sorted({n for e in edges for n in e})))
-    index = {int(n): i for i, n in enumerate(node_ids)}
-    compact = {(index[h], index[t]) for h, t in edges}
-    nbrs = [set() for _ in node_ids]
-    for i, j in compact:
-        if i != j:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-    adjacency = [np.fromiter(sorted(s), dtype=np.int64) for s in nbrs]
+    node_ids, compact = np.unique(edges, return_inverse=True)
+    compact = compact.reshape(-1, 2)
+    n = len(node_ids)
+    directed = _decode_unique(compact[:, 0] * n + compact[:, 1], n)
+    i, j = compact[compact[:, 0] != compact[:, 1]].T
+    rows, cols = _decode_unique(np.concatenate([i * n + j, j * n + i]), n).T
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    adjacency = csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
     return RelationGraph(
         relation=relation, node_ids=node_ids,
-        directed_edges=compact, adjacency=adjacency,
+        directed_edges=directed, csgraph=adjacency,
     )
 
 
@@ -78,25 +83,64 @@ def relation_subgraph(store, relation_name):
 
 def khs(graph):
     """Fraction of directed edges lacking a reciprocal edge."""
-    edges = graph.directed_edges
-    if not edges:
+    if not graph.n_edges:
         raise ValueError("hierarchy score undefined on a graph with no edges")
-    one_way = sum(1 for (i, j) in edges if (j, i) not in edges)
-    return one_way / len(edges)
+    n = graph.n_nodes
+    i, j = graph.directed_edges.T
+    one_way = int(np.count_nonzero(~np.isin(j * n + i, i * n + j)))
+    return one_way / graph.n_edges
+
+
+def _levels(parent_pos):
+    """BFS level of each position in a BFS order, from its parent's position.
+
+    `parent_pos[k]` is the position of the parent of the node at position
+    k + 1 (position 0 is the source).  Parents come earlier in the order
+    and their positions never decrease, so the level after one ending at
+    position e ends at 1 + (number of parents before e).
+    """
+    n = len(parent_pos) + 1
+    ends = [1]
+    while ends[-1] < n and len(ends) <= _LEVEL_STEPS:
+        ends.append(1 + int(np.searchsorted(parent_pos, ends[-1])))
+    if ends[-1] == n:
+        return np.repeat(np.arange(len(ends), dtype=np.float64), np.diff(ends, prepend=0))
+    # pointer jumping: hops[k] is the level gap between k and its ancestor
+    # up[k]; the last position is deepest, so it reaches the source last
+    up = np.concatenate([[0], parent_pos])
+    hops = np.ones(n, dtype=np.intp)
+    hops[0] = 0
+    while up[-1]:
+        hops += hops[up]
+        up = up[up]
+    return hops.astype(np.float64)
 
 
 def bfs_distances(csgraph, source):
-    """Unweighted shortest-path distances from `source` (inf if unreachable)."""
-    return dijkstra(csgraph, directed=False, unweighted=True, indices=source)
+    """Unweighted shortest-path distances from `source` (inf if unreachable).
+
+    `csgraph` must be symmetric, as `RelationGraph.csgraph` is by
+    construction: the search runs with `directed=True`, which on a
+    symmetric matrix gives the undirected distances without SciPy
+    symmetrising it again on every call.
+    """
+    order, pred = breadth_first_order(
+        csgraph, source, directed=True, return_predecessors=True)
+    pos = np.empty(csgraph.shape[0], dtype=np.intp)
+    pos[order] = np.arange(len(order))
+    dist = np.full(csgraph.shape[0], np.inf)
+    dist[order] = _levels(pos[pred[order[1:]]])
+    return dist
 
 
 def _midpoint(graph, dist_b, b, c):
     """Walk half of a shortest c->b path along min-index BFS parents."""
+    indptr, indices = graph.csgraph.indptr, graph.csgraph.indices
     steps = int(dist_b[c]) // 2
     cur = c
     for _ in range(steps):
         target = dist_b[cur] - 1
-        for nbr in graph.adjacency[cur]:  # sorted: first hit is smallest
+        for nbr in indices[indptr[cur]:indptr[cur + 1]]:  # sorted: first hit is smallest
             if dist_b[nbr] == target:
                 cur = int(nbr)
                 break
@@ -110,7 +154,7 @@ def xi_triangle(graph, a, b, c, csgraph=None, dist_a=None, dist_b=None):
     `a` disconnected; midpoint coincides with `a`.
     """
     if csgraph is None:
-        csgraph = graph.csgraph()
+        csgraph = graph.csgraph
     if dist_b is None:
         dist_b = bfs_distances(csgraph, b)
     d_bc = dist_b[c]
@@ -143,7 +187,6 @@ def xi_estimate(graph, n_samples=DEFAULT_XI_SAMPLES, seed=0, max_attempts=None):
         raise ValueError("xi needs at least 3 nodes")
     if max_attempts is None:
         max_attempts = max(20 * n_samples, 1000)
-    csgraph = graph.csgraph()
     rng = np.random.default_rng(seed)
     values = []
     rejected = 0
@@ -152,7 +195,7 @@ def xi_estimate(graph, n_samples=DEFAULT_XI_SAMPLES, seed=0, max_attempts=None):
     while len(values) < n_samples and attempts < max_attempts:
         attempts += 1
         a, b, c = (int(x) for x in rng.choice(n, size=3, replace=False))
-        xi = xi_triangle(graph, a, b, c, csgraph=csgraph)
+        xi = xi_triangle(graph, a, b, c)
         if xi is None:
             rejected += 1
         else:

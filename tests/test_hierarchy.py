@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
-from hkge import data
+from hkge import data, hierarchy
 from hkge.hierarchy import (
     HIERARCHY_HEADER,
     RelationGraph,
@@ -50,6 +52,28 @@ def random_tree_edges(n, seed):
     return [(int(rng.integers(0, i)), i) for i in range(1, n)]
 
 
+def random_edge_list(rng, n_ids):
+    """Edges over two disjoint id blocks, with duplicates, self-loops,
+    reciprocal pairs and one node whose only edge is a self-loop."""
+    half = n_ids // 2
+    m = int(rng.integers(1, 2 * n_ids))
+    blocks = rng.integers(0, 2, m) * half
+    edges = rng.integers(0, half, (m, 2)) + blocks[:, None]
+    extra = [edges[rng.integers(0, m, 3)],             # duplicates
+             edges[rng.integers(0, m, 2)][:, ::-1],    # reciprocal pairs
+             np.repeat(rng.integers(0, n_ids, 2), 2).reshape(2, 2),  # self-loops
+             [[10 * n_ids, 10 * n_ids]]]               # isolated node
+    return np.concatenate([edges, *extra]).tolist()
+
+
+def reference_distances(g, edge_list):
+    """All-pairs Dijkstra on a matrix built straight from the raw edges."""
+    ij = np.searchsorted(g.node_ids, np.asarray(edge_list))
+    n = g.n_nodes
+    adj = coo_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(n, n))
+    return dijkstra(adj.tocsr(), directed=False, unweighted=True)
+
+
 def star_graph(k):
     return build_graph("star", [(0, leaf) for leaf in range(1, k + 1)])
 
@@ -60,11 +84,13 @@ class TestBuildGraph:
         assert g.n_nodes == 3
         assert g.n_edges == 2
         np.testing.assert_array_equal(g.node_ids, [10, 20, 30])
-        assert g.directed_edges == {(0, 1), (1, 2)}
+        np.testing.assert_array_equal(g.directed_edges, [[0, 1], [1, 2]])
 
     def test_adjacency_is_undirected_and_sorted(self):
         g = build_graph("r", [(0, 2), (3, 0), (0, 1)])
-        np.testing.assert_array_equal(g.adjacency[0], [1, 2, 3])
+        cs = g.csgraph
+        np.testing.assert_array_equal(cs.indices[cs.indptr[0]:cs.indptr[1]], [1, 2, 3])
+        assert (cs != cs.T).nnz == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no edges"):
@@ -91,6 +117,14 @@ class TestKhs:
         relabeled = [(e[0] * 7 + 3, e[1] * 7 + 3) for e in edges]
         assert khs(build_graph("r", edges)) == khs(build_graph("r", relabeled))
 
+    def test_matches_set_definition(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            edge_list = random_edge_list(rng, int(rng.integers(2, 40)))
+            edges = {(h, t) for h, t in edge_list}
+            one_way = sum(1 for (h, t) in edges if (t, h) not in edges)
+            assert khs(build_graph("r", edge_list)) == one_way / len(edges)
+
 
 class TestBfs:
     def test_matches_floyd_warshall(self):
@@ -104,14 +138,32 @@ class TestBfs:
                 continue
             g = build_graph("r", edges)
             D = floyd_warshall(g.n_nodes, g.directed_edges)
-            cs = g.csgraph()
+            cs = g.csgraph
             for src in range(g.n_nodes):
                 np.testing.assert_array_equal(bfs_distances(cs, src), D[src])
 
     def test_disconnected_is_inf(self):
         g = build_graph("r", [(0, 1), (2, 3)])
-        d = bfs_distances(g.csgraph(), 0)
+        d = bfs_distances(g.csgraph, 0)
         assert d[1] == 1.0 and np.isinf(d[2]) and np.isinf(d[3])
+
+    def test_matches_dijkstra(self):
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            edge_list = random_edge_list(rng, int(rng.integers(2, 50)))
+            g = build_graph("r", edge_list)
+            D = reference_distances(g, edge_list)
+            for src in range(g.n_nodes):
+                np.testing.assert_array_equal(bfs_distances(g.csgraph, src), D[src])
+
+    def test_deep_graph_matches_dijkstra(self):
+        # a path with side branches, deeper than the level-by-level scan goes
+        n = 2 * hierarchy._LEVEL_STEPS + 50
+        edge_list = [(i, i + 1) for i in range(n - 1)] + [(i, n + i) for i in range(0, n, 7)]
+        g = build_graph("r", edge_list)
+        D = reference_distances(g, edge_list)
+        for src in (0, 1, n // 2, n - 1, n + 7):
+            np.testing.assert_array_equal(bfs_distances(g.csgraph, src), D[src])
 
 
 class TestXiTriangle:
@@ -192,6 +244,29 @@ class TestXiEstimate:
         result = xi_estimate(g, n_samples=50, seed=1)
         assert result.accepted == 50
         assert result.rejected >= 0
+
+
+class TestXiExactness:
+    def store(self):
+        """63-node binary tree, a 16-leaf ring and two reciprocal edges."""
+        tree = [(f"e{(k - 1) // 2}", "r", f"e{k}") for k in range(1, 63)]
+        ring = [(f"e{k}", "r", f"e{k + 1}") for k in range(31, 46)] + [("e46", "r", "e31")]
+        back = [("e1", "r", "e0"), ("e9", "r", "e4")]
+        return data.build_vocab({"train": tree + ring + back, "valid": [], "test": []})
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, (-1.3518184523809524, 0.0922650324055066, 200, 147)),
+        (3, (-1.0256741071428572, 0.09570261774841736, 200, 186)),
+    ])
+    def test_pinned_output(self, seed, expected):
+        # expected values were computed with SciPy's unweighted Dijkstra
+        # distances; any drift in the sample stream, the rejection rules
+        # or the midpoint rule changes them
+        row = analyze_relation(self.store(), "r", n_samples=200, seed=seed)
+        assert (row["nodes"], row["edges"], row["khs"]) == (63, 80, 0.95)
+        got = (row["xi_mean"], row["xi_stderr"],
+               row["samples_accepted"], row["samples_rejected"])
+        assert got == expected
 
 
 class TestRelationSubgraph:
