@@ -22,11 +22,6 @@ from scipy.sparse.csgraph import breadth_first_order
 
 DEFAULT_XI_SAMPLES = 10_000
 
-# BFS levels are found one level per step while the graph is shallow;
-# past this many levels (long chains) pointer jumping takes over, whose
-# cost grows with log(depth) instead.
-_LEVEL_STEPS = 256
-
 
 @dataclass
 class RelationGraph:
@@ -95,20 +90,14 @@ def _levels(parent_pos):
     """BFS level of each position in a BFS order, from its parent's position.
 
     `parent_pos[k]` is the position of the parent of the node at position
-    k + 1 (position 0 is the source).  Parents come earlier in the order
-    and their positions never decrease, so the level after one ending at
-    position e ends at 1 + (number of parents before e).
+    k + 1 (position 0 is the source).  Pointer jumping: `hops[k]` is the
+    level gap between position k and its ancestor `up[k]`, and each round
+    doubles the jump, so after ceil(log2(depth)) rounds every position
+    points at the source.  The last position is deepest, so it gets there
+    last.
     """
-    n = len(parent_pos) + 1
-    ends = [1]
-    while ends[-1] < n and len(ends) <= _LEVEL_STEPS:
-        ends.append(1 + int(np.searchsorted(parent_pos, ends[-1])))
-    if ends[-1] == n:
-        return np.repeat(np.arange(len(ends), dtype=np.float64), np.diff(ends, prepend=0))
-    # pointer jumping: hops[k] is the level gap between k and its ancestor
-    # up[k]; the last position is deepest, so it reaches the source last
     up = np.concatenate([[0], parent_pos])
-    hops = np.ones(n, dtype=np.intp)
+    hops = np.ones(len(up), dtype=np.intp)
     hops[0] = 0
     while up[-1]:
         hops += hops[up]

@@ -155,10 +155,8 @@ class Adagrad:
                 acc[...] += g * g
                 param[...] -= self.lr * g / (np.sqrt(acc) + self.eps)
             else:
-                acc_rows = acc[rows]
-                acc_rows += g * g
-                acc[rows] = acc_rows
-                param[rows] -= self.lr * g / (np.sqrt(acc_rows) + self.eps)
+                acc[rows] += g * g
+                param[rows] -= self.lr * g / (np.sqrt(acc[rows]) + self.eps)
 
 
 class Adam:

@@ -3,7 +3,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from hkge import data, hierarchy
+from hkge import data
 from hkge.hierarchy import (
     HIERARCHY_HEADER,
     RelationGraph,
@@ -157,8 +157,8 @@ class TestBfs:
                 np.testing.assert_array_equal(bfs_distances(g.csgraph, src), D[src])
 
     def test_deep_graph_matches_dijkstra(self):
-        # a path with side branches, deeper than the level-by-level scan goes
-        n = 2 * hierarchy._LEVEL_STEPS + 50
+        # a path with side branches: hundreds of levels, many jump rounds
+        n = 562
         edge_list = [(i, i + 1) for i in range(n - 1)] + [(i, n + i) for i in range(0, n, 7)]
         g = build_graph("r", edge_list)
         D = reference_distances(g, edge_list)
