@@ -15,7 +15,7 @@ import numpy as np
 
 from . import checkpoint, data, evaluation, hierarchy
 from .model import KGEModel, ModelConfig
-from .training import MetricLog, TrainConfig, train
+from .training import MetricLog, NumericError, TrainConfig, train
 
 CLI_MODE_MAP = {
     "fixed": "fixed_one",
@@ -346,7 +346,7 @@ def main(argv=None):
         cfg = resolve_config(args)
         return COMMANDS[args.command](cfg)
     except (CliError, data.DatasetError, checkpoint.CheckpointError,
-            ValueError, KeyError, OSError) as exc:
+            NumericError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

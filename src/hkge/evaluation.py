@@ -22,7 +22,6 @@ class MetricReport:
     mrr: float
     hits: dict
     n_queries: int
-    per_relation: dict | None = None
 
     def row(self):
         return {"n": self.n_queries, "mrr": self.mrr,

@@ -10,6 +10,19 @@ shape of the point arguments (one curvature per row).
 Near-boundary arguments to arctanh are clamped to 1 - BALL_EPS instead
 of overflowing; every clamped element increments a module-level counter
 so callers can watch for saturation (see ``clamp_events``).
+
+Each step of the model's head transform (``block_scale``, ``exp0``,
+``block_rotate``, ``mobius_add``, ``project_to_ball``) has one private
+core ``_step`` and its VJP ``_step_backward`` next to it.  The public
+names validate and call the core.  Cores trust their arguments, so a
+NaN inside the model reaches the model's own finite checks instead of
+raising here, and take ``c`` shaped by ``_as_curvature``.  A VJP takes
+the upstream gradient and the step's forward inputs, recomputes what it
+needs, and returns the inputs' gradients; the curvature's is per row.
+
+``hyp_distance`` composes the public functions and is the independent
+reference for the model's Gram-form tail kernel, which computes the
+same distance from three dot products per (query, tail) pair.
 """
 
 import numpy as np
@@ -100,10 +113,20 @@ def exp0(v, c):
 
     exp0(v) = tanh(sqrt(c)*||v||) * v / (sqrt(c)*||v||)
     """
-    v = _as_float("v", v)
-    c = _as_curvature(c)
-    z = np.sqrt(c) * _norm(v)
-    return tanh_ratio(z) * v
+    return _exp0(_as_float("v", v), _as_curvature(c))
+
+
+def _exp0(v, c):
+    return tanh_ratio(np.sqrt(c) * _norm(v)) * v
+
+
+def _exp0_backward(y_bar, v, c):
+    """VJP of y = exp0(v) through v and c."""
+    n2 = np.sum(v * v, axis=-1, keepdims=True)
+    z = np.sqrt(c) * np.sqrt(n2)
+    r = tanh_ratio_prime_over_z(z)
+    dot = np.sum(y_bar * v, axis=-1, keepdims=True)
+    return tanh_ratio(z) * y_bar + dot * r * c * v, (dot * r * n2 / 2.0)[..., 0]
 
 
 def log0(x, c):
@@ -134,19 +157,58 @@ def mobius_add(x, y, c):
     """
     x = _as_float("x", x)
     y = _as_float("y", y)
-    cc = _as_curvature(c)
+    c = _as_curvature(c)
+    return _project(_mobius_add(x, y, c), c)
+
+
+def _mobius_terms(x, y, c):
+    """<x, y>, ||x||^2, ||y||^2 and A, B, D with x (+)_c y = (A*x + B*y)/D."""
     dot = np.sum(x * y, axis=-1, keepdims=True)
     nx2 = np.sum(x * x, axis=-1, keepdims=True)
     ny2 = np.sum(y * y, axis=-1, keepdims=True)
-    num = (1.0 + 2.0 * cc * dot + cc * ny2) * x + (1.0 - cc * nx2) * y
-    den = 1.0 + 2.0 * cc * dot + cc * cc * nx2 * ny2
-    if np.any(np.abs(den) < DEN_EPS):
-        raise ValueError("mobius_add: degenerate denominator")
-    return project_to_ball(num / den, c)
+    A = 1.0 + 2.0 * c * dot + c * ny2
+    B = 1.0 - c * nx2
+    D = 1.0 + 2.0 * c * dot + c * c * nx2 * ny2
+    return dot, nx2, ny2, A, B, D
+
+
+def _check_denominator(D, query=None):
+    """Raise ValueError where |D| < DEN_EPS; ``query(b)`` names row b."""
+    bad = np.abs(D) < DEN_EPS
+    if np.any(bad):
+        where = "" if query is None else f" for {query(int(np.argwhere(bad)[0][0]))}"
+        raise ValueError(f"degenerate mobius denominator{where}")
+
+
+def _mobius_add(x, y, c, query=None):
+    """x (+)_c y before projection; the denominator is checked first."""
+    _, _, _, A, B, D = _mobius_terms(x, y, c)
+    _check_denominator(D, query)
+    return (A * x + B * y) / D
+
+
+def _mobius_add_backward(g_bar, x, y, c):
+    """VJP of out = x (+)_c y (unprojected) through x, y and c."""
+    dot, nx2, ny2, A, B, D = _mobius_terms(x, y, c)
+    out = (A * x + B * y) / D
+    gx = np.sum(g_bar * x, axis=-1, keepdims=True)
+    gy = np.sum(g_bar * y, axis=-1, keepdims=True)
+    go = np.sum(g_bar * out, axis=-1, keepdims=True)
+    two_c = 2.0 * c
+    x_bar = (A * g_bar + two_c * gx * y - two_c * gy * x
+             - go * (two_c * y + two_c * c * ny2 * x)) / D
+    y_bar = (B * g_bar + two_c * gx * (x + y)
+             - go * (two_c * x + two_c * c * nx2 * y)) / D
+    c_bar = (gx * (2.0 * dot + ny2) - gy * nx2
+             - go * (2.0 * dot + 2.0 * c * nx2 * ny2)) / D
+    return x_bar, y_bar, c_bar[..., 0]
 
 
 def hyp_distance(x, y, c):
-    """Geodesic distance d_c(x, y) = (2/sqrt(c)) * arctanh(sqrt(c)*||-x (+) y||)."""
+    """Geodesic distance d_c(x, y) = (2/sqrt(c)) * arctanh(sqrt(c)*||-x (+) y||).
+
+    The reference the model's Gram-form tail kernel is tested against.
+    """
     c_col = _as_curvature(c)
     m = mobius_add(-np.asarray(x, dtype=np.float64), y, c)
     g = np.sqrt(c_col) * _norm(m)
@@ -159,30 +221,62 @@ def hyp_distance(x, y, c):
 
 def project_to_ball(x, c):
     """Radially rescale x to norm (1 - BALL_EPS)/sqrt(c) if it lies outside."""
-    x = np.asarray(x, dtype=np.float64)
-    c = _as_curvature(c)
+    return _project(np.asarray(x, dtype=np.float64), _as_curvature(c))
+
+
+def _projection(x, c):
+    """||x|| (kept as a column), where x lies outside the clamp radius, and its rescale factor."""
     n = _norm(x)
     limit = (1.0 - BALL_EPS) / np.sqrt(c)
     over = n > limit
+    return n, over, np.where(over, limit / np.where(over, n, 1.0), 1.0)
+
+
+def _project(x, c):
+    _, over, scale = _projection(x, c)
     _count_clamps(over)
-    scale = np.where(over, limit / np.where(over, n, 1.0), 1.0)
     return x * scale
 
 
-def _split_pairs(x):
+def _project_backward(y_bar, x, c):
+    """VJP of y = project_to_ball(x) through x and c."""
+    n, over, scale = _projection(x, c)
+    if not np.any(over):
+        return y_bar, 0.0
+    dot = np.sum(y_bar * x, axis=-1, keepdims=True)
+    # projected: y = limit * x/||x||; grad is tangential, scaled
+    n2 = np.where(over, n * n, 1.0)
+    x_bar = np.where(over, scale * (y_bar - (dot / n2) * x), y_bar)
+    # limit = (1-eps)/sqrt(c) pulls c into the projected outputs
+    return x_bar, np.where(over, dot * scale * (-0.5 / c), 0.0)[..., 0]
+
+
+def _pairs(x):
+    return x.reshape(x.shape[:-1] + (x.shape[-1] // 2, 2))
+
+
+def _check_pairs(x, per_pair, what):
     if x.shape[-1] % 2:
         raise ValueError("last dimension must be even")
-    return x.reshape(x.shape[:-1] + (x.shape[-1] // 2, 2))
+    if per_pair.shape[-1] != x.shape[-1] // 2:
+        raise ValueError(f"expected {x.shape[-1] // 2} {what}, got {per_pair.shape[-1]}")
 
 
 def block_scale(x, k):
     """Scale each coordinate pair (x_{2i}, x_{2i+1}) by k_i."""
     x = _as_float("x", x)
     k = _as_float("k", k)
-    xp = _split_pairs(x)
-    if k.shape[-1] != xp.shape[-2]:
-        raise ValueError(f"expected {xp.shape[-2]} scale factors, got {k.shape[-1]}")
-    return (xp * k[..., np.newaxis]).reshape(x.shape)
+    _check_pairs(x, k, "scale factors")
+    return _block_scale(x, k)
+
+
+def _block_scale(x, k):
+    return (_pairs(x) * k[..., np.newaxis]).reshape(x.shape)
+
+
+def _block_scale_backward(y_bar, x, k):
+    """VJP of y = block_scale(x, k) through x and k."""
+    return _block_scale(y_bar, k), np.sum(_pairs(y_bar) * _pairs(x), axis=-1)
 
 
 def block_rotate(x, theta):
@@ -193,14 +287,26 @@ def block_rotate(x, theta):
     """
     x = _as_float("x", x)
     theta = _as_float("theta", theta)
-    xp = _split_pairs(x)
-    if theta.shape[-1] != xp.shape[-2]:
-        raise ValueError(f"expected {xp.shape[-2]} angles, got {theta.shape[-1]}")
-    cos = np.cos(theta)
-    sin = np.sin(theta)
-    a = xp[..., 0]
-    b = xp[..., 1]
+    _check_pairs(x, theta, "angles")
+    return _block_rotate(x, theta)
+
+
+def _turn(x, cos, sin):
+    """Rotate coordinate pair i of x by the angle with cosine cos_i and sine sin_i."""
+    xp = _pairs(x)
     out = np.empty(np.broadcast_shapes(xp[..., 0].shape, cos.shape) + (2,))
-    out[..., 0] = a * cos - b * sin
-    out[..., 1] = a * sin + b * cos
+    out[..., 0] = xp[..., 0] * cos - xp[..., 1] * sin
+    out[..., 1] = xp[..., 0] * sin + xp[..., 1] * cos
     return out.reshape(out.shape[:-2] + (out.shape[-2] * 2,))
+
+
+def _block_rotate(x, theta):
+    return _turn(x, np.cos(theta), np.sin(theta))
+
+
+def _block_rotate_backward(y_bar, x, theta):
+    """VJP of y = block_rotate(x, theta) through x and theta."""
+    cos, sin = np.cos(theta), np.sin(theta)
+    # d(y)/d(theta_i) is pair i of y turned by +90 degrees
+    yb, y = _pairs(y_bar), _pairs(_turn(x, cos, sin))
+    return _turn(y_bar, cos, -sin), yb[..., 1] * y[..., 0] - yb[..., 0] * y[..., 1]

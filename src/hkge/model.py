@@ -6,14 +6,20 @@ pre-activations), so optimization stays Euclidean; the ball only ever
 holds intermediate values.
 
 Scoring has two stages.  ``_head`` maps each query (h, r) to its
-transformed head ``lhs`` and, on the ball, its curvature c.  ``_tails``
-scores tail embeddings against it.  On the ball the tail stage (tail
-exp0, the Mobius addition (-lhs) (+)_c exp0(t), the projection and the
-gyrodistance) is written in Gram form: a (query, tail) pair enters only
-through a = ||lhs||^2, n = ||t||^2 and x = <lhs, t>, so apart from the
-tail embeddings no (B, M, d) tensor is built, and the gradient of each
-tail is alpha*lhs + beta*t, which ``_gather`` sums with one sparse
-product.
+transformed head ``lhs`` and, on the ball, its curvature c.  It only
+composes the steps in ``geometry.py`` (block scale, exp0, block
+rotation, Mobius addition and the projection), where each step has its
+one implementation and its VJP; ``_head_backward`` calls those VJPs in
+reverse order.  ``_tails`` scores tail embeddings against ``lhs``.  On
+the ball the tail stage (tail exp0, the Mobius addition
+(-lhs) (+)_c exp0(t), the projection and the gyrodistance) is written
+in Gram form: a (query, tail) pair enters only through a = ||lhs||^2,
+n = ||t||^2 and x = <lhs, t>, so apart from the tail embeddings no
+(B, M, d) tensor is built, and the gradient of each tail is
+alpha*lhs + beta*t, which ``_gather`` sums with one sparse product.
+This is the production distance kernel.  ``geometry.hyp_distance``
+computes the same distance step by step and is kept on purpose as the
+independent reference that the tests and the benchmark check it against.
 
 Training (``_forward``, gathered tails) and ``score_against_all``
 (contiguous slices of the embedding table) share both stages, so a
@@ -24,7 +30,8 @@ axis is done row by row (``np.sum(u * v, axis=-1)`` on the head side,
 many rows there are or where they live.  A BLAS matrix product such as
 ``lhs @ ent_emb.T`` blocks over rows, depends on the shape and would
 break it.
-``backward`` consumes the cache that ``_forward`` builds and
+``backward`` consumes the cache that ``_forward`` builds (each step's
+inputs, from which its VJP recomputes what it needs) and
 hand-accumulates reverse-mode gradients; there is no autograd anywhere.
 """
 
@@ -34,7 +41,7 @@ import numpy as np
 from scipy import sparse
 
 from . import geometry
-from .geometry import BALL_EPS, DEN_EPS, artanh_ratio, tanh_ratio, tanh_ratio_prime_over_z
+from .geometry import BALL_EPS, artanh_ratio, tanh_ratio, tanh_ratio_prime_over_z
 
 CURVATURE_MODES = ("fixed_one", "global", "per_relation", "attention")
 GEOMETRIES = ("hyperbolic", "euclidean")
@@ -78,8 +85,8 @@ class ModelConfig:
     dim: int
     curvature_mode: str = "attention"
     geometry: str = "hyperbolic"
-    use_inter_level: bool = True
-    use_intra_level: bool = True
+    use_inter_level: bool = True   # per-block scaling: moves a point across levels
+    use_intra_level: bool = True   # block rotation: moves a point within its level
     init_scale: float = 1e-3
 
     def validate(self):
@@ -134,39 +141,6 @@ def _segment_sum(values, index, n_segments):
     n = index.shape[0]
     summer = sparse.csr_matrix((np.ones(n), (index, np.arange(n))), shape=(n_segments, n))
     return summer @ values
-
-
-def _pairs(x):
-    return x.reshape(x.shape[:-1] + (-1, 2))
-
-
-def _scale(x, k):
-    """Scale coordinate pair i of each row of x by k[..., i]."""
-    return (_pairs(x) * k[..., None]).reshape(x.shape)
-
-
-def _rotate(x, cos, sin):
-    """Rotate coordinate pair i of each row of x by the angle with (cos, sin)[..., i]."""
-    xp = _pairs(x)
-    out = np.empty_like(xp)
-    out[..., 0] = xp[..., 0] * cos - xp[..., 1] * sin
-    out[..., 1] = xp[..., 0] * sin + xp[..., 1] * cos
-    return out.reshape(x.shape)
-
-
-def _exp0(v, sc):
-    """exp0 of each row of v at curvature sc**2, plus what its VJP needs."""
-    n2 = np.sum(v * v, axis=-1)
-    z = sc * np.sqrt(n2)
-    f = tanh_ratio(z)
-    return f[:, None] * v, (f, tanh_ratio_prime_over_z(z), n2)
-
-
-def _exp0_backward(y_bar, v, aux, c):
-    """VJP of y = exp0(v) through v and c."""
-    f, r, n2 = aux
-    dot = np.sum(y_bar * v, axis=-1)
-    return f[:, None] * y_bar + (dot * r * c)[:, None] * v, dot * r * n2 / 2.0
 
 
 class KGEModel:
@@ -293,21 +267,13 @@ class KGEModel:
 
     # -- scoring ------------------------------------------------------
 
-    def transform_head(self, h, r, c=None):
+    def transform_head(self, h, r):
         """Head after scale, exp0 and rotation: a point on the ball."""
         if self.config.geometry != "hyperbolic":
             raise ValueError("transform_head is defined for hyperbolic geometry")
-        h = int(self._check_entities(np.asarray([h]))[0])
-        r = int(self._check_relations(np.asarray([r]))[0])
-        if c is None:
-            c = self.curvature(h, r)
-        he = self.params["ent_emb"][h]
-        if self.config.use_inter_level:
-            he = geometry.block_scale(he, self.params["rel_scale"][r])
-        point = geometry.exp0(he, c)
-        if self.config.use_intra_level:
-            point = geometry.block_rotate(point, self.params["rel_theta"][r])
-        return point
+        head = self._head(self._check_entities(np.asarray([h])),
+                          self._check_relations(np.asarray([r])))
+        return head["x2"][0]
 
     def score(self, h, r, t):
         scores = self._forward(
@@ -350,7 +316,8 @@ class KGEModel:
 
         Returns a dict whose ``lhs`` (B, d) is the transformed head: a
         point on the ball of curvature ``c`` (B,), or a plain vector in
-        euclidean geometry.  The rest is what ``backward`` needs.
+        euclidean geometry.  The rest are the inputs of each step, which
+        ``_head_backward`` hands to the steps' VJPs.
         """
         P, cfg = self.params, self.config
         he = P["ent_emb"][h_ids]
@@ -358,35 +325,25 @@ class KGEModel:
         w = P["rel_trans"][r_ids]
         k = P["rel_scale"][r_ids] if cfg.use_inter_level else None
         th = P["rel_theta"][r_ids] if cfg.use_intra_level else None
-        cos, sin = (np.cos(th), np.sin(th)) if th is not None else (None, None)
-        hd = {"h_ids": h_ids, "r_ids": r_ids, "he": he, "re": re, "w": w,
-              "k": k, "cos": cos, "sin": sin, "bias": P["ent_bias"][h_ids]}
-        u = he if k is None else _scale(he, k)
+        hd = {"h_ids": h_ids, "r_ids": r_ids, "he": he, "re": re, "w": w, "k": k, "th": th,
+              "bias": P["ent_bias"][h_ids],
+              "query": lambda b: f"query (h={int(h_ids[b])}, r={int(r_ids[b])})"}
+        u = he if k is None else geometry._block_scale(he, k)
         if cfg.geometry == "euclidean":
-            x2 = u if th is None else _rotate(u, cos, sin)
-            hd.update(x2=x2, lhs=x2 + w)
+            x2 = u if th is None else geometry._block_rotate(u, th)
+            hd.update(x1=u, lhs=x2 + w)
             return hd
 
         c, hd["curv_aux"] = self._curvature_batch(he, re, r_ids)
-        sc = np.sqrt(c)
-        x1, hd["exp_u"] = _exp0(u, sc)
-        x2 = x1 if th is None else _rotate(x1, cos, sin)
-        # relation translation mapped onto the ball at this query's c
-        eps, hd["exp_w"] = _exp0(w, sc)
-
-        # lhs = x2 (+)_c eps
         cB = c[:, None]
-        dot1 = np.sum(x2 * eps, axis=-1, keepdims=True)
-        a1 = np.sum(x2 * x2, axis=-1, keepdims=True)
-        b1 = np.sum(eps * eps, axis=-1, keepdims=True)
-        A1 = 1.0 + 2.0 * cB * dot1 + cB * b1
-        B1 = 1.0 - cB * a1
-        D1 = 1.0 + 2.0 * cB * dot1 + cB * cB * a1 * b1
-        self._check_denominator(D1, h_ids, r_ids)
-        lhs_raw = (A1 * x2 + B1 * eps) / D1
-        lhs, proj1 = self._project(lhs_raw, cB)
-        hd.update(c=c, sc=sc, u=u, x2=x2, eps=eps, mob1=(dot1, a1, b1, A1, B1, D1),
-                  lhs_raw=lhs_raw, proj1=proj1, lhs=lhs, a=np.sum(lhs * lhs, axis=-1))
+        x1 = geometry._exp0(u, cB)
+        x2 = x1 if th is None else geometry._block_rotate(x1, th)
+        # relation translation mapped onto the ball at this query's c
+        eps = geometry._exp0(w, cB)
+        lhs_raw = geometry._mobius_add(x2, eps, cB, hd["query"])
+        lhs = geometry._project(lhs_raw, cB)
+        hd.update(c=c, sc=np.sqrt(c), u=u, x1=x1, x2=x2, eps=eps, lhs_raw=lhs_raw,
+                  lhs=lhs, a=np.sum(lhs * lhs, axis=-1))
         return hd
 
     def _tails(self, head, te, t_bias, need_cache=False):
@@ -394,7 +351,9 @@ class KGEModel:
 
         On the ball this is the Gram form of tail exp0, md = (-lhs) (+)_c
         exp0(t), the projection of md and the gyrodistance: a pair enters
-        only through a = ||lhs||^2, n = ||t||^2 and x = <lhs, t>.
+        only through a = ||lhs||^2, n = ||t||^2 and x = <lhs, t>.  This
+        is the production kernel; ``geometry.hyp_distance`` is its
+        independent reference.
         """
         lhs = head["lhs"]
         bias = head["bias"][:, None] + t_bias
@@ -417,7 +376,7 @@ class KGEModel:
         A2 = 1.0 + 2.0 * c * p + c * b
         B2 = 1.0 - c * a
         D2 = 1.0 + 2.0 * c * p + c * c * a * b
-        self._check_denominator(D2, head["h_ids"], head["r_ids"])
+        geometry._check_denominator(D2, head["query"])
         N2 = A2 * A2 * a + 2.0 * A2 * B2 * p + B2 * B2 * b
         # ||md||^2 = N2/D2^2 cancels to rounding noise when lhs ~ tH
         nm = np.sqrt(np.maximum(N2 / (D2 * D2), 0.0))
@@ -439,25 +398,6 @@ class KGEModel:
         return scores, {"n": n, "x": x, "zt": zt, "ft": ft, "p": p, "b": b,
                         "A2": A2, "B2": B2, "D2": D2, "N2": N2, "nm": nm,
                         "live": ~(over | gmask), "gcl": gcl, "atg": atg, "dist": dist}
-
-    @staticmethod
-    def _check_denominator(D, h_ids, r_ids):
-        bad = np.abs(D) < DEN_EPS
-        if np.any(bad):
-            b = int(np.argwhere(bad)[0][0])
-            raise ValueError(
-                f"degenerate mobius denominator for query (h={int(h_ids[b])}, r={int(r_ids[b])})"
-            )
-
-    @staticmethod
-    def _project(x, c_col):
-        """Radial projection inside the clamp radius, with mask for backward."""
-        n = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
-        limit = (1.0 - BALL_EPS) / np.sqrt(c_col)
-        over = n > limit
-        geometry._count_clamps(over)
-        scale = np.where(over, limit / np.where(over, n, 1.0), 1.0)
-        return x * scale, (over, scale, n)
 
     # -- backward -----------------------------------------------------
 
@@ -511,76 +451,36 @@ class KGEModel:
 
     def _head_backward(self, head, lhs_bar, c_bar):
         """VJP of ``_head``: per-query gradients keyed by parameter name."""
-        he, cos, sin = head["he"], head["cos"], head["sin"]
-        q = {"rel_emb": None, "attn_a": None, "attn_p": None, "curv_raw": None}
+        q = dict.fromkeys(("rel_emb", "rel_scale", "rel_theta", "attn_a", "attn_p", "curv_raw"))
         hyp = self.config.geometry == "hyperbolic"
         if hyp:
-            c = head["c"]
-            lhs_raw_bar, cb = self._project_backward(
-                lhs_bar, head["lhs_raw"], head["proj1"], c[:, None])
+            cB = head["c"][:, None]
+            lhs_raw_bar, cb = geometry._project_backward(lhs_bar, head["lhs_raw"], cB)
             c_bar = c_bar + cb
-            # mobius 1 backward: lhs_raw = x2 (+)_c eps
-            x2_bar, eps_bar, cb = self._mobius_backward(
-                lhs_raw_bar, head["lhs_raw"], head["x2"], head["eps"],
-                *head["mob1"], c[:, None])
+            x2_bar, eps_bar, cb = self._mobius_backward(lhs_raw_bar, head["x2"], head["eps"], cB)
             c_bar = c_bar + cb
-            q["rel_trans"], cb = _exp0_backward(eps_bar, head["w"], head["exp_w"], c)
+            q["rel_trans"], cb = geometry._exp0_backward(eps_bar, head["w"], cB)
             c_bar = c_bar + cb
         else:
             x2_bar = q["rel_trans"] = lhs_bar
-
-        # rotation backward: d(x2)/d(theta) turns each pair of x2 by +90 degrees
-        if cos is not None:
-            x2b, x2p = _pairs(x2_bar), _pairs(head["x2"])
-            q["rel_theta"] = x2b[..., 1] * x2p[..., 0] - x2b[..., 0] * x2p[..., 1]
-            x1_bar = _rotate(x2_bar, cos, -sin)
-        else:
-            q["rel_theta"] = None
-            x1_bar = x2_bar
+        x1_bar = x2_bar
+        if head["th"] is not None:
+            x1_bar, q["rel_theta"] = geometry._block_rotate_backward(
+                x2_bar, head["x1"], head["th"])
+        u_bar = x1_bar
         if hyp:
-            u_bar, cb = _exp0_backward(x1_bar, head["u"], head["exp_u"], c)
+            u_bar, cb = geometry._exp0_backward(x1_bar, head["u"], cB)
             c_bar = c_bar + cb
-        else:
-            u_bar = x1_bar
-        k = head["k"]
-        if k is not None:
-            he_bar = _scale(u_bar, k)
-            q["rel_scale"] = np.sum(_pairs(u_bar) * _pairs(he), axis=-1)
-        else:
-            he_bar = u_bar
-            q["rel_scale"] = None
-
-        q["ent_emb"] = he_bar
+        q["ent_emb"] = u_bar
+        if head["k"] is not None:
+            q["ent_emb"], q["rel_scale"] = geometry._block_scale_backward(
+                u_bar, head["he"], head["k"])
         if hyp:
             self._curvature_backward(head, c_bar, q)
         return q
 
-    @staticmethod
-    def _project_backward(out_bar, x_raw, proj, c_col):
-        over, scale, n = proj
-        if not np.any(over):
-            return out_bar, 0.0
-        dot = np.sum(out_bar * x_raw, axis=-1, keepdims=True)
-        # projected: out = limit * x/||x||; grad is tangential, scaled
-        n2 = np.where(over, n * n, 1.0)
-        x_bar = np.where(over, scale * (out_bar - (dot / n2) * x_raw), out_bar)
-        # limit = (1-eps)/sqrt(c) pulls c into the projected outputs
-        return x_bar, np.where(over, dot * scale * (-0.5 / c_col), 0.0)[:, 0]
-
-    @staticmethod
-    def _mobius_backward(g_bar, out_raw, x, y, dot, nx2, ny2, A, B, D, c_col):
-        """VJPs of out = (A*x + B*y)/D through x, y and c."""
-        gx = np.sum(g_bar * x, axis=-1, keepdims=True)
-        gy = np.sum(g_bar * y, axis=-1, keepdims=True)
-        go = np.sum(g_bar * out_raw, axis=-1, keepdims=True)
-        two_c = 2.0 * c_col
-        x_bar = (A * g_bar + two_c * gx * y - two_c * gy * x
-                 - go * (two_c * y + two_c * c_col * ny2 * x)) / D
-        y_bar = (B * g_bar + two_c * gx * (x + y)
-                 - go * (two_c * x + two_c * c_col * nx2 * y)) / D
-        c_bar = (gx * (2.0 * dot + ny2) - gy * nx2
-                 - go * (2.0 * dot + 2.0 * c_col * nx2 * ny2)) / D
-        return x_bar, y_bar, np.squeeze(c_bar, axis=-1)
+    # the head-side Mobius VJP, under the name the benchmark's tracer times
+    _mobius_backward = staticmethod(geometry._mobius_add_backward)
 
     def _gather(self, h_ids, r_ids, t_ids, q, lhs, alpha, beta, sbar):
         """Scatter per-query gradients into unique-row sparse arrays.

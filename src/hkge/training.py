@@ -51,7 +51,7 @@ class TrainConfig:
 
 
 def sample_negatives(rng, n_entities, n):
-    """n uniform draws over [0, n_entities); tails only, replacement on.
+    """Uniform tail draws over [0, n_entities), replacement on; n is a count or a shape.
 
     Accidental hits on a true tail are kept deliberately: the loss
     samples uniformly with no filter clause, and filtering happens only
@@ -102,14 +102,14 @@ def loss_and_grads(model, positives, negatives=None):
     value = float(np.mean(softplus(y * scores)))
     sbar = y * sigmoid(y * scores) / scores.size
     grads = model.backward(cache, sbar)
-    for name in ("ent_emb", "ent_bias", "rel_emb", "rel_scale", "rel_theta",
-                 "rel_trans", "attn_a", "attn_p"):
-        if not np.all(np.isfinite(getattr(grads, name))):
+    for name, _, g in _grad_arrays(grads):
+        if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in parameter group {name}")
     return value, grads
 
 
 def _grad_arrays(grads):
+    """(name, rows, gradient) per parameter group; rows is ``...`` for dense groups."""
     out = [
         ("ent_emb", grads.ent_rows, grads.ent_emb),
         ("ent_bias", grads.ent_rows, grads.ent_bias),
@@ -117,11 +117,11 @@ def _grad_arrays(grads):
         ("rel_scale", grads.rel_rows, grads.rel_scale),
         ("rel_theta", grads.rel_rows, grads.rel_theta),
         ("rel_trans", grads.rel_rows, grads.rel_trans),
-        ("attn_a", None, grads.attn_a),
-        ("attn_p", None, grads.attn_p),
+        ("attn_a", ..., grads.attn_a),
+        ("attn_p", ..., grads.attn_p),
     ]
     if grads.curv_raw is not None:
-        rows = None if grads.curv_raw.ndim == 0 else grads.rel_rows
+        rows = ... if grads.curv_raw.ndim == 0 else grads.rel_rows
         out.append(("curv_raw", rows, grads.curv_raw))
     return out
 
@@ -151,12 +151,8 @@ class Adagrad:
         for name, rows, g in _grad_arrays(grads):
             param = model.params[name]
             acc = self.accum[name]
-            if rows is None:
-                acc[...] += g * g
-                param[...] -= self.lr * g / (np.sqrt(acc) + self.eps)
-            else:
-                acc[rows] += g * g
-                param[rows] -= self.lr * g / (np.sqrt(acc[rows]) + self.eps)
+            acc[rows] += g * g
+            param[rows] -= self.lr * g / (np.sqrt(acc[rows]) + self.eps)
 
 
 class Adam:
@@ -182,16 +178,10 @@ class Adam:
         for name, rows, g in _grad_arrays(grads):
             param = model.params[name]
             m, v = self.m[name], self.v[name]
-            if rows is None:
-                m[...] = self.beta1 * m + (1 - self.beta1) * g
-                v[...] = self.beta2 * v + (1 - self.beta2) * g * g
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-                param[...] -= self.lr * update
-            else:
-                m[rows] = self.beta1 * m[rows] + (1 - self.beta1) * g
-                v[rows] = self.beta2 * v[rows] + (1 - self.beta2) * g * g
-                update = (m[rows] / bc1) / (np.sqrt(v[rows] / bc2) + self.eps)
-                param[rows] -= self.lr * update
+            m[rows] = self.beta1 * m[rows] + (1 - self.beta1) * g
+            v[rows] = self.beta2 * v[rows] + (1 - self.beta2) * g * g
+            update = (m[rows] / bc1) / (np.sqrt(v[rows] / bc2) + self.eps)
+            param[rows] -= self.lr * update
 
 
 def make_optimizer(model, config):
@@ -255,9 +245,8 @@ def train(model, store, config, filters=None, log=None):
         term_count = 0
         for start in range(0, n_train, config.batch_size):
             batch = triples[perm[start:start + config.batch_size]]
-            negatives = neg_rng.integers(
-                0, model.n_entities, size=(len(batch), config.neg_samples)
-            )
+            negatives = sample_negatives(
+                neg_rng, model.n_entities, (len(batch), config.neg_samples))
             try:
                 value, grads = loss_and_grads(model, batch, negatives)
             except NumericError:

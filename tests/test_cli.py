@@ -6,7 +6,7 @@ import pytest
 
 from hkge import checkpoint, data, evaluation
 from hkge.cli import main
-from hkge.model import KGEModel
+from hkge.model import KGEModel, ModelConfig
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +166,20 @@ class TestEval:
                      "--checkpoint", str(bad)])
         assert code == 1
         assert "magic" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint(self, tree_dir, tmp_path, capsys):
+        store = data.augment_reciprocal(data.load_dataset(tree_dir))
+        cfg = ModelConfig(dim=8, curvature_mode="fixed_one")
+        model = KGEModel.init(cfg, store.n_entities, store.n_relations)
+        model.params["ent_emb"][:] = np.nan
+        path = tmp_path / "nan.bin"
+        checkpoint.save(model, str(path))
+        code = main(["eval", "--dataset-dir", tree_dir, "--out-dir", str(tmp_path / "out"),
+                     "--checkpoint", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: non-finite score" in err
+        assert "Traceback" not in err
 
     def test_dataset_mismatch(self, tree_dir, tmp_path, capsys):
         run_dir = tmp_path / "run"

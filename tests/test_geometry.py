@@ -320,3 +320,58 @@ class TestSeriesHelpers:
         np.testing.assert_allclose(
             tanh_ratio_prime_over_z(np.array([0.0])), [-2.0 / 3.0], rtol=1e-12
         )
+
+
+# -- VJPs of the head-side steps ------------------------------------------
+
+def _steps():
+    """step -> (core forward, its VJP, the forward's inputs).
+
+    Five rows of dimension 4, with one curvature per row, shaped as the
+    cores take it (a column).  Three of the projection's input rows lie
+    outside the clamp radius, so the projection fires on those only.
+    """
+    rng = np.random.default_rng(61)
+    c = rng.uniform(0.3, 2.0, (5, 1))
+    radius = 1.0 / np.sqrt(c)
+
+    def at(fractions):
+        return rand_directions(rng, 5, 4) * fractions * radius
+
+    return {
+        "exp0": (geometry._exp0, geometry._exp0_backward, (rng.normal(0.0, 0.7, (5, 4)), c)),
+        "block_scale": (geometry._block_scale, geometry._block_scale_backward,
+                        (rng.normal(size=(5, 4)), rng.uniform(0.5, 1.5, (5, 2)))),
+        "block_rotate": (geometry._block_rotate, geometry._block_rotate_backward,
+                         (rng.normal(size=(5, 4)), rng.uniform(-3.0, 3.0, (5, 2)))),
+        "mobius_add": (geometry._mobius_add, geometry._mobius_add_backward,
+                       (at(rng.uniform(0.1, 0.8, (5, 1))), at(rng.uniform(0.1, 0.8, (5, 1))), c)),
+        "project": (geometry._project, geometry._project_backward,
+                    (at(np.array([[2.0], [1.5], [0.5], [0.9], [3.0]])), c)),
+    }
+
+
+class TestVJPs:
+    @pytest.mark.parametrize("step", sorted(_steps()))
+    def test_matches_central_differences(self, step):
+        forward, backward, args = _steps()[step]
+        y_bar = np.random.default_rng(62).normal(size=forward(*args).shape)
+        grads = backward(y_bar, *args)
+        assert len(grads) == len(args)
+        h = 1e-6
+        for i, (arg, got) in enumerate(zip(args, grads)):
+            fd = np.zeros_like(arg)
+            for idx in np.ndindex(arg.shape):
+                up, down = arg.copy(), arg.copy()
+                up[idx] += h
+                down[idx] -= h
+                fd[idx] = (np.sum(y_bar * forward(*args[:i], up, *args[i + 1:]))
+                           - np.sum(y_bar * forward(*args[:i], down, *args[i + 1:]))) / (2.0 * h)
+            # the curvature gradient comes back per row; c goes in as a column
+            np.testing.assert_allclose(np.reshape(got, arg.shape), fd, rtol=1e-6, atol=1e-8,
+                                       err_msg=f"{step} input {i}")
+
+    def test_projection_fires_on_outside_rows_only(self):
+        _, _, (x, c) = _steps()["project"]
+        _, over, _ = geometry._projection(x, c)
+        np.testing.assert_array_equal(over[:, 0], [True, True, False, False, True])

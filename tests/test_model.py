@@ -364,6 +364,17 @@ class TestScore:
             s = m.score(h, 0, (h + 1) % 4)
             assert np.isfinite(s)
 
+    def test_degenerate_denominator_names_the_query(self):
+        # exp0 saturates both the head of entity 2 and the translation of
+        # relation 1 onto the unit circle, at opposite points: D = 1 - 2 + 1
+        m = blank_model(ModelConfig(dim=2, curvature_mode="fixed_one"), 3, 2)
+        m.params["ent_emb"][2] = [100.0, 0.0]
+        m.params["rel_trans"][1] = [-100.0, 0.0]
+        with pytest.raises(ValueError, match=r"denominator for query \(h=2, r=1\)"):
+            m._forward([0, 2], [0, 1], [[1], [0]])
+        with pytest.raises(ValueError, match=r"denominator for query \(h=2, r=1\)"):
+            m.score_against_all(2, 1)
+
     def test_bad_ids_raise(self):
         m = blank_model(ModelConfig(dim=4), 3, 2)
         with pytest.raises(IndexError):
@@ -431,7 +442,7 @@ class TestOneKernel:
             m = random_model(ModelConfig(dim=8, curvature_mode=mode), 4, 3, seed=seed)
             h, r, t = 0, seed % 3, 3
             c = m.curvature(h, r)
-            lhs = geometry.mobius_add(m.transform_head(h, r, c),
+            lhs = geometry.mobius_add(m.transform_head(h, r),
                                       geometry.exp0(m.params["rel_trans"][r], c), c)
             direction = np.random.default_rng(seed).normal(size=8)
             bias = m.params["ent_bias"][h] + m.params["ent_bias"][t]

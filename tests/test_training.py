@@ -176,7 +176,7 @@ class TestGradients:
         # so (-lhs) (+) t leaves the clamp radius and is projected
         m = random_model(ModelConfig(dim=4, curvature_mode=mode), 3, 2, seed=3)
         c = m.curvature(0, 0)
-        lhs = geometry.mobius_add(m.transform_head(0, 0, c),
+        lhs = geometry.mobius_add(m.transform_head(0, 0),
                                   geometry.exp0(m.params["rel_trans"][0], c), c)
         m.params["ent_emb"][1] = -lhs / np.linalg.norm(lhs) * 8.0 / np.sqrt(c)
         pos = np.asarray([[0, 0, 1], [2, 1, 0]])
@@ -215,6 +215,32 @@ class TestGradients:
         _, grads = loss_and_grads(m, np.asarray([[0, 0, 1]]), np.asarray([[2, 3]]))
         np.testing.assert_array_equal(grads.rel_scale, 0.0)
         np.testing.assert_array_equal(grads.rel_theta, 0.0)
+
+    @pytest.mark.parametrize("geometry_", ("hyperbolic", "euclidean"))
+    @pytest.mark.parametrize("flag, own, other", (("use_inter_level", "rel_scale", "rel_theta"),
+                                                  ("use_intra_level", "rel_theta", "rel_scale")))
+    def test_each_flag_zeroes_only_its_own_gradient(self, flag, own, other, geometry_):
+        # inter-level is the scaling (it changes ||x||), intra-level the rotation
+        cfg = ModelConfig(dim=4, curvature_mode="attention", geometry=geometry_, **{flag: False})
+        m = random_model(cfg, 4, 2, seed=5)
+        _, grads = loss_and_grads(m, np.asarray([[0, 0, 1]]), np.asarray([[2, 3]]))
+        np.testing.assert_array_equal(getattr(grads, own), 0.0)
+        assert np.all(getattr(grads, other) != 0.0)
+
+    @pytest.mark.parametrize("group", ("ent_emb", "ent_bias", "rel_emb", "rel_scale", "rel_theta",
+                                       "rel_trans", "attn_a", "attn_p", "curv_raw"))
+    def test_non_finite_gradient_raises(self, group, monkeypatch):
+        backward = KGEModel.backward
+
+        def poisoned(model, cache, sbar):
+            grads = backward(model, cache, sbar)
+            getattr(grads, group)[0] = np.inf
+            return grads
+
+        monkeypatch.setattr(KGEModel, "backward", poisoned)
+        m = random_model(ModelConfig(dim=4, curvature_mode="per_relation"), 4, 2, seed=5)
+        with pytest.raises(NumericError, match=f"parameter group {group}"):
+            loss_and_grads(m, np.asarray([[0, 0, 1]]), np.asarray([[2, 3]]))
 
     def test_untouched_rows_not_reported(self):
         cfg = ModelConfig(dim=4, curvature_mode="fixed_one")
@@ -396,6 +422,17 @@ class TestTrainLoop:
         m.params["ent_emb"][:] = 1e200  # squared distances overflow
         m.params["ent_emb"][::2] *= -1.0
         result = train(m, store, TrainConfig(epochs=5, batch_size=8, neg_samples=2))
+        assert result.diverged
+        assert result.model is m
+
+    def test_nan_parameter_diverges_hyperbolic(self):
+        # the model's steps do not validate: a NaN reaches the score check
+        # and ends the run as diverged, not as a ValueError
+        store = chain_store()
+        cfg = ModelConfig(dim=4, curvature_mode="fixed_one")
+        m = KGEModel.init(cfg, store.n_entities, store.n_relations, seed=4)
+        m.params["ent_emb"][1] = np.nan
+        result = train(m, store, TrainConfig(epochs=2, batch_size=8, neg_samples=2))
         assert result.diverged
         assert result.model is m
 
