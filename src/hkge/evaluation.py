@@ -63,13 +63,19 @@ def _query_rng(seed, h, r, t):
 
 
 def compute_ranks(model, triples, filters, tie_mode="random", seed=0):
-    """Filtered rank of every (h, r, t) query, in input order."""
+    """Filtered rank of every (h, r, t) query, in input order.
+
+    ||t||^2 of every entity and each distinct query's head are computed
+    once, in a scoring table local to this call; each query is then one
+    ``score_against_all`` call against it.
+    """
     from .training import NumericError
 
     triples = np.asarray(triples)
     ranks = np.empty(len(triples), dtype=np.int64)
+    table = model.scoring_table(triples[:, 0], triples[:, 1])
     for i, (h, r, t) in enumerate(triples):
-        scores = model.score_against_all(int(h), int(r))
+        scores = model.score_against_all(int(h), int(r), table=table)
         if not np.all(np.isfinite(scores)):
             raise NumericError(
                 f"non-finite score while ranking query (h={int(h)}, r={int(r)})"

@@ -80,8 +80,12 @@ def _norm(x):
 def tanh_ratio(z):
     """tanh(z)/z, stable at z = 0 (limit 1)."""
     z = np.asarray(z, dtype=np.float64)
-    zs = np.where(z > TAU_SMALL, z, 1.0)
-    return np.where(z > TAU_SMALL, np.tanh(zs) / zs, 1.0 - z * z / 3.0)
+    big = z > TAU_SMALL
+    out = np.divide(np.tanh(z), z, out=np.empty_like(z), where=big)
+    small = ~big  # NaN lands here and stays NaN
+    zs = z[small]
+    out[small] = 1.0 - zs * zs / 3.0
+    return out
 
 
 def artanh_ratio(g):

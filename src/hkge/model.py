@@ -30,6 +30,13 @@ axis is done row by row (``np.sum(u * v, axis=-1)`` on the head side,
 many rows there are or where they live.  A BLAS matrix product such as
 ``lhs @ ent_emb.T`` blocks over rows, depends on the shape and would
 break it.
+
+||t||^2 is an input of ``_tails``: ``_forward`` computes it for its
+gathered tails, and ``scoring_table`` computes it once for every entity,
+together with the heads of all distinct queries of a ranking pass in one
+``_head`` call.  ``score_against_all`` reads one query's row of that
+table; by the rule above the row is bitwise what a one-query head gives.
+
 ``backward`` consumes the cache that ``_forward`` builds (each step's
 inputs, from which its VJP recomputes what it needs) and
 hand-accumulates reverse-mode gradients; there is no autograd anywhere.
@@ -65,7 +72,9 @@ PARAM_ORDER = (
 
 
 def softplus(x):
-    return np.logaddexp(0.0, x)
+    # a NaN input gives NaN silently; the model's finite checks report it
+    with np.errstate(invalid="ignore"):
+        return np.logaddexp(0.0, x)
 
 
 def sigmoid(x):
@@ -132,6 +141,35 @@ class SparseGrads:
             else:
                 dense["curv_raw"][self.rel_rows] = self.curv_raw
         return dense
+
+
+def _query_name(h, r):
+    return f"query (h={int(h)}, r={int(r)})"
+
+
+@dataclass
+class ScoringTable:
+    """What ranking many queries against every entity shares.
+
+    ``n`` is ||t||^2 of every entity, and ``head`` holds the fields the
+    tail stage reads (``lhs``, ``bias`` and, on the ball, ``c``, ``sc``
+    and ``a``), one row per distinct query; ``rows`` maps (h, r) to its
+    row.  Built by ``KGEModel.scoring_table`` from the current
+    parameters, so it is stale once they change: keep it local.
+    """
+
+    n: np.ndarray
+    head: dict
+    rows: dict
+
+    def query_head(self, h, r):
+        """The one-row head of query (h, r), as ``KGEModel._tails`` takes it."""
+        i = self.rows.get((h, r))
+        if i is None:
+            raise KeyError(f"{_query_name(h, r)} is not in the scoring table")
+        head = {k: v[i:i + 1] for k, v in self.head.items()}
+        head["query"] = lambda b: _query_name(h, r)
+        return head
 
 
 def _segment_sum(values, index, n_segments):
@@ -281,18 +319,34 @@ class KGEModel:
         )
         return float(scores[0, 0])
 
-    def score_against_all(self, h, r, chunk=16384):
+    def scoring_table(self, h_ids, r_ids):
+        """A ``ScoringTable`` for the queries (h_ids[i], r_ids[i]): one
+        ``_head`` call over the distinct ones, and ||t||^2 of every entity."""
+        h_ids = self._check_entities(np.asarray(h_ids))
+        r_ids = self._check_relations(np.asarray(r_ids))
+        pairs = np.unique(np.stack([h_ids, r_ids], axis=1), axis=0)
+        head = self._head(pairs[:, 0], pairs[:, 1])
+        fields = ("lhs", "bias", "c", "sc", "a")  # c, sc and a exist on the ball only
+        emb = self.params["ent_emb"]
+        return ScoringTable(n=np.vecdot(emb, emb), head={k: head[k] for k in fields if k in head},
+                            rows={(h, r): i for i, (h, r) in enumerate(pairs.tolist())})
+
+    def score_against_all(self, h, r, table=None, chunk=16384):
         """score(h, r, j) for every entity j, bitwise equal to the loop.
 
-        Tails are contiguous slices of the embedding table, not gathers.
+        ``table`` (from ``scoring_table``) must hold (h, r); without one,
+        a one-query table is built.  Tails are contiguous slices of the
+        embedding table, not gathers.
         """
-        head = self._head(self._check_entities(np.asarray([h])),
-                          self._check_relations(np.asarray([r])))
-        emb, bias = self.params["ent_emb"], self.params["ent_bias"]
+        if table is None:
+            table = self.scoring_table([h], [r])
+        head = table.query_head(h, r)
+        emb, n, bias = self.params["ent_emb"], table.n, self.params["ent_bias"]
         out = np.empty(self.n_entities)
         for start in range(0, self.n_entities, chunk):
             stop = min(start + chunk, self.n_entities)
-            out[start:stop] = self._tails(head, emb[None, start:stop], bias[None, start:stop])[0]
+            out[start:stop] = self._tails(head, emb[None, start:stop], n[None, start:stop],
+                                          bias[None, start:stop])[0]
         return out
 
     def _forward(self, h_ids, r_ids, t_ids, need_cache=False):
@@ -305,7 +359,8 @@ class KGEModel:
         t_ids = self._check_entities(np.asarray(t_ids))
         head = self._head(h_ids, r_ids)
         te = self.params["ent_emb"][t_ids]          # (B, M, d)
-        out = self._tails(head, te, self.params["ent_bias"][t_ids], need_cache)
+        out = self._tails(head, te, np.vecdot(te, te), self.params["ent_bias"][t_ids],
+                          need_cache)
         if not need_cache:
             return out
         scores, tails = out
@@ -327,7 +382,7 @@ class KGEModel:
         th = P["rel_theta"][r_ids] if cfg.use_intra_level else None
         hd = {"h_ids": h_ids, "r_ids": r_ids, "he": he, "re": re, "w": w, "k": k, "th": th,
               "bias": P["ent_bias"][h_ids],
-              "query": lambda b: f"query (h={int(h_ids[b])}, r={int(r_ids[b])})"}
+              "query": lambda b: _query_name(h_ids[b], r_ids[b])}
         u = he if k is None else geometry._block_scale(he, k)
         if cfg.geometry == "euclidean":
             x2 = u if th is None else geometry._block_rotate(u, th)
@@ -346,8 +401,11 @@ class KGEModel:
                   lhs=lhs, a=np.sum(lhs * lhs, axis=-1))
         return hd
 
-    def _tails(self, head, te, t_bias, need_cache=False):
+    def _tails(self, head, te, n, t_bias, need_cache=False):
         """Scores of tail embeddings te[b, m] against head[b]: (B, M).
+
+        ``n`` is ||te||^2 (``np.vecdot(te, te)``), which callers that score
+        many queries against the same tails compute once.
 
         On the ball this is the Gram form of tail exp0, md = (-lhs) (+)_c
         exp0(t), the projection of md and the gyrodistance: a pair enters
@@ -365,7 +423,6 @@ class KGEModel:
         c, sc, a = head["c"][:, None], head["sc"][:, None], head["a"][:, None]
         # one dot product per row: a row's result does not depend on M (a BLAS
         # lhs @ te.T would), which keeps eval and training scores bitwise equal
-        n = np.vecdot(te, te)
         x = np.vecdot(lhs[:, None, :], te)
         zt = sc * np.sqrt(n)
         ft = tanh_ratio(zt)

@@ -134,7 +134,8 @@ class TestEval:
         calls = []
         scorer = KGEModel.score_against_all
         monkeypatch.setattr(KGEModel, "score_against_all",
-                            lambda self, h, r: calls.append((h, r)) or scorer(self, h, r))
+                            lambda self, h, r, table=None:
+                            calls.append((h, r)) or scorer(self, h, r, table))
         eval_dir = tmp_path / "eval"
         assert main(["eval", "--dataset-dir", tree_dir, "--out-dir", str(eval_dir),
                      "--checkpoint", str(run_dir / "checkpoint.bin"),

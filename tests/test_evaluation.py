@@ -12,7 +12,7 @@ from hkge.evaluation import (
     write_global_csv,
     write_per_relation_csv,
 )
-from hkge.model import KGEModel, ModelConfig
+from hkge.model import CURVATURE_MODES, GEOMETRIES, KGEModel, ModelConfig
 from hkge.training import NumericError
 
 
@@ -156,6 +156,25 @@ class TestComputeRanks:
             scores = m.score_against_all(int(h), int(r))
             known = filters.get((int(h), int(r)), [])
             assert ranks[i] == brute_rank(scores, t, known, "optimistic")
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("mode", CURVATURE_MODES)
+    def test_block_ranks_equal_one_query_at_a_time(self, mode, geometry):
+        # one scoring table for the block, with repeated (h, r), against a
+        # table per query; the block's table is not kept on the model
+        cfg = ModelConfig(dim=4, curvature_mode=mode, geometry=geometry, init_scale=0.3)
+        m = KGEModel.init(cfg, 13, 3, seed=7)
+        rng = np.random.default_rng(8)
+        m.params["rel_theta"] = rng.uniform(-2.0, 2.0, m.params["rel_theta"].shape)
+        m.params["ent_bias"] = rng.normal(0.0, 0.2, 13)
+        triples = np.asarray([[0, 0, 3], [5, 1, 0], [0, 0, 7], [2, 2, 2], [5, 1, 0], [12, 0, 1]])
+        filters = {(0, 0): np.asarray([3, 7]), (5, 1): np.asarray([0, 4])}
+        before = set(vars(m))
+        ranks = compute_ranks(m, triples, filters, seed=4)
+        assert set(vars(m)) == before
+        alone = [compute_ranks(m, triples[i:i + 1], filters, seed=4)[0]
+                 for i in range(len(triples))]
+        np.testing.assert_array_equal(ranks, alone)
 
     def test_random_ties_depend_only_on_query_and_seed(self):
         # same (h, r, t) gets the same tie draw wherever it sits

@@ -4,6 +4,7 @@ import pytest
 from hkge import geometry
 from hkge.geometry import (
     BALL_EPS,
+    TAU_SMALL,
     artanh_ratio,
     block_rotate,
     block_scale,
@@ -292,6 +293,15 @@ class TestSeriesHelpers:
     def test_tanh_ratio_limit(self):
         np.testing.assert_allclose(tanh_ratio(np.array([0.0])), [1.0])
         np.testing.assert_allclose(tanh_ratio(np.array([1e-13])), [1.0])
+
+    def test_tanh_ratio_matches_two_branch_formula(self):
+        # one branch per element gives the bits of evaluating both and picking
+        z = np.array([0.0, 0.5e-12, TAU_SMALL, np.nextafter(TAU_SMALL, 1.0), 2e-12,
+                      1e-6, 1.0, 30.0, np.inf, np.nan])
+        zs = np.where(z > TAU_SMALL, z, 1.0)
+        want = np.where(z > TAU_SMALL, np.tanh(zs) / zs, 1.0 - z * z / 3.0)
+        assert tanh_ratio(z).tobytes() == want.tobytes()
+        assert tanh_ratio(np.float64(1.0)) == np.tanh(1.0)
 
     def test_artanh_ratio_limit(self):
         np.testing.assert_allclose(artanh_ratio(np.array([0.0])), [1.0])

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hkge import geometry
+from hkge import evaluation, geometry
 from hkge.model import (
     CURV_FLOOR,
     CURVATURE_MODES,
+    GEOMETRIES,
     SOFTPLUS_UNIT,
     KGEModel,
     ModelConfig,
@@ -374,6 +375,9 @@ class TestScore:
             m._forward([0, 2], [0, 1], [[1], [0]])
         with pytest.raises(ValueError, match=r"denominator for query \(h=2, r=1\)"):
             m.score_against_all(2, 1)
+        # ranking a block builds all its heads at once; the error still names the query
+        with pytest.raises(ValueError, match=r"denominator for query \(h=2, r=1\)"):
+            evaluation.compute_ranks(m, [[0, 0, 1], [2, 1, 0], [1, 1, 2]], None)
 
     def test_bad_ids_raise(self):
         m = blank_model(ModelConfig(dim=4), 3, 2)
@@ -400,6 +404,26 @@ class TestScoreAgainstAll:
         m = random_model(ModelConfig(dim=4, curvature_mode="attention"), 7, 2, seed=13)
         np.testing.assert_array_equal(m.score_against_all(0, 1),
                                       m.score_against_all(0, 1, chunk=3))
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("mode", CURVATURE_MODES)
+    def test_table_rows_bitwise_equal_to_one_query(self, mode, geometry):
+        # a row of the table, and each ||t||^2, does not depend on what else
+        # the table holds or on the chunk size (4 does not divide 11)
+        m = random_model(ModelConfig(dim=4, curvature_mode=mode, geometry=geometry),
+                         11, 3, seed=15)
+        h, r = [2, 5, 2, 0, 10, 2], [1, 0, 1, 2, 2, 0]
+        table = m.scoring_table(h, r)
+        for hq, rq in zip(h, r):
+            full = m.score_against_all(hq, rq, table=table, chunk=4)
+            np.testing.assert_array_equal(full, m.score_against_all(hq, rq))
+            np.testing.assert_array_equal(full, [m.score(hq, rq, t) for t in range(11)])
+
+    def test_query_missing_from_table_raises(self):
+        m = random_model(ModelConfig(dim=4), 5, 2, seed=16)
+        table = m.scoring_table([1, 3], [0, 1])
+        with pytest.raises(KeyError, match=r"query \(h=1, r=1\) is not in the scoring table"):
+            m.score_against_all(1, 1, table=table)
 
     def test_euclidean_variant(self):
         cfg = ModelConfig(dim=4, geometry="euclidean")

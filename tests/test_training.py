@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -435,6 +437,18 @@ class TestTrainLoop:
         result = train(m, store, TrainConfig(epochs=2, batch_size=8, neg_samples=2))
         assert result.diverged
         assert result.model is m
+
+    def test_nan_parameter_diverges_silently_in_attention_mode(self):
+        # the NaN flows through softplus into the curvature without a
+        # RuntimeWarning, and still ends the run at the score check
+        store = chain_store()
+        cfg = ModelConfig(dim=4, curvature_mode="attention")
+        m = KGEModel.init(cfg, store.n_entities, store.n_relations, seed=4)
+        m.params["ent_emb"][1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = train(m, store, TrainConfig(epochs=2, batch_size=8, neg_samples=2))
+        assert result.diverged
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_f32_overflow_at_eval_marks_divergence(self):
