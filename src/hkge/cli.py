@@ -245,6 +245,9 @@ CURVATURE_SWEEP = (
 
 def cmd_ablate(cfg):
     _require(cfg, "dataset_dir", "out_dir")
+    euclidean = cfg["geometry"] == "euclidean"  # where curvature modes are all the same
+    if euclidean and cfg["curvature_sweep"]:
+        raise CliError("--curvature-sweep needs hyperbolic geometry")
     tcfg = train_config_from(cfg)
     out_dir = _prepare_out_dir(cfg)
     astore = _load_augmented(cfg)
@@ -253,7 +256,7 @@ def cmd_ablate(cfg):
         runs = [(label, mode, not cfg["no_inter_level"], not cfg["no_intra_level"])
                 for label, mode in CURVATURE_SWEEP]
     else:
-        runs = list(ABLATION_GRID)
+        runs = [run for run in ABLATION_GRID if not euclidean or run[1] == "attention"]
     rows = []
     for label, mode, inter, intra in runs:
         mcfg = ModelConfig(

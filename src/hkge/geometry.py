@@ -20,9 +20,11 @@ raising here, and take ``c`` shaped by ``_as_curvature``.  A VJP takes
 the upstream gradient and the step's forward inputs, recomputes what it
 needs, and returns the inputs' gradients; the curvature's is per row.
 
-``hyp_distance`` composes the public functions and is the independent
-reference for the model's Gram-form tail kernel, which computes the
-same distance from three dot products per (query, tail) pair.
+``_gram_sqdist``, the model's tail kernel, is tail exp0, (-l) (+)_c
+exp0(t), its projection and the squared gyrodistance in Gram form: a
+pair (l, t) enters only through ||l||^2, ||t||^2 and <l, t>.  Its VJP
+reads the forward's cache.  ``hyp_distance`` composes the public
+functions and is kept as the kernel's independent reference.
 """
 
 import numpy as np
@@ -49,10 +51,7 @@ def reset_clamp_events():
 
 def _count_clamps(mask):
     global _clamp_events
-    n = int(np.count_nonzero(mask))
-    if n:
-        _clamp_events += n
-    return n
+    _clamp_events += int(np.count_nonzero(mask))
 
 
 def _as_float(name, x):
@@ -211,7 +210,7 @@ def _mobius_add_backward(g_bar, x, y, c):
 def hyp_distance(x, y, c):
     """Geodesic distance d_c(x, y) = (2/sqrt(c)) * arctanh(sqrt(c)*||-x (+) y||).
 
-    The reference the model's Gram-form tail kernel is tested against.
+    The reference ``_gram_sqdist`` is tested against.
     """
     c_col = _as_curvature(c)
     m = mobius_add(-np.asarray(x, dtype=np.float64), y, c)
@@ -221,6 +220,78 @@ def hyp_distance(x, y, c):
     g = np.minimum(g, 1.0 - BALL_EPS)
     d = (2.0 / np.sqrt(c_col)) * np.arctanh(g)
     return np.squeeze(d, axis=-1)
+
+
+def _gram_sqdist(a, n, x, c, query=None):
+    """hyp_distance(l, exp0(t), c)**2 from a = ||l||^2, n = ||t||^2 and x = <l, t>,
+    and the cache (inputs and intermediates) ``_gram_sqdist_backward`` reads.
+
+    Arguments broadcast: (B, 1) query columns against (B, M) pairs.
+    ``query(b)`` names row b of a degenerate denominator.
+    """
+    sc = np.sqrt(c)
+    zt = sc * np.sqrt(n)
+    ft = tanh_ratio(zt)
+
+    # md = (-l) (+)_c tH with tH = ft*t: p = <-l, tH>, b = ||tH||^2
+    p = -ft * x
+    b = ft * ft * n
+    A2 = 1.0 + 2.0 * c * p + c * b
+    B2 = 1.0 - c * a
+    D2 = 1.0 + 2.0 * c * p + c * c * a * b
+    _check_denominator(D2, query)
+    N2 = A2 * A2 * a + 2.0 * A2 * B2 * p + B2 * B2 * b
+    # ||md||^2 = N2/D2^2 cancels to rounding noise when l ~ tH
+    nm = np.sqrt(np.maximum(N2 / (D2 * D2), 0.0))
+
+    # md projected inside the clamp radius, then the gyrodistance
+    limit = (1.0 - BALL_EPS) / sc
+    over = nm > limit
+    _count_clamps(over)
+    nm = np.minimum(nm, limit)
+    g = sc * nm
+    gmask = g > 1.0 - BALL_EPS
+    _count_clamps(gmask)
+    gcl = np.minimum(g, 1.0 - BALL_EPS)
+    atg = np.arctanh(gcl)
+    dist = 2.0 * atg / sc
+    return dist * dist, {"a": a, "n": n, "x": x, "c": c, "sc": sc, "zt": zt, "ft": ft,
+                         "p": p, "b": b, "A2": A2, "B2": B2, "D2": D2, "N2": N2, "nm": nm,
+                         "live": ~(over | gmask), "gcl": gcl, "atg": atg, "dist": dist}
+
+
+def _gram_sqdist_backward(sq_bar, T):
+    """VJP of ``_gram_sqdist`` through a, n, x and c, from its cache ``T``.
+
+    Each gradient has the pairs' shape; the caller sums a query's tails.
+    """
+    a, n, x, c, sc = T["a"], T["n"], T["x"], T["c"], T["sc"]
+    live = T["live"]            # neither the md projection nor arctanh clamped
+    one_m_g2 = 1.0 - T["gcl"] * T["gcl"]
+    dist_bar = 2.0 * T["dist"] * sq_bar
+    # c enters dist directly: d(dist)/dc = -atg/c^{3/2} + nm/(c(1-g^2)) (2nd term 0 if clamped)
+    c_bar = dist_bar * (-T["atg"] / (c * sc) + np.where(live, T["nm"] / (c * one_m_g2), 0.0))
+    # d(sq)/d(||md||^2) = 4 artanh_ratio(g)/(1-g^2), free of 1/||md||
+    m2_bar = np.where(live, 4.0 * artanh_ratio(T["gcl"]) * sq_bar / one_m_g2, 0.0)
+
+    # ||md||^2 = N2/D2^2, N2 = A2^2 a + 2 A2 B2 p + B2^2 b
+    p, b, A2, B2, D2 = T["p"], T["b"], T["A2"], T["B2"], T["D2"]
+    N_bar = m2_bar / (D2 * D2)
+    D_bar = -2.0 * N_bar * T["N2"] / D2
+    A_bar = 2.0 * N_bar * (A2 * a + B2 * p)
+    B_bar = 2.0 * N_bar * (A2 * p + B2 * b)
+    a_bar = N_bar * A2 * A2 - c * B_bar + D_bar * c * c * b
+    p_bar = 2.0 * N_bar * A2 * B2 + 2.0 * c * (A_bar + D_bar)
+    b_bar = N_bar * B2 * B2 + c * A_bar + D_bar * c * c * a
+    c_bar += A_bar * (2.0 * p + b) - B_bar * a + D_bar * (2.0 * p + 2.0 * c * a * b)
+
+    # p = -ft*x, b = ft^2*n, ft = tanh_ratio(sqrt(c*n))
+    ft = T["ft"]
+    rt = tanh_ratio_prime_over_z(T["zt"])
+    ft_bar = -x * p_bar + 2.0 * ft * n * b_bar
+    n_bar = ft * ft * b_bar + ft_bar * rt * c / 2.0
+    c_bar += ft_bar * rt * n / 2.0
+    return a_bar, n_bar, -ft * p_bar, c_bar
 
 
 def project_to_ball(x, c):

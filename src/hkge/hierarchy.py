@@ -136,24 +136,20 @@ def _midpoint(graph, dist_b, b, c):
     return cur
 
 
-def xi_triangle(graph, a, b, c, csgraph=None, dist_a=None, dist_b=None):
+def xi_triangle(graph, a, b, c):
     """xi for one sampled triangle, or None if the sample is rejected.
 
     Rejections: b-c disconnected or at odd distance; any pair involving
     `a` disconnected; midpoint coincides with `a`.
     """
-    if csgraph is None:
-        csgraph = graph.csgraph
-    if dist_b is None:
-        dist_b = bfs_distances(csgraph, b)
+    dist_b = bfs_distances(graph.csgraph, b)
     d_bc = dist_b[c]
     if not np.isfinite(d_bc) or int(d_bc) % 2 == 1:
         return None
     m = _midpoint(graph, dist_b, b, c)
     if m == a:
         return None  # d(a, m) = 0 would divide by zero below
-    if dist_a is None:
-        dist_a = bfs_distances(csgraph, a)
+    dist_a = bfs_distances(graph.csgraph, a)
     d_ab, d_ac, d_am = dist_a[b], dist_a[c], dist_a[m]
     if not (np.isfinite(d_ab) and np.isfinite(d_ac) and np.isfinite(d_am)):
         return None
@@ -170,12 +166,11 @@ class XiResult:
     rejected: int
 
 
-def xi_estimate(graph, n_samples=DEFAULT_XI_SAMPLES, seed=0, max_attempts=None):
+def xi_estimate(graph, n_samples=DEFAULT_XI_SAMPLES, seed=0):
     """Sampled mean and standard error of xi over valid triangles."""
     if graph.n_nodes < 3:
         raise ValueError("xi needs at least 3 nodes")
-    if max_attempts is None:
-        max_attempts = max(20 * n_samples, 1000)
+    max_attempts = max(20 * n_samples, 1000)
     rng = np.random.default_rng(seed)
     values = []
     rejected = 0

@@ -5,21 +5,16 @@ translations) or are plain reals (scales, angles, biases, curvature
 pre-activations), so optimization stays Euclidean; the ball only ever
 holds intermediate values.
 
-Scoring has two stages.  ``_head`` maps each query (h, r) to its
-transformed head ``lhs`` and, on the ball, its curvature c.  It only
-composes the steps in ``geometry.py`` (block scale, exp0, block
-rotation, Mobius addition and the projection), where each step has its
-one implementation and its VJP; ``_head_backward`` calls those VJPs in
-reverse order.  ``_tails`` scores tail embeddings against ``lhs``.  On
-the ball the tail stage (tail exp0, the Mobius addition
-(-lhs) (+)_c exp0(t), the projection and the gyrodistance) is written
-in Gram form: a (query, tail) pair enters only through a = ||lhs||^2,
-n = ||t||^2 and x = <lhs, t>, so apart from the tail embeddings no
-(B, M, d) tensor is built, and the gradient of each tail is
+Scoring has two stages, each composed of the steps in ``geometry.py``,
+which hold every step's one implementation and its VJP; ``backward``
+calls the VJPs in reverse order (there is no autograd).  ``_head`` maps
+each query (h, r) to its transformed head ``lhs``, a = ||lhs||^2 and,
+on the ball, its curvature c.  ``_tails`` scores tails t: a pair enters
+only through a, n = ||t||^2 and x = <lhs, t>, and the score is the two
+biases minus the squared distance, 4*max(a - 2x + n, 0) in euclidean
+geometry and ``geometry._gram_sqdist`` on the ball.  So only the tail
+embeddings are (B, M, d), and the gradient of each tail is
 alpha*lhs + beta*t, which ``_gather`` sums with one sparse product.
-This is the production distance kernel.  ``geometry.hyp_distance``
-computes the same distance step by step and is kept on purpose as the
-independent reference that the tests and the benchmark check it against.
 
 Training (``_forward``, gathered tails) and ``score_against_all``
 (contiguous slices of the embedding table) share both stages, so a
@@ -36,10 +31,6 @@ gathered tails, and ``scoring_table`` computes it once for every entity,
 together with the heads of all distinct queries of a ranking pass in one
 ``_head`` call.  ``score_against_all`` reads one query's row of that
 table; by the rule above the row is bitwise what a one-query head gives.
-
-``backward`` consumes the cache that ``_forward`` builds (each step's
-inputs, from which its VJP recomputes what it needs) and
-hand-accumulates reverse-mode gradients; there is no autograd anywhere.
 """
 
 from dataclasses import dataclass
@@ -48,7 +39,6 @@ import numpy as np
 from scipy import sparse
 
 from . import geometry
-from .geometry import BALL_EPS, artanh_ratio, tanh_ratio, tanh_ratio_prime_over_z
 
 CURVATURE_MODES = ("fixed_one", "global", "per_relation", "attention")
 GEOMETRIES = ("hyperbolic", "euclidean")
@@ -152,8 +142,8 @@ class ScoringTable:
     """What ranking many queries against every entity shares.
 
     ``n`` is ||t||^2 of every entity, and ``head`` holds the fields the
-    tail stage reads (``lhs``, ``bias`` and, on the ball, ``c``, ``sc``
-    and ``a``), one row per distinct query; ``rows`` maps (h, r) to its
+    tail stage reads (``lhs``, ``bias``, ``a`` = ||lhs||^2 and, on the
+    ball, ``c``), one row per distinct query; ``rows`` maps (h, r) to its
     row.  Built by ``KGEModel.scoring_table`` from the current
     parameters, so it is stale once they change: keep it local.
     """
@@ -326,7 +316,7 @@ class KGEModel:
         r_ids = self._check_relations(np.asarray(r_ids))
         pairs = np.unique(np.stack([h_ids, r_ids], axis=1), axis=0)
         head = self._head(pairs[:, 0], pairs[:, 1])
-        fields = ("lhs", "bias", "c", "sc", "a")  # c, sc and a exist on the ball only
+        fields = ("lhs", "bias", "a", "c")  # c exists on the ball only
         emb = self.params["ent_emb"]
         return ScoringTable(n=np.vecdot(emb, emb), head={k: head[k] for k in fields if k in head},
                             rows={(h, r): i for i, (h, r) in enumerate(pairs.tolist())})
@@ -386,19 +376,19 @@ class KGEModel:
         u = he if k is None else geometry._block_scale(he, k)
         if cfg.geometry == "euclidean":
             x2 = u if th is None else geometry._block_rotate(u, th)
-            hd.update(x1=u, lhs=x2 + w)
-            return hd
-
-        c, hd["curv_aux"] = self._curvature_batch(he, re, r_ids)
-        cB = c[:, None]
-        x1 = geometry._exp0(u, cB)
-        x2 = x1 if th is None else geometry._block_rotate(x1, th)
-        # relation translation mapped onto the ball at this query's c
-        eps = geometry._exp0(w, cB)
-        lhs_raw = geometry._mobius_add(x2, eps, cB, hd["query"])
-        lhs = geometry._project(lhs_raw, cB)
-        hd.update(c=c, sc=np.sqrt(c), u=u, x1=x1, x2=x2, eps=eps, lhs_raw=lhs_raw,
-                  lhs=lhs, a=np.sum(lhs * lhs, axis=-1))
+            lhs = x2 + w
+            hd.update(x1=u)
+        else:
+            c, hd["curv_aux"] = self._curvature_batch(he, re, r_ids)
+            cB = c[:, None]
+            x1 = geometry._exp0(u, cB)
+            x2 = x1 if th is None else geometry._block_rotate(x1, th)
+            # relation translation mapped onto the ball at this query's c
+            eps = geometry._exp0(w, cB)
+            lhs_raw = geometry._mobius_add(x2, eps, cB, hd["query"])
+            lhs = geometry._project(lhs_raw, cB)
+            hd.update(c=c, u=u, x1=x1, x2=x2, eps=eps, lhs_raw=lhs_raw)
+        hd.update(lhs=lhs, a=np.sum(lhs * lhs, axis=-1))
         return hd
 
     def _tails(self, head, te, n, t_bias, need_cache=False):
@@ -406,105 +396,45 @@ class KGEModel:
 
         ``n`` is ||te||^2 (``np.vecdot(te, te)``), which callers that score
         many queries against the same tails compute once.
-
-        On the ball this is the Gram form of tail exp0, md = (-lhs) (+)_c
-        exp0(t), the projection of md and the gyrodistance: a pair enters
-        only through a = ||lhs||^2, n = ||t||^2 and x = <lhs, t>.  This
-        is the production kernel; ``geometry.hyp_distance`` is its
-        independent reference.
         """
-        lhs = head["lhs"]
-        bias = head["bias"][:, None] + t_bias
-        if self.config.geometry == "euclidean":
-            diff = lhs[:, None, :] - te
-            scores = -4.0 * np.sum(diff * diff, axis=-1) + bias  # -(2||x-y||)^2
-            return (scores, {}) if need_cache else scores
-
-        c, sc, a = head["c"][:, None], head["sc"][:, None], head["a"][:, None]
+        a = head["a"][:, None]
         # one dot product per row: a row's result does not depend on M (a BLAS
         # lhs @ te.T would), which keeps eval and training scores bitwise equal
-        x = np.vecdot(lhs[:, None, :], te)
-        zt = sc * np.sqrt(n)
-        ft = tanh_ratio(zt)
-
-        # md = (-lhs) (+)_c tH with tH = ft*t: p = <-lhs, tH>, b = ||tH||^2
-        p = -ft * x
-        b = ft * ft * n
-        A2 = 1.0 + 2.0 * c * p + c * b
-        B2 = 1.0 - c * a
-        D2 = 1.0 + 2.0 * c * p + c * c * a * b
-        geometry._check_denominator(D2, head["query"])
-        N2 = A2 * A2 * a + 2.0 * A2 * B2 * p + B2 * B2 * b
-        # ||md||^2 = N2/D2^2 cancels to rounding noise when lhs ~ tH
-        nm = np.sqrt(np.maximum(N2 / (D2 * D2), 0.0))
-
-        # md projected inside the clamp radius, then the gyrodistance
-        limit = (1.0 - BALL_EPS) / sc
-        over = nm > limit
-        geometry._count_clamps(over)
-        nm = np.minimum(nm, limit)
-        g = sc * nm
-        gmask = g > 1.0 - BALL_EPS
-        geometry._count_clamps(gmask)
-        gcl = np.minimum(g, 1.0 - BALL_EPS)
-        atg = np.arctanh(gcl)
-        dist = 2.0 * atg / sc
-        scores = -dist * dist + bias
-        if not need_cache:
-            return scores
-        return scores, {"n": n, "x": x, "zt": zt, "ft": ft, "p": p, "b": b,
-                        "A2": A2, "B2": B2, "D2": D2, "N2": N2, "nm": nm,
-                        "live": ~(over | gmask), "gcl": gcl, "atg": atg, "dist": dist}
+        x = np.vecdot(head["lhs"][:, None, :], te)
+        if self.config.geometry == "euclidean":
+            # (2||lhs - t||)^2; the clamp catches rounding when lhs ~ t
+            sq, cache = 4.0 * np.maximum(a - 2.0 * x + n, 0.0), None
+        else:
+            sq, cache = geometry._gram_sqdist(a, n, x, head["c"][:, None], head["query"])
+        scores = head["bias"][:, None] + t_bias - sq
+        return (scores, cache) if need_cache else scores
 
     # -- backward -----------------------------------------------------
 
     def backward(self, cache, sbar):
         """Accumulate d(sum(sbar * scores))/d(params) as SparseGrads."""
         head, te = cache["head"], cache["te"]
-        ga, alpha, beta, c_bar = self._tails_backward(head, cache["tails"], sbar)
+        ga, alpha, beta, c_bar = self._tails_backward(cache["tails"], sbar)
         lhs = head["lhs"]
         lhs_bar = ga[:, None] * lhs + np.einsum("bm,bmd->bd", alpha, te)
         q = self._head_backward(head, lhs_bar, c_bar)
         return self._gather(head["h_ids"], head["r_ids"], cache["t_ids"], q,
                             lhs, alpha, beta, sbar)
 
-    def _tails_backward(self, head, tails, sbar):
+    def _tails_backward(self, tails, sbar):
         """VJP of ``_tails``: (ga, alpha, beta, c_bar).
 
         d/d lhs[b] = ga[b]*lhs[b] + sum_m alpha[b, m]*t[b, m], and
         d/d t[b, m] = alpha[b, m]*lhs[b] + beta[b, m]*t[b, m].
         """
+        sq_bar = -sbar
         if self.config.geometry == "euclidean":
-            return -8.0 * np.sum(sbar, axis=-1), 8.0 * sbar, -8.0 * sbar, None
-
-        c, sc, a = head["c"][:, None], head["sc"][:, None], head["a"][:, None]
-        T = tails
-        live = T["live"]            # neither the md projection nor arctanh clamped
-        one_m_g2 = 1.0 - T["gcl"] * T["gcl"]
-        dist_bar = -2.0 * T["dist"] * sbar
-        # c enters dist directly: d(dist)/dc = -atg/c^{3/2} + nm/(c(1-g^2)) (2nd term 0 if clamped)
-        c_bar = dist_bar * (-T["atg"] / (c * sc) + np.where(live, T["nm"] / (c * one_m_g2), 0.0))
-        # d(score)/d(||md||^2) = -4 artanh_ratio(g)/(1-g^2), free of 1/||md||
-        m2_bar = np.where(live, -4.0 * artanh_ratio(T["gcl"]) * sbar / one_m_g2, 0.0)
-
-        # ||md||^2 = N2/D2^2, N2 = A2^2 a + 2 A2 B2 p + B2^2 b
-        p, b, A2, B2, D2 = T["p"], T["b"], T["A2"], T["B2"], T["D2"]
-        N_bar = m2_bar / (D2 * D2)
-        D_bar = -2.0 * N_bar * T["N2"] / D2
-        A_bar = 2.0 * N_bar * (A2 * a + B2 * p)
-        B_bar = 2.0 * N_bar * (A2 * p + B2 * b)
-        a_bar = N_bar * A2 * A2 - c * B_bar + D_bar * c * c * b
-        p_bar = 2.0 * N_bar * A2 * B2 + 2.0 * c * (A_bar + D_bar)
-        b_bar = N_bar * B2 * B2 + c * A_bar + D_bar * c * c * a
-        c_bar += A_bar * (2.0 * p + b) - B_bar * a + D_bar * (2.0 * p + 2.0 * c * a * b)
-
-        # p = -ft*x, b = ft^2*n, ft = tanh_ratio(sqrt(c*n))
-        ft, n = T["ft"], T["n"]
-        rt = tanh_ratio_prime_over_z(T["zt"])
-        ft_bar = -T["x"] * p_bar + 2.0 * ft * n * b_bar
-        n_bar = ft * ft * b_bar + ft_bar * rt * c / 2.0
-        c_bar += ft_bar * rt * n / 2.0
-        return 2.0 * np.sum(a_bar, axis=-1), -ft * p_bar, 2.0 * n_bar, np.sum(c_bar, axis=-1)
+            # the VJP of 4(a - 2x + n); its clamp acts only at rounding level
+            a_bar, n_bar, x_bar, c_bar = 4.0 * sq_bar, 4.0 * sq_bar, -8.0 * sq_bar, None
+        else:
+            a_bar, n_bar, x_bar, c_bar = geometry._gram_sqdist_backward(sq_bar, tails)
+            c_bar = np.sum(c_bar, axis=-1)
+        return 2.0 * np.sum(a_bar, axis=-1), x_bar, 2.0 * n_bar, c_bar
 
     def _head_backward(self, head, lhs_bar, c_bar):
         """VJP of ``_head``: per-query gradients keyed by parameter name."""

@@ -232,6 +232,29 @@ class TestAblate:
         modes = [line.split(",")[2] for line in lines[1:]]
         assert modes == ["fixed_one", "global", "per_relation", "attention"]
 
+    def test_euclidean_curvature_sweep_rejected_before_any_work(self, tree_dir, tmp_path,
+                                                                 capsys):
+        out = tmp_path / "sweep"
+        code = main(["ablate", "--dataset-dir", tree_dir, "--out-dir", str(out),
+                     "--geometry", "euclidean", "--curvature-sweep"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --curvature-sweep")
+        assert not out.exists()
+
+    def test_euclidean_grid_runs_attention_rows_only(self, tree_dir, tmp_path):
+        out = tmp_path / "ablate"
+        code = main(["ablate", "--dataset-dir", tree_dir, "--out-dir", str(out),
+                     "--geometry", "euclidean", "--dim", "4", "--epochs", "2",
+                     "--eval-every", "2", "--batch-size", "99", "--neg-samples", "4"])
+        assert code == 0
+        lines = (out / "ablation.csv").read_text().strip().split("\n")
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert [row["run"] for row in rows] == [
+            "full", "no_inter_level", "no_intra_level", "no_transforms"]
+        assert {(row["geometry"], row["curvature_mode"]) for row in rows} == {
+            ("euclidean", "attention")}
+
     def test_rows_share_seed_and_budget(self, tree_dir, tmp_path):
         out = tmp_path / "ablate"
         main(["ablate", "--dataset-dir", tree_dir, "--out-dir", str(out),

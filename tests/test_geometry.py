@@ -332,14 +332,39 @@ class TestSeriesHelpers:
         )
 
 
-# -- VJPs of the head-side steps ------------------------------------------
+# -- VJPs of the geometric steps -------------------------------------------
+
+def _gram_pairs(rng, c):
+    """(lhs, t): one ball point lhs per curvature row and three tangent tails each."""
+    B = len(c)
+    lhs = rand_directions(rng, B, 4) * rng.uniform(0.1, 0.8, (B, 1)) / np.sqrt(c)
+    return lhs, rng.normal(0.0, 0.7, (B, 3, 4))
+
+
+def _gram_args(lhs, t):
+    """a = ||lhs||^2 as a column, n = ||t||^2 and x = <lhs, t> per pair."""
+    return (np.sum(lhs * lhs, axis=-1, keepdims=True), np.sum(t * t, axis=-1),
+            np.einsum("bd,bmd->bm", lhs, t))
+
+
+def _gram_sqdist(a, n, x, c):
+    return geometry._gram_sqdist(a, n, x, c)[0]
+
+
+def _gram_sqdist_backward(sq_bar, a, n, x, c):
+    """The VJP from the forward's cache, with the per-query inputs' gradients summed."""
+    a_bar, n_bar, x_bar, c_bar = geometry._gram_sqdist_backward(
+        sq_bar, geometry._gram_sqdist(a, n, x, c)[1])
+    return np.sum(a_bar, axis=-1), n_bar, x_bar, np.sum(c_bar, axis=-1)
+
 
 def _steps():
     """step -> (core forward, its VJP, the forward's inputs).
 
     Five rows of dimension 4, with one curvature per row, shaped as the
     cores take it (a column).  Three of the projection's input rows lie
-    outside the clamp radius, so the projection fires on those only.
+    outside the clamp radius, so the projection fires on those only;
+    the Gram-form distance projects md for pair (0, 0) only.
     """
     rng = np.random.default_rng(61)
     c = rng.uniform(0.3, 2.0, (5, 1))
@@ -348,7 +373,7 @@ def _steps():
     def at(fractions):
         return rand_directions(rng, 5, 4) * fractions * radius
 
-    return {
+    steps = {
         "exp0": (geometry._exp0, geometry._exp0_backward, (rng.normal(0.0, 0.7, (5, 4)), c)),
         "block_scale": (geometry._block_scale, geometry._block_scale_backward,
                         (rng.normal(size=(5, 4)), rng.uniform(0.5, 1.5, (5, 2)))),
@@ -359,6 +384,10 @@ def _steps():
         "project": (geometry._project, geometry._project_backward,
                     (at(np.array([[2.0], [1.5], [0.5], [0.9], [3.0]])), c)),
     }
+    lhs, t = _gram_pairs(rng, c)
+    t[0, 0] *= 40.0 / np.linalg.norm(t[0, 0])  # exp0(t) and md round onto the boundary
+    steps["gram_sqdist"] = (_gram_sqdist, _gram_sqdist_backward, (*_gram_args(lhs, t), c))
+    return steps
 
 
 class TestVJPs:
@@ -385,3 +414,20 @@ class TestVJPs:
         _, _, (x, c) = _steps()["project"]
         _, over, _ = geometry._projection(x, c)
         np.testing.assert_array_equal(over[:, 0], [True, True, False, False, True])
+
+
+class TestGramSqdist:
+    def test_matches_hyp_distance(self):
+        rng = np.random.default_rng(63)
+        c = rng.uniform(0.3, 2.0, (6, 1))
+        lhs, t = _gram_pairs(rng, c)
+        sq, _ = geometry._gram_sqdist(*_gram_args(lhs, t), c)
+        for m in range(t.shape[1]):
+            want = hyp_distance(lhs, exp0(t[:, m], c[:, 0]), c[:, 0]) ** 2
+            np.testing.assert_allclose(sq[:, m], want, rtol=1e-12, atol=0.0)
+
+    def test_md_projection_fires_on_first_pair_only(self):
+        _, _, args = _steps()["gram_sqdist"]
+        _, cache = geometry._gram_sqdist(*args)
+        clamped = cache["nm"] == (1.0 - BALL_EPS) / np.sqrt(args[-1])
+        np.testing.assert_array_equal(np.argwhere(clamped), [[0, 0]])

@@ -340,6 +340,15 @@ class TestScore:
         for h, r, t in ((0, 0, 1), (3, 1, 2)):
             np.testing.assert_allclose(m.score(h, r, t),
                                        pipeline_score(m, h, r, t), rtol=1e-12)
+        # tail embedding = lhs: in Gram form a - 2x + n rounds below 0 for
+        # some of these queries, and the clamp keeps the distance term at 0
+        m = random_model(cfg, 4, 2, seed=12)
+        for h, r in np.ndindex(4, 2):
+            t = (h + 1) % 4
+            m.params["ent_emb"][t] = m._head(np.asarray([h]), np.asarray([r]))["lhs"][0]
+            bias = m.params["ent_bias"][h] + m.params["ent_bias"][t]
+            got = m.score(h, r, t)
+            assert got <= bias and bias - got <= 1e-12, (h, r)
 
     def test_low_curvature_approaches_euclidean(self):
         # softplus(raw) = 1e-6: the ball flattens out and the gyrodistance
