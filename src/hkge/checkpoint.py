@@ -6,6 +6,11 @@ tag, transform flags), then the parameter arrays as little-endian
 float32 in a fixed order.  The mode-specific curvature pre-activation
 block is last: one float for global mode, n_relations for per_relation,
 absent otherwise.  Writes go through a temp file and an atomic rename.
+
+Every other block is always present, whatever the configuration reads:
+``save`` writes zeros for a group the model does not hold (say
+``attn_a`` outside attention mode, or ``rel_scale`` with the scaling
+off), and ``load`` drops such blocks, whatever they hold.
 """
 
 import os
@@ -64,7 +69,7 @@ def save(model, path):
             fh.write(MAGIC)
             fh.write(header)
             for name, shape in specs:
-                arr = np.asarray(model.params[name], dtype=np.float64)
+                arr = np.asarray(model.params.get(name, np.zeros(shape)), dtype=np.float64)
                 if arr.shape != shape:
                     raise CheckpointError(
                         f"{name}: expected shape {shape}, model has {arr.shape}"

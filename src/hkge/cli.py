@@ -174,9 +174,20 @@ def _load_augmented(cfg):
     return data.augment_reciprocal(store)
 
 
+def _check_geometry(cfg):
+    """Reject curvature options that euclidean geometry would ignore."""
+    if cfg["geometry"] != "euclidean":
+        return
+    if cfg["curvature_mode"] != "attention":
+        raise CliError("--curvature-mode needs hyperbolic geometry")
+    if cfg.get("curvature_sweep"):
+        raise CliError("--curvature-sweep needs hyperbolic geometry")
+
+
 def cmd_train(cfg):
     _require(cfg, "dataset_dir", "out_dir")
     mcfg = model_config_from(cfg)
+    _check_geometry(cfg)
     tcfg = train_config_from(cfg)
     out_dir = _prepare_out_dir(cfg)
     astore = _load_augmented(cfg)
@@ -187,8 +198,10 @@ def cmd_train(cfg):
     checkpoint.save(result.model, os.path.join(out_dir, "checkpoint.bin"))
     data.write_vocab_files(astore, out_dir)
     if result.diverged:
-        print("training aborted on non-finite loss; last good parameters saved",
-              file=sys.stderr)
+        saved = (f"the best validated parameters, from epoch {result.best_epoch}"
+                 if result.best_epoch is not None else
+                 f"the parameters at divergence, in epoch {result.last_epoch}")
+        print(f"training aborted on a non-finite number; saved {saved}", file=sys.stderr)
         return 2
     if result.best_mrr is not None:
         print(f"best validation MRR {result.best_mrr:.4f} at epoch {result.best_epoch}")
@@ -245,9 +258,7 @@ CURVATURE_SWEEP = (
 
 def cmd_ablate(cfg):
     _require(cfg, "dataset_dir", "out_dir")
-    euclidean = cfg["geometry"] == "euclidean"  # where curvature modes are all the same
-    if euclidean and cfg["curvature_sweep"]:
-        raise CliError("--curvature-sweep needs hyperbolic geometry")
+    _check_geometry(cfg)
     tcfg = train_config_from(cfg)
     out_dir = _prepare_out_dir(cfg)
     astore = _load_augmented(cfg)
@@ -256,6 +267,7 @@ def cmd_ablate(cfg):
         runs = [(label, mode, not cfg["no_inter_level"], not cfg["no_intra_level"])
                 for label, mode in CURVATURE_SWEEP]
     else:
+        euclidean = cfg["geometry"] == "euclidean"  # where curvature modes are all the same
         runs = [run for run in ABLATION_GRID if not euclidean or run[1] == "attention"]
     rows = []
     for label, mode, inter, intra in runs:

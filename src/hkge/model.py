@@ -69,14 +69,18 @@ def softplus(x):
 
 def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return out[0] if scalar else out
+    return out
+
+
+def _floored_softplus(x):
+    """softplus(x) floored at CURV_FLOOR, and its derivative (0 where floored)."""
+    c0 = softplus(x)
+    return np.maximum(c0, CURV_FLOOR), np.where(c0 < CURV_FLOOR, 0.0, sigmoid(x))
 
 
 @dataclass
@@ -100,36 +104,44 @@ class ModelConfig:
         return self
 
 
-@dataclass
-class SparseGrads:
-    """Gradients restricted to the rows a batch actually touched."""
+def param_shapes(config, n_entities, n_relations):
+    """Shape of each parameter group ``config`` reads, in ``PARAM_ORDER``.
 
-    ent_rows: np.ndarray  # (K,) unique entity ids
-    ent_emb: np.ndarray   # (K, d)
-    ent_bias: np.ndarray  # (K,)
-    rel_rows: np.ndarray  # (L,) unique relation ids
-    rel_emb: np.ndarray
-    rel_scale: np.ndarray
-    rel_theta: np.ndarray
-    rel_trans: np.ndarray
-    attn_a: np.ndarray    # (d,)
-    attn_p: np.ndarray    # (d,)
-    curv_raw: np.ndarray | None = None  # () global / (L,) per_relation rows
+    The scaling and the rotation have their groups only while their flag
+    is on, and curvature groups exist on the ball only: the attention
+    gate (``rel_emb``, ``attn_a``, ``attn_p``) in attention mode, and
+    ``curv_raw`` as one value (global) or one per relation (per_relation).
+    """
+    d, R = config.dim, n_relations
+    mode = config.curvature_mode if config.geometry == "hyperbolic" else None
+    attention = mode == "attention"
+    shapes = {
+        "ent_emb": (n_entities, d),
+        "ent_bias": (n_entities,),
+        "rel_emb": (R, d) if attention else None,
+        "rel_scale": (R, d // 2) if config.use_inter_level else None,
+        "rel_theta": (R, d // 2) if config.use_intra_level else None,
+        "rel_trans": (R, d),
+        "attn_a": (d,) if attention else None,
+        "attn_p": (d,) if attention else None,
+        "curv_raw": {"global": (), "per_relation": (R,)}.get(mode),
+    }
+    return {name: shape for name, shape in shapes.items() if shape is not None}
+
+
+class SparseGrads(dict):
+    """Gradients restricted to the rows a batch actually touched.
+
+    Maps each parameter group of the model to ``(rows, grad)``, where
+    ``grad[i]`` belongs to row ``rows[i]`` (unique entity or relation ids)
+    and ``rows`` is ``...`` for a group updated whole (``attn_*``, a
+    global ``curv_raw``)."""
 
     def to_dense(self, model):
         """Full-shape gradient arrays (for finite-difference checks)."""
         dense = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-        dense["ent_emb"][self.ent_rows] = self.ent_emb
-        dense["ent_bias"][self.ent_rows] = self.ent_bias
-        for name in ("rel_emb", "rel_scale", "rel_theta", "rel_trans"):
-            dense[name][self.rel_rows] = getattr(self, name)
-        dense["attn_a"] = self.attn_a.copy()
-        dense["attn_p"] = self.attn_p.copy()
-        if self.curv_raw is not None:
-            if model.config.curvature_mode == "global":
-                dense["curv_raw"] = np.asarray(float(self.curv_raw))
-            else:
-                dense["curv_raw"][self.rel_rows] = self.curv_raw
+        for name, (rows, grad) in self.items():
+            dense[name][rows] = grad
         return dense
 
 
@@ -173,19 +185,25 @@ def _segment_sum(values, index, n_segments):
 
 class KGEModel:
     def __init__(self, config, n_entities, n_relations, params):
+        # params must hold every group in param_shapes; other groups are dropped
         self.config = config.validate()
         self.n_entities = int(n_entities)
         self.n_relations = int(n_relations)  # after reciprocal augmentation
-        self.params = params
+        self.params = {name: params[name]
+                       for name in param_shapes(config, n_entities, n_relations)}
 
     # -- construction ------------------------------------------------
 
     @classmethod
     def init(cls, config, n_entities, n_relations, seed=0):
-        """Fresh parameters: Gaussian embeddings, identity transforms."""
+        """Fresh parameters: Gaussian embeddings, identity transforms.
+
+        All groups are drawn in one order and the unread ones dropped, so
+        a seed gives a group the same values in every configuration."""
         config.validate()
         if n_entities < 1 or n_relations < 1:
             raise ValueError("need at least one entity and one relation")
+        shapes = param_shapes(config, n_entities, n_relations)
         rng = np.random.default_rng(seed)
         d = config.dim
         s = config.init_scale
@@ -198,11 +216,8 @@ class KGEModel:
             "rel_trans": rng.normal(0.0, 1.0, (n_relations, d)) * s,
             "attn_a": rng.normal(0.0, 1.0, d) * s,
             "attn_p": rng.normal(0.0, 1.0, d) * s,
+            "curv_raw": np.full(shapes.get("curv_raw", ()), SOFTPLUS_UNIT),
         }
-        if config.curvature_mode == "global":
-            params["curv_raw"] = np.asarray(SOFTPLUS_UNIT)
-        elif config.curvature_mode == "per_relation":
-            params["curv_raw"] = np.full(n_relations, SOFTPLUS_UNIT)
         return cls(config, n_entities, n_relations, params)
 
     def copy(self):
@@ -225,7 +240,7 @@ class KGEModel:
 
     # -- curvature ----------------------------------------------------
 
-    def _curvature_batch(self, he, re, r_ids):
+    def _curvature_batch(self, he, r_ids):
         """Per-query curvature plus the pieces backward needs.
 
         Returns (c, aux) with c shaped (B,).
@@ -234,44 +249,32 @@ class KGEModel:
         B = he.shape[0]
         if mode == "fixed_one":
             return np.ones(B), {}
-        if mode == "global":
-            raw = float(self.params["curv_raw"])
-            c0 = float(softplus(np.asarray(raw)))
-            c = np.full(B, max(c0, CURV_FLOOR))
-            dcdraw = float(sigmoid(np.asarray(raw))) if c0 >= CURV_FLOOR else 0.0
-            return c, {"dcdraw": dcdraw}
-        if mode == "per_relation":
-            raw = self.params["curv_raw"][r_ids]
-            c0 = softplus(raw)
-            floored = c0 < CURV_FLOOR
-            c = np.maximum(c0, CURV_FLOOR)
-            dcdraw = np.where(floored, 0.0, sigmoid(raw))
+        if mode in ("global", "per_relation"):
+            raw = self.params["curv_raw"]
+            c, dcdraw = _floored_softplus(np.full(B, raw) if raw.ndim == 0 else raw[r_ids])
             return c, {"dcdraw": dcdraw}
         # attention: a sigmoid gate over the two projections picks how
         # much of the head vs the relation embedding feeds the softplus.
         a = self.params["attn_a"]
         p = self.params["attn_p"]
+        re = self.params["rel_emb"][r_ids]
         lh = np.sum(he * a, axis=-1)
         lr = np.sum(re * a, axis=-1)
         alpha_h = sigmoid(lh - lr)
         alpha_r = 1.0 - alpha_h
         v = alpha_h[:, None] * he + alpha_r[:, None] * re
-        q = np.sum(p * v, axis=-1)
-        c0 = softplus(q)
-        floored = c0 < CURV_FLOOR
-        c = np.maximum(c0, CURV_FLOOR)
-        dcdq = np.where(floored, 0.0, sigmoid(q))
-        return c, {"alpha_h": alpha_h, "alpha_r": alpha_r, "v": v, "dcdq": dcdq}
+        c, dcdq = _floored_softplus(np.sum(p * v, axis=-1))
+        return c, {"re": re, "alpha_h": alpha_h, "alpha_r": alpha_r, "v": v, "dcdq": dcdq}
 
     def _curvature_backward(self, head, c_bar, q):
         """Route c_bar (B,) into the curvature parameters' entries of q."""
         mode, aux = self.config.curvature_mode, head["curv_aux"]
         if mode == "global":
-            q["curv_raw"] = np.asarray(np.sum(c_bar) * aux["dcdraw"])
+            q["curv_raw"] = np.asarray(np.sum(c_bar) * aux["dcdraw"][0])  # same for all queries
         elif mode == "per_relation":
             q["curv_raw"] = c_bar * aux["dcdraw"]
         elif mode == "attention":
-            he, re = head["he"], head["re"]
+            he, re = head["he"], aux["re"]
             a, p = self.params["attn_a"], self.params["attn_p"]
             alpha_h, alpha_r, v = aux["alpha_h"], aux["alpha_r"], aux["v"]
             q_bar = c_bar * aux["dcdq"]                # (B,)
@@ -286,11 +289,11 @@ class KGEModel:
 
     def curvature(self, h, r):
         """c_{h,r} for a single query, as a python float."""
-        h = int(self._check_entities(np.asarray([h]))[0])
-        r = int(self._check_relations(np.asarray([r]))[0])
-        he = self.params["ent_emb"][[h]]
-        re = self.params["rel_emb"][[r]]
-        c, _ = self._curvature_batch(he, re, np.asarray([r]))
+        if self.config.geometry != "hyperbolic":
+            raise ValueError("curvature is defined for hyperbolic geometry")
+        h = self._check_entities(np.asarray([h]))
+        r = self._check_relations(np.asarray([r]))
+        c, _ = self._curvature_batch(self.params["ent_emb"][h], r)
         return float(c[0])
 
     # -- scoring ------------------------------------------------------
@@ -366,11 +369,10 @@ class KGEModel:
         """
         P, cfg = self.params, self.config
         he = P["ent_emb"][h_ids]
-        re = P["rel_emb"][r_ids]
         w = P["rel_trans"][r_ids]
         k = P["rel_scale"][r_ids] if cfg.use_inter_level else None
         th = P["rel_theta"][r_ids] if cfg.use_intra_level else None
-        hd = {"h_ids": h_ids, "r_ids": r_ids, "he": he, "re": re, "w": w, "k": k, "th": th,
+        hd = {"h_ids": h_ids, "r_ids": r_ids, "he": he, "w": w, "k": k, "th": th,
               "bias": P["ent_bias"][h_ids],
               "query": lambda b: _query_name(h_ids[b], r_ids[b])}
         u = he if k is None else geometry._block_scale(he, k)
@@ -379,7 +381,7 @@ class KGEModel:
             lhs = x2 + w
             hd.update(x1=u)
         else:
-            c, hd["curv_aux"] = self._curvature_batch(he, re, r_ids)
+            c, hd["curv_aux"] = self._curvature_batch(he, r_ids)
             cB = c[:, None]
             x1 = geometry._exp0(u, cB)
             x2 = x1 if th is None else geometry._block_rotate(x1, th)
@@ -412,7 +414,7 @@ class KGEModel:
     # -- backward -----------------------------------------------------
 
     def backward(self, cache, sbar):
-        """Accumulate d(sum(sbar * scores))/d(params) as SparseGrads."""
+        """Accumulate d(sum(sbar * scores))/d(params) as ``SparseGrads``."""
         head, te = cache["head"], cache["te"]
         ga, alpha, beta, c_bar = self._tails_backward(cache["tails"], sbar)
         lhs = head["lhs"]
@@ -438,7 +440,7 @@ class KGEModel:
 
     def _head_backward(self, head, lhs_bar, c_bar):
         """VJP of ``_head``: per-query gradients keyed by parameter name."""
-        q = dict.fromkeys(("rel_emb", "rel_scale", "rel_theta", "attn_a", "attn_p", "curv_raw"))
+        q = {}
         hyp = self.config.geometry == "hyperbolic"
         if hyp:
             cB = head["c"][:, None]
@@ -470,13 +472,13 @@ class KGEModel:
     _mobius_backward = staticmethod(geometry._mobius_add_backward)
 
     def _gather(self, h_ids, r_ids, t_ids, q, lhs, alpha, beta, sbar):
-        """Scatter per-query gradients into unique-row sparse arrays.
+        """Scatter per-query gradients into ``SparseGrads``, one entry per group.
 
-        `q` maps parameter names to per-query gradients (None: zero).  Tail
-        t_ids[b, m] gets alpha[b, m]*lhs[b] + beta[b, m]*t and sbar[b, m]
-        on its bias, so no per-pair d-vector is ever built.
+        `q` maps each group but ``ent_bias`` to its per-query gradient, or
+        to the whole-group one for ``attn_*`` and a global ``curv_raw``.
+        Tail t_ids[b, m] gets alpha[b, m]*lhs[b] + beta[b, m]*t and
+        sbar[b, m] on its bias, so no per-pair d-vector is ever built.
         """
-        d = self.config.dim
         B, M = t_ids.shape
         ent_rows, ent_inv = np.unique(np.concatenate([h_ids, t_ids.ravel()]),
                                       return_inverse=True)
@@ -485,29 +487,19 @@ class KGEModel:
         cols = np.concatenate([np.arange(B), B + np.repeat(np.arange(B), M)])
         weights = np.concatenate([np.ones(B), alpha.ravel()])
         summer = sparse.csr_matrix((weights, (ent_inv, cols)), shape=(K, 2 * B))
-        ent_emb_g = (summer @ np.concatenate([q["ent_emb"], lhs])
-                     + np.bincount(ent_inv[B:], weights=beta.ravel(), minlength=K)[:, None]
-                     * self.params["ent_emb"][ent_rows])
-        ent_bias_g = np.bincount(
+        q["ent_emb"] = (summer @ np.concatenate([q["ent_emb"], lhs])
+                        + np.bincount(ent_inv[B:], weights=beta.ravel(), minlength=K)[:, None]
+                        * self.params["ent_emb"][ent_rows])
+        q["ent_bias"] = np.bincount(
             ent_inv, weights=np.concatenate([np.sum(sbar, axis=-1), sbar.ravel()]), minlength=K)
 
         rel_rows, rel_inv = np.unique(r_ids, return_inverse=True)
-        L = rel_rows.shape[0]
-
-        def rel(name, width):
-            return np.zeros((L, width)) if q[name] is None else _segment_sum(q[name], rel_inv, L)
-
-        curv_g = q["curv_raw"]
-        if self.config.curvature_mode == "global":
-            curv_g = np.asarray(0.0 if curv_g is None else curv_g)
-        elif self.config.curvature_mode == "per_relation":
-            curv_g = np.zeros(L) if curv_g is None else _segment_sum(curv_g, rel_inv, L)
-
-        return SparseGrads(
-            ent_rows=ent_rows, ent_emb=ent_emb_g, ent_bias=ent_bias_g,
-            rel_rows=rel_rows, rel_emb=rel("rel_emb", d), rel_scale=rel("rel_scale", d // 2),
-            rel_theta=rel("rel_theta", d // 2), rel_trans=rel("rel_trans", d),
-            attn_a=np.zeros(d) if q["attn_a"] is None else q["attn_a"],
-            attn_p=np.zeros(d) if q["attn_p"] is None else q["attn_p"],
-            curv_raw=curv_g,
-        )
+        grads = SparseGrads()
+        for name, param in self.params.items():
+            if name.startswith("ent_"):
+                grads[name] = (ent_rows, q[name])
+            elif name.startswith("attn_") or param.ndim == 0:
+                grads[name] = (..., q[name])
+            else:
+                grads[name] = (rel_rows, _segment_sum(q[name], rel_inv, rel_rows.shape[0]))
+        return grads

@@ -102,39 +102,21 @@ def loss_and_grads(model, positives, negatives=None):
     value = float(np.mean(softplus(y * scores)))
     sbar = y * sigmoid(y * scores) / scores.size
     grads = model.backward(cache, sbar)
-    for name, _, g in _grad_arrays(grads):
+    for name, (_, g) in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in parameter group {name}")
     return value, grads
 
 
-def _grad_arrays(grads):
-    """(name, rows, gradient) per parameter group; rows is ``...`` for dense groups."""
-    out = [
-        ("ent_emb", grads.ent_rows, grads.ent_emb),
-        ("ent_bias", grads.ent_rows, grads.ent_bias),
-        ("rel_emb", grads.rel_rows, grads.rel_emb),
-        ("rel_scale", grads.rel_rows, grads.rel_scale),
-        ("rel_theta", grads.rel_rows, grads.rel_theta),
-        ("rel_trans", grads.rel_rows, grads.rel_trans),
-        ("attn_a", ..., grads.attn_a),
-        ("attn_p", ..., grads.attn_p),
-    ]
-    if grads.curv_raw is not None:
-        rows = ... if grads.curv_raw.ndim == 0 else grads.rel_rows
-        out.append(("curv_raw", rows, grads.curv_raw))
-    return out
-
-
 def clip_grads(grads, max_norm):
     """Scale all gradient arrays jointly so the global L2 norm <= max_norm."""
     total = 0.0
-    for _, _, g in _grad_arrays(grads):
+    for _, g in grads.values():
         total += float(np.sum(np.asarray(g) ** 2))
     norm = np.sqrt(total)
     if norm > max_norm:
         factor = max_norm / norm
-        for _, _, g in _grad_arrays(grads):
+        for _, g in grads.values():
             np.multiply(g, factor, out=g)
     return grads
 
@@ -148,7 +130,7 @@ class Adagrad:
         self.accum = {k: np.zeros_like(v) for k, v in model.params.items()}
 
     def step(self, model, grads):
-        for name, rows, g in _grad_arrays(grads):
+        for name, (rows, g) in grads.items():
             param = model.params[name]
             acc = self.accum[name]
             acc[rows] += g * g
@@ -175,7 +157,7 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, rows, g in _grad_arrays(grads):
+        for name, (rows, g) in grads.items():
             param = model.params[name]
             m, v = self.m[name], self.v[name]
             m[rows] = self.beta1 * m[rows] + (1 - self.beta1) * g
@@ -208,6 +190,7 @@ class TrainResult:
     best_mrr: float | None = None
     diverged: bool = False
     stopped_early: bool = False
+    last_epoch: int = 0  # the epoch the run ended in
 
 
 def train(model, store, config, filters=None, log=None):
@@ -217,6 +200,8 @@ def train(model, store, config, filters=None, log=None):
     from the store when omitted).  Returns the model with the best
     validation MRR (float32-rounded, i.e. exactly what a checkpoint
     holds), or the final parameters untouched if validation never ran.
+    A non-finite number in training or validation ends the run as
+    diverged, and it returns the same way.
     """
     from . import data as data_mod
     from .evaluation import evaluate_split
@@ -239,6 +224,7 @@ def train(model, store, config, filters=None, log=None):
     bad_rounds = 0
 
     for epoch in range(1, config.epochs + 1):
+        result.last_epoch = epoch
         geometry.reset_clamp_events()
         perm = shuffle_rng.permutation(n_train)
         term_sum = 0.0
@@ -251,16 +237,15 @@ def train(model, store, config, filters=None, log=None):
                 value, grads = loss_and_grads(model, batch, negatives)
             except NumericError:
                 result.diverged = True
-                result.model = model
-                if log is not None:
-                    log.write_rows(result.history)
-                return result
+                break
             if config.grad_clip is not None:
                 clip_grads(grads, config.grad_clip)
             optimizer.step(model, grads)
             n_terms = batch.shape[0] * (1 + config.neg_samples)
             term_sum += value * n_terms
             term_count += n_terms
+        if result.diverged:
+            break
         train_clamps = geometry.clamp_events()
         result.history.append({
             "epoch": epoch, "split": "train",

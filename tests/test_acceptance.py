@@ -166,17 +166,20 @@ def test_criterion_04_gradients_match_central_differences(announce):
                                   use_inter_level=inter, use_intra_level=intra)
                 m = KGEModel.init(cfg, 5, 4, seed=11)
                 mr = np.random.default_rng(200 + combo)
-                m.params["ent_emb"] = mr.normal(0.0, 0.3, (5, 4))
-                m.params["ent_bias"] = mr.uniform(-0.2, 0.2, 5)
-                m.params["rel_emb"] = mr.normal(0.0, 0.3, (4, 4))
-                m.params["rel_scale"] = mr.uniform(0.5, 1.6, (4, 2))
-                m.params["rel_theta"] = mr.uniform(-2.0, 2.0, (4, 2))
-                m.params["rel_trans"] = mr.normal(0.0, 0.3, (4, 4))
-                m.params["attn_a"] = mr.uniform(-1.0, 1.0, 4)
-                m.params["attn_p"] = mr.uniform(-1.0, 1.0, 4)
+                # every group is drawn, in one order; the model keeps its own
+                drawn = {
+                    "ent_emb": mr.normal(0.0, 0.3, (5, 4)),
+                    "ent_bias": mr.uniform(-0.2, 0.2, 5),
+                    "rel_emb": mr.normal(0.0, 0.3, (4, 4)),
+                    "rel_scale": mr.uniform(0.5, 1.6, (4, 2)),
+                    "rel_theta": mr.uniform(-2.0, 2.0, (4, 2)),
+                    "rel_trans": mr.normal(0.0, 0.3, (4, 4)),
+                    "attn_a": mr.uniform(-1.0, 1.0, 4),
+                    "attn_p": mr.uniform(-1.0, 1.0, 4),
+                }
                 if "curv_raw" in m.params:
-                    m.params["curv_raw"] = mr.uniform(
-                        0.2, 1.2, m.params["curv_raw"].shape)
+                    drawn["curv_raw"] = mr.uniform(0.2, 1.2, m.params["curv_raw"].shape)
+                m.params.update((k, v) for k, v in drawn.items() if k in m.params)
                 pos = np.stack([rng.integers(0, 5, 4), rng.integers(0, 4, 4),
                                 rng.integers(0, 5, 4)], axis=1)
                 neg = rng.integers(0, 5, (4, 2))

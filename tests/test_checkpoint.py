@@ -5,7 +5,7 @@ import pytest
 
 from hkge import checkpoint
 from hkge.checkpoint import CheckpointError, load, save
-from hkge.model import KGEModel, ModelConfig
+from hkge.model import CURVATURE_MODES, GEOMETRIES, KGEModel, ModelConfig, param_shapes
 
 
 def make_model(mode="attention", geometry="hyperbolic", inter=True, intra=True):
@@ -13,8 +13,11 @@ def make_model(mode="attention", geometry="hyperbolic", inter=True, intra=True):
                       use_inter_level=inter, use_intra_level=intra)
     m = KGEModel.init(cfg, 5, 4, seed=3)
     rng = np.random.default_rng(9)
-    for key, val in m.params.items():
-        m.params[key] = rng.normal(0.0, 0.5, val.shape)
+    # every block of the file layout is drawn; the model keeps its own groups
+    for key, shape in checkpoint._array_specs(4, 5, 4, mode):
+        value = rng.normal(0.0, 0.5, shape)
+        if key in m.params:
+            m.params[key] = value
     return m
 
 
@@ -131,6 +134,53 @@ def test_overwrite_is_atomic_replacement(tmp_path):
     m2 = make_model(mode="per_relation")
     save(m2, path)
     assert load(path).config.curvature_mode == "per_relation"
+
+
+@pytest.mark.parametrize("mode", CURVATURE_MODES)
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("inter, intra", ((True, True), (False, True), (True, False),
+                                          (False, False)))
+def test_file_length_is_the_v1_layout(tmp_path, mode, geometry, inter, intra):
+    # every block but curv_raw is written whatever the model holds
+    m = make_model(mode=mode, geometry=geometry, inter=inter, intra=intra)
+    path = tmp_path / "model.bin"
+    save(m, path)
+    E, R, d = 5, 4, 4
+    floats = E * d + E + R * d + 2 * R * (d // 2) + R * d + 2 * d
+    floats += {"global": 1, "per_relation": R}.get(mode, 0)
+    assert os.path.getsize(path) == 32 + 4 * floats
+    assert set(load(path).params) == set(param_shapes(m.config, E, R))
+
+
+@pytest.mark.parametrize("mode, geometry, inter, intra", (
+    ("fixed_one", "hyperbolic", False, False),
+    ("global", "euclidean", True, False),
+    ("per_relation", "euclidean", False, True),
+))
+def test_unread_blocks_are_ignored(tmp_path, mode, geometry, inter, intra):
+    # a block the configuration does not read may hold anything, e.g. an
+    # older writer's values: loading drops it, so scores do not change
+    m = make_model(mode=mode, geometry=geometry, inter=inter, intra=intra)
+    path = tmp_path / "model.bin"
+    save(m, path)
+    blob = bytearray(path.read_bytes())
+    offset, junked = 32, 0
+    for name, shape in checkpoint._array_specs(4, 5, 4, mode):
+        nbytes = 4 * int(np.prod(shape))
+        if name not in m.params:
+            junk = np.random.default_rng(junked).normal(3.0, 1.0, nbytes // 4)
+            blob[offset:offset + nbytes] = junk.astype("<f4").tobytes()
+            junked += 1
+        offset += nbytes
+    assert junked > 0
+    junk_path = tmp_path / "junk.bin"
+    junk_path.write_bytes(bytes(blob))
+    clean, dirty = load(path), load(junk_path)
+    assert dirty.params.keys() == clean.params.keys()
+    for h in range(5):
+        for r in range(4):
+            np.testing.assert_array_equal(dirty.score_against_all(h, r),
+                                          clean.score_against_all(h, r))
 
 
 def test_header_layout_is_stable(tmp_path):

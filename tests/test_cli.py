@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hkge import checkpoint, data, evaluation
+from hkge import checkpoint, data, evaluation, training
 from hkge.cli import main
 from hkge.model import KGEModel, ModelConfig
 
@@ -67,6 +67,49 @@ class TestTrain:
     def test_required_flags(self, tree_dir, capsys):
         assert main(["train", "--dataset-dir", tree_dir]) == 1
         assert "--out-dir is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("train", "ablate"))
+    @pytest.mark.parametrize("source", ("flag", "config"))
+    def test_euclidean_curvature_mode_rejected_before_any_work(self, tree_dir, tmp_path,
+                                                              capsys, command, source):
+        out = tmp_path / "never"
+        args = [command, "--dataset-dir", tree_dir, "--out-dir", str(out),
+                "--geometry", "euclidean"]
+        if source == "flag":
+            args += ["--curvature-mode", "global"]
+        else:
+            cfg_path = tmp_path / "base.json"
+            cfg_path.write_text(json.dumps({"curvature_mode": "fixed"}))
+            args += ["--config", str(cfg_path)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --curvature-mode needs hyperbolic geometry\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fail_from", (4, 1))
+    def test_divergence_names_the_saved_parameters(self, tree_dir, tmp_path, capsys,
+                                                   monkeypatch, fail_from):
+        real = training.loss_and_grads
+        epochs = []
+
+        def failing(model, batch, negatives):
+            epochs.append(1)  # one batch per epoch
+            if len(epochs) >= fail_from:
+                raise training.NumericError("non-finite score")
+            return real(model, batch, negatives)
+
+        monkeypatch.setattr(training, "loss_and_grads", failing)
+        out = tmp_path / "run"
+        assert run_train(tree_dir, out, "--eval-every", "1", "--batch-size", "100000") == 2
+        rows = [line.split(",") for line in (out / "metrics.csv").read_text().split("\n")[1:]]
+        valid = [(float(row[3]), -int(row[0])) for row in rows if row[1:2] == ["valid"]]
+        if valid:
+            assert len(valid) == fail_from - 1
+            message = f"saved the best validated parameters, from epoch {-max(valid)[1]}"
+        else:
+            message = f"saved the parameters at divergence, in epoch {fail_from}"
+        assert message in capsys.readouterr().err
+        assert (out / "checkpoint.bin").exists()
 
     def test_mode_flag_mapping(self, tree_dir, tmp_path):
         out = tmp_path / "run"

@@ -11,6 +11,7 @@ from hkge.model import (
     SOFTPLUS_UNIT,
     KGEModel,
     ModelConfig,
+    param_shapes,
     softplus,
 )
 
@@ -31,16 +32,20 @@ def random_model(cfg, n_entities, n_relations, seed):
     m = KGEModel.init(cfg, n_entities, n_relations, seed=seed)
     rng = np.random.default_rng(seed + 1000)
     d = cfg.dim
-    m.params["ent_emb"] = rng.normal(0.0, 0.3, (n_entities, d))
-    m.params["ent_bias"] = rng.normal(0.0, 0.2, n_entities)
-    m.params["rel_emb"] = rng.normal(0.0, 0.3, (n_relations, d))
-    m.params["rel_scale"] = rng.uniform(0.5, 1.5, (n_relations, d // 2))
-    m.params["rel_theta"] = rng.uniform(-2.0, 2.0, (n_relations, d // 2))
-    m.params["rel_trans"] = rng.normal(0.0, 0.3, (n_relations, d))
-    m.params["attn_a"] = rng.normal(0.0, 1.0, d)
-    m.params["attn_p"] = rng.normal(0.0, 1.0, d)
+    # every group is drawn, in one order, and only the model's are kept
+    drawn = {
+        "ent_emb": rng.normal(0.0, 0.3, (n_entities, d)),
+        "ent_bias": rng.normal(0.0, 0.2, n_entities),
+        "rel_emb": rng.normal(0.0, 0.3, (n_relations, d)),
+        "rel_scale": rng.uniform(0.5, 1.5, (n_relations, d // 2)),
+        "rel_theta": rng.uniform(-2.0, 2.0, (n_relations, d // 2)),
+        "rel_trans": rng.normal(0.0, 0.3, (n_relations, d)),
+        "attn_a": rng.normal(0.0, 1.0, d),
+        "attn_p": rng.normal(0.0, 1.0, d),
+    }
     if "curv_raw" in m.params:
-        m.params["curv_raw"] = rng.uniform(0.2, 1.2, m.params["curv_raw"].shape)
+        drawn["curv_raw"] = rng.uniform(0.2, 1.2, m.params["curv_raw"].shape)
+    m.params.update((k, v) for k, v in drawn.items() if k in m.params)
     return m
 
 
@@ -78,23 +83,8 @@ def pipeline_score(model, h, r, t):
     P = model.params
     cfg = model.config
     he = P["ent_emb"][h]
-    re = P["rel_emb"][r]
     te = P["ent_emb"][t]
     bias = P["ent_bias"][h] + P["ent_bias"][t]
-
-    mode = cfg.curvature_mode
-    if mode == "fixed_one":
-        c = 1.0
-    elif mode == "global":
-        c = float(softplus(P["curv_raw"]))
-    elif mode == "per_relation":
-        c = float(softplus(P["curv_raw"][r]))
-    else:
-        a, p = P["attn_a"], P["attn_p"]
-        alpha_h = _sigmoid(float(a @ he) - float(a @ re))
-        v = alpha_h * he + (1.0 - alpha_h) * re
-        c = math.log1p(math.exp(float(p @ v)))
-    c = max(c, CURV_FLOOR)
 
     u = he
     if cfg.use_inter_level:
@@ -110,6 +100,21 @@ def pipeline_score(model, h, r, t):
                           xp[:, 0] * sn + xp[:, 1] * cs], axis=-1).ravel()
         diff = x + P["rel_trans"][r] - te
         return -4.0 * float(diff @ diff) + bias
+
+    mode = cfg.curvature_mode
+    if mode == "fixed_one":
+        c = 1.0
+    elif mode == "global":
+        c = float(softplus(P["curv_raw"]))
+    elif mode == "per_relation":
+        c = float(softplus(P["curv_raw"][r]))
+    else:
+        a, p = P["attn_a"], P["attn_p"]
+        re = P["rel_emb"][r]
+        alpha_h = _sigmoid(float(a @ he) - float(a @ re))
+        v = alpha_h * he + (1.0 - alpha_h) * re
+        c = math.log1p(math.exp(float(p @ v)))
+    c = max(c, CURV_FLOOR)
 
     x = _exp0(u, c)
     if cfg.use_intra_level:
@@ -203,6 +208,47 @@ class TestInit:
             KGEModel.init(ModelConfig(dim=4), 0, 1)
 
 
+def _config_id(c):
+    return (f"{c.curvature_mode}-{c.geometry}"
+            f"-i{int(c.use_inter_level)}a{int(c.use_intra_level)}")
+
+
+class TestParamShapes:
+    """A model holds, and backward reports, only the groups its configuration reads."""
+
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=_config_id)
+    def test_model_holds_exactly_the_listed_groups(self, cfg):
+        shapes = param_shapes(cfg, 6, 3)
+        m = KGEModel.init(cfg, 6, 3, seed=0)
+        assert list(m.params) == list(shapes)
+        assert {k: v.shape for k, v in m.params.items()} == shapes
+
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=_config_id)
+    def test_every_group_gets_a_nonzero_gradient(self, cfg):
+        m = random_model(cfg, 6, 3, seed=17)
+        rng = np.random.default_rng(18)
+        h, r, t = rng.integers(0, 6, 8), rng.integers(0, 3, 8), rng.integers(0, 6, (8, 4))
+        scores, cache = m._forward(h, r, t, need_cache=True)
+        grads = m.backward(cache, rng.normal(size=scores.shape))
+        assert list(grads) == list(m.params)
+        for name, g in grads.to_dense(m).items():
+            assert np.any(g != 0.0), name
+
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=_config_id)
+    def test_a_seed_gives_each_group_the_same_values_everywhere(self, cfg):
+        # the default configuration has every group but curv_raw
+        full = {**KGEModel.init(ModelConfig(dim=4), 6, 3, seed=5).params,
+                "curv_raw": SOFTPLUS_UNIT}
+        for name, value in KGEModel.init(cfg, 6, 3, seed=5).params.items():
+            np.testing.assert_array_equal(value, full[name], strict=False)
+
+    def test_missing_group_raises(self):
+        m = KGEModel.init(ModelConfig(dim=4), 3, 2)
+        del m.params["attn_p"]
+        with pytest.raises(KeyError, match="attn_p"):
+            KGEModel(m.config, 3, 2, m.params)
+
+
 class TestCurvature:
     def test_fixed_one(self):
         m = random_model(ModelConfig(dim=4, curvature_mode="fixed_one"), 3, 2, seed=0)
@@ -239,6 +285,11 @@ class TestCurvature:
         m.params["curv_raw"][:] = -60.0
         assert m.curvature(0, 0) == CURV_FLOOR
         assert np.isfinite(m.score(0, 0, 1))
+
+    def test_rejected_for_euclidean(self):
+        m = blank_model(ModelConfig(dim=4, geometry="euclidean"), 1, 1)
+        with pytest.raises(ValueError, match="hyperbolic"):
+            m.curvature(0, 0)
 
     def test_positive_for_random_parameters(self):
         for mode in ("global", "per_relation", "attention"):

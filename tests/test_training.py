@@ -1,9 +1,10 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from hkge import data, geometry
+from hkge import data, geometry, training
 from hkge.model import CURVATURE_MODES, KGEModel, ModelConfig
 from hkge.training import (
     Adagrad,
@@ -30,19 +31,23 @@ def bias_only_model(biases):
 
 
 def random_model(cfg, n_entities, n_relations, seed):
+    """Every group is drawn, in one order, and only the model's are kept."""
     m = KGEModel.init(cfg, n_entities, n_relations, seed=seed)
     rng = np.random.default_rng(seed + 500)
     d = cfg.dim
-    m.params["ent_emb"] = rng.normal(0.0, 0.3, (n_entities, d))
-    m.params["ent_bias"] = rng.normal(0.0, 0.2, n_entities)
-    m.params["rel_emb"] = rng.normal(0.0, 0.3, (n_relations, d))
-    m.params["rel_scale"] = rng.uniform(0.6, 1.5, (n_relations, d // 2))
-    m.params["rel_theta"] = rng.uniform(-2.0, 2.0, (n_relations, d // 2))
-    m.params["rel_trans"] = rng.normal(0.0, 0.3, (n_relations, d))
-    m.params["attn_a"] = rng.normal(0.0, 1.0, d)
-    m.params["attn_p"] = rng.normal(0.0, 1.0, d)
+    drawn = {
+        "ent_emb": rng.normal(0.0, 0.3, (n_entities, d)),
+        "ent_bias": rng.normal(0.0, 0.2, n_entities),
+        "rel_emb": rng.normal(0.0, 0.3, (n_relations, d)),
+        "rel_scale": rng.uniform(0.6, 1.5, (n_relations, d // 2)),
+        "rel_theta": rng.uniform(-2.0, 2.0, (n_relations, d // 2)),
+        "rel_trans": rng.normal(0.0, 0.3, (n_relations, d)),
+        "attn_a": rng.normal(0.0, 1.0, d),
+        "attn_p": rng.normal(0.0, 1.0, d),
+    }
     if "curv_raw" in m.params:
-        m.params["curv_raw"] = rng.uniform(0.2, 1.2, m.params["curv_raw"].shape)
+        drawn["curv_raw"] = rng.uniform(0.2, 1.2, m.params["curv_raw"].shape)
+    m.params.update((k, v) for k, v in drawn.items() if k in m.params)
     return m
 
 
@@ -211,12 +216,13 @@ class TestGradients:
                 assert err < 1e-4, f"{name}{idx}"
 
     def test_disabled_transform_gets_zero_gradient(self):
+        # a disabled transform has no parameter group, so nothing to update
         cfg = ModelConfig(dim=4, curvature_mode="attention",
                           use_inter_level=False, use_intra_level=False)
         m = random_model(cfg, 4, 2, seed=5)
         _, grads = loss_and_grads(m, np.asarray([[0, 0, 1]]), np.asarray([[2, 3]]))
-        np.testing.assert_array_equal(grads.rel_scale, 0.0)
-        np.testing.assert_array_equal(grads.rel_theta, 0.0)
+        assert "rel_scale" not in grads and "rel_scale" not in m.params
+        assert "rel_theta" not in grads and "rel_theta" not in m.params
 
     @pytest.mark.parametrize("geometry_", ("hyperbolic", "euclidean"))
     @pytest.mark.parametrize("flag, own, other", (("use_inter_level", "rel_scale", "rel_theta"),
@@ -226,8 +232,8 @@ class TestGradients:
         cfg = ModelConfig(dim=4, curvature_mode="attention", geometry=geometry_, **{flag: False})
         m = random_model(cfg, 4, 2, seed=5)
         _, grads = loss_and_grads(m, np.asarray([[0, 0, 1]]), np.asarray([[2, 3]]))
-        np.testing.assert_array_equal(getattr(grads, own), 0.0)
-        assert np.all(getattr(grads, other) != 0.0)
+        assert own not in grads and own not in m.params
+        assert np.all(grads[other][1] != 0.0)
 
     @pytest.mark.parametrize("group", ("ent_emb", "ent_bias", "rel_emb", "rel_scale", "rel_theta",
                                        "rel_trans", "attn_a", "attn_p", "curv_raw"))
@@ -236,11 +242,13 @@ class TestGradients:
 
         def poisoned(model, cache, sbar):
             grads = backward(model, cache, sbar)
-            getattr(grads, group)[0] = np.inf
+            grads[group][1][0] = np.inf
             return grads
 
         monkeypatch.setattr(KGEModel, "backward", poisoned)
-        m = random_model(ModelConfig(dim=4, curvature_mode="per_relation"), 4, 2, seed=5)
+        # each group under a mode that has it
+        mode = "attention" if group in ("rel_emb", "attn_a", "attn_p") else "per_relation"
+        m = random_model(ModelConfig(dim=4, curvature_mode=mode), 4, 2, seed=5)
         with pytest.raises(NumericError, match=f"parameter group {group}"):
             loss_and_grads(m, np.asarray([[0, 0, 1]]), np.asarray([[2, 3]]))
 
@@ -248,8 +256,8 @@ class TestGradients:
         cfg = ModelConfig(dim=4, curvature_mode="fixed_one")
         m = random_model(cfg, 10, 5, seed=6)
         _, grads = loss_and_grads(m, np.asarray([[0, 2, 1]]), np.asarray([[3]]))
-        np.testing.assert_array_equal(grads.ent_rows, [0, 1, 3])
-        np.testing.assert_array_equal(grads.rel_rows, [2])
+        for name, (rows, _) in grads.items():
+            np.testing.assert_array_equal(rows, [0, 1, 3] if name.startswith("ent_") else [2])
 
 
 class TestClip:
@@ -259,28 +267,27 @@ class TestClip:
         m.params["ent_emb"] *= 4.0  # inflate gradients a bit
         _, grads = loss_and_grads(m, np.asarray([[0, 0, 1]]), np.asarray([[2, 3]]))
         clip_grads(grads, 1e-3)
-        total = sum(float(np.sum(np.asarray(g) ** 2))
-                    for g in (grads.ent_emb, grads.ent_bias, grads.rel_emb,
-                              grads.rel_scale, grads.rel_theta, grads.rel_trans,
-                              grads.attn_a, grads.attn_p))
+        total = sum(float(np.sum(np.asarray(g) ** 2)) for _, g in grads.values())
         np.testing.assert_allclose(np.sqrt(total), 1e-3, rtol=1e-12)
 
     def test_small_gradients_untouched(self):
         cfg = ModelConfig(dim=4, curvature_mode="fixed_one")
         m = random_model(cfg, 4, 2, seed=8)
         _, grads = loss_and_grads(m, np.asarray([[0, 0, 1]]), np.asarray([[2]]))
-        before = grads.ent_emb.copy()
+        before = grads["ent_emb"][1].copy()
         clip_grads(grads, 1e6)
-        np.testing.assert_array_equal(grads.ent_emb, before)
+        np.testing.assert_array_equal(grads["ent_emb"][1], before)
 
 
 class TestOptimizers:
     def test_adagrad_dense_step(self):
         # p <- p - lr * g / (sqrt(g^2) + eps) on the first step
-        m = bias_only_model([0.0, 0.0])
+        m = random_model(ModelConfig(dim=4, curvature_mode="attention"), 4, 2, seed=13)
         opt = Adagrad(m, lr=0.1)
         _, grads = loss_and_grads(m, np.asarray([[0, 0, 1]]))
-        g = grads.attn_a.copy()
+        rows, g = grads["attn_a"]
+        assert rows is ... and np.all(g != 0.0)
+        g = g.copy()
         a0 = m.params["attn_a"].copy()
         opt.step(m, grads)
         expected = a0 - 0.1 * g / (np.abs(g) + 1e-10)
@@ -304,8 +311,7 @@ class TestOptimizers:
         m = random_model(cfg, 4, 2, seed=10)
         opt = Adam(m, lr=0.01)
         _, grads = loss_and_grads(m, np.asarray([[0, 0, 1]]), np.asarray([[2]]))
-        g = grads.ent_bias.copy()
-        rows = grads.ent_rows.copy()
+        rows, g = (a.copy() for a in grads["ent_bias"])
         b0 = m.params["ent_bias"][rows].copy()
         opt.step(m, grads)
         expected = b0 - 0.01 * g / (np.abs(g) + 1e-8)
@@ -462,6 +468,34 @@ class TestTrainLoop:
                                              eval_every=1))
         assert result.diverged
         assert [row["split"] for row in result.history] == ["train"]
+
+    def test_divergence_returns_best_validated_snapshot(self, monkeypatch):
+        # a non-finite loss in epoch 3 ends the run through the same exit
+        # as a finished one: the best validated (epoch-2) snapshot comes back
+        store = chain_store()
+        cfg = ModelConfig(dim=4, curvature_mode="attention", init_scale=0.1)
+        tcfg = TrainConfig(epochs=5, batch_size=8, neg_samples=2, lr=0.05,
+                           eval_every=1, seed=0)
+        reference = train(KGEModel.init(cfg, store.n_entities, store.n_relations, seed=0),
+                          store, dataclasses.replace(tcfg, epochs=2))
+        assert reference.best_epoch == 2
+        batches_per_epoch = -(-len(store.train) // tcfg.batch_size)
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) > 2 * batches_per_epoch:
+                raise NumericError("non-finite score")
+            return loss_and_grads(*args)
+
+        monkeypatch.setattr(training, "loss_and_grads", failing)
+        m = KGEModel.init(cfg, store.n_entities, store.n_relations, seed=0)
+        result = train(m, store, tcfg)
+        assert result.diverged and result.last_epoch == 3
+        assert result.best_epoch == 2 and result.model is not m
+        assert [row["epoch"] for row in result.history] == [1, 1, 2, 2]
+        for key, value in reference.model.params.items():
+            np.testing.assert_array_equal(result.model.params[key], value)
 
     def test_metric_log_written(self, tmp_path):
         from hkge.training import MetricLog
