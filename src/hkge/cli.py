@@ -184,6 +184,15 @@ def _check_geometry(cfg):
         raise CliError("--curvature-sweep needs hyperbolic geometry")
 
 
+def _check_ablate(cfg):
+    """Reject options that the ablation runs would ignore."""
+    if cfg["curvature_mode"] != "attention":
+        raise CliError("--curvature-mode is set by each ablation run")
+    if not cfg["curvature_sweep"] and (cfg["no_inter_level"] or cfg["no_intra_level"]):
+        raise CliError("--no-inter-level and --no-intra-level are set by each grid run; "
+                       "they apply with --curvature-sweep")
+
+
 def cmd_train(cfg):
     _require(cfg, "dataset_dir", "out_dir")
     mcfg = model_config_from(cfg)
@@ -259,6 +268,7 @@ CURVATURE_SWEEP = (
 def cmd_ablate(cfg):
     _require(cfg, "dataset_dir", "out_dir")
     _check_geometry(cfg)
+    _check_ablate(cfg)
     tcfg = train_config_from(cfg)
     out_dir = _prepare_out_dir(cfg)
     astore = _load_augmented(cfg)

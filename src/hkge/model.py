@@ -133,9 +133,11 @@ class SparseGrads(dict):
     """Gradients restricted to the rows a batch actually touched.
 
     Maps each parameter group of the model to ``(rows, grad)``, where
-    ``grad[i]`` belongs to row ``rows[i]`` (unique entity or relation ids)
-    and ``rows`` is ``...`` for a group updated whole (``attn_*``, a
-    global ``curv_raw``)."""
+    ``grad[i]`` belongs to row ``rows[i]`` and ``rows`` is ``...`` for a
+    group updated whole (``attn_*``, a global ``curv_raw``).  Rows are
+    sorted, unique entity or relation ids: the optimizers scatter each
+    row block with one assignment, which would drop all but one update
+    of a repeated row."""
 
     def to_dense(self, model):
         """Full-shape gradient arrays (for finite-difference checks)."""
@@ -480,24 +482,36 @@ class KGEModel:
         sbar[b, m] on its bias, so no per-pair d-vector is ever built.
         """
         B, M = t_ids.shape
-        ent_rows, ent_inv = np.unique(np.concatenate([h_ids, t_ids.ravel()]),
-                                      return_inverse=True)
+        ids = np.concatenate([h_ids, t_ids.ravel()])
+        # np.unique(ids, return_inverse=True) without its sort: mark, then number
+        mark = np.zeros(self.n_entities, dtype=bool)
+        mark[ids] = True
+        ent_rows, ent_inv = np.flatnonzero(mark), (np.cumsum(mark) - 1)[ids]
         K = ent_rows.shape[0]
         # one sparse product adds the head rows and every alpha*lhs term
         cols = np.concatenate([np.arange(B), B + np.repeat(np.arange(B), M)])
         weights = np.concatenate([np.ones(B), alpha.ravel()])
         summer = sparse.csr_matrix((weights, (ent_inv, cols)), shape=(K, 2 * B))
-        q["ent_emb"] = (summer @ np.concatenate([q["ent_emb"], lhs])
-                        + np.bincount(ent_inv[B:], weights=beta.ravel(), minlength=K)[:, None]
-                        * self.params["ent_emb"][ent_rows])
+        q["ent_emb"] = summer @ np.concatenate([q["ent_emb"], lhs])
+        tail = self.params["ent_emb"].take(ent_rows, axis=0)
+        tail *= np.bincount(ent_inv[B:], weights=beta.ravel(), minlength=K)[:, None]
+        q["ent_emb"] += tail
         q["ent_bias"] = np.bincount(
             ent_inv, weights=np.concatenate([np.sum(sbar, axis=-1), sbar.ravel()]), minlength=K)
 
+        # the 2-D relation groups in one segment sum; its columns add independently
         rel_rows, rel_inv = np.unique(r_ids, return_inverse=True)
+        rel = [name for name in self.params if name.startswith("rel_")]
+        summed = _segment_sum(np.concatenate([q[name] for name in rel], axis=1),
+                              rel_inv, rel_rows.shape[0])
+        q.update(zip(rel, np.split(summed, np.cumsum([q[n].shape[1] for n in rel])[:-1],
+                                   axis=1)))
         grads = SparseGrads()
         for name, param in self.params.items():
             if name.startswith("ent_"):
                 grads[name] = (ent_rows, q[name])
+            elif name.startswith("rel_"):
+                grads[name] = (rel_rows, q[name])
             elif name.startswith("attn_") or param.ndim == 0:
                 grads[name] = (..., q[name])
             else:

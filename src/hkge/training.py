@@ -121,6 +121,28 @@ def clip_grads(grads, max_norm):
     return grads
 
 
+BLOCK = 1024  # rows an optimizer gathers, updates and scatters at a time
+
+
+def _row_blocks(grads, params, *states):
+    """Yield (g, param, *state) row blocks of each group, scattered back after.
+
+    Each block is gathered once (a view for a whole group, whose rows are
+    ``...``); the optimizer updates it in place, then it is written back
+    once.  Rows are unique, so no update is lost in the scatter.
+    """
+    for name, (rows, g) in grads.items():
+        tables = [params[name], *(state[name] for state in states)]
+        blocks = ([(rows, g)] if rows is ... else
+                  [(rows[s:s + BLOCK], g[s:s + BLOCK]) for s in range(0, len(rows), BLOCK)])
+        for r, gb in blocks:
+            # np.take gathers rows faster than t[r]; t[...] is a view
+            block = [t[r] if r is ... else t.take(r, axis=0) for t in tables]
+            yield gb, *block
+            for t, b in zip(tables, block):
+                t[r] = b
+
+
 class Adagrad:
     """Classic Adagrad with sparse row updates on embedding tables."""
 
@@ -130,11 +152,14 @@ class Adagrad:
         self.accum = {k: np.zeros_like(v) for k, v in model.params.items()}
 
     def step(self, model, grads):
-        for name, (rows, g) in grads.items():
-            param = model.params[name]
-            acc = self.accum[name]
-            acc[rows] += g * g
-            param[rows] -= self.lr * g / (np.sqrt(acc[rows]) + self.eps)
+        # param -= lr*g / (sqrt(acc + g*g) + eps), in that operation order
+        for g, param, acc in _row_blocks(grads, model.params, self.accum):
+            acc += g * g
+            den = np.sqrt(acc)
+            den += self.eps
+            u = g * self.lr
+            u /= den
+            param -= u
 
 
 class Adam:
@@ -157,13 +182,10 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, (rows, g) in grads.items():
-            param = model.params[name]
-            m, v = self.m[name], self.v[name]
-            m[rows] = self.beta1 * m[rows] + (1 - self.beta1) * g
-            v[rows] = self.beta2 * v[rows] + (1 - self.beta2) * g * g
-            update = (m[rows] / bc1) / (np.sqrt(v[rows] / bc2) + self.eps)
-            param[rows] -= self.lr * update
+        for g, param, m, v in _row_blocks(grads, model.params, self.m, self.v):
+            m[...] = self.beta1 * m + (1 - self.beta1) * g
+            v[...] = self.beta2 * v + (1 - self.beta2) * g * g
+            param -= self.lr * ((m / bc1) / (np.sqrt(v / bc2) + self.eps))
 
 
 def make_optimizer(model, config):

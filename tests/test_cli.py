@@ -284,6 +284,53 @@ class TestAblate:
         assert capsys.readouterr().err.startswith("error: --curvature-sweep")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sweep", (False, True))
+    @pytest.mark.parametrize("source", ("flag", "config"))
+    def test_curvature_mode_rejected_before_any_work(self, tree_dir, tmp_path, capsys,
+                                                     sweep, source):
+        out = tmp_path / "never"
+        args = ["ablate", "--dataset-dir", tree_dir, "--out-dir", str(out)]
+        args += ["--curvature-sweep"] if sweep else []
+        if source == "flag":
+            args += ["--curvature-mode", "global"]
+        else:
+            cfg_path = tmp_path / "base.json"
+            cfg_path.write_text(json.dumps({"curvature_mode": "relation"}))
+            args += ["--config", str(cfg_path)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: --curvature-mode is set by each ablation run\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ("no_inter_level", "no_intra_level"))
+    @pytest.mark.parametrize("source", ("flag", "config"))
+    def test_grid_rejects_transform_flags_before_any_work(self, tree_dir, tmp_path, capsys,
+                                                          key, source):
+        out = tmp_path / "never"
+        args = ["ablate", "--dataset-dir", tree_dir, "--out-dir", str(out)]
+        if source == "flag":
+            args += ["--" + key.replace("_", "-")]
+        else:
+            cfg_path = tmp_path / "base.json"
+            cfg_path.write_text(json.dumps({key: True}))
+            args += ["--config", str(cfg_path)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --no-inter-level and --no-intra-level are set by each grid run")
+        assert not out.exists()
+
+    def test_curvature_sweep_honours_transform_flags(self, tree_dir, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(["ablate", "--dataset-dir", tree_dir, "--out-dir", str(out),
+                     "--dim", "4", "--epochs", "1", "--eval-every", "1",
+                     "--batch-size", "99", "--neg-samples", "4",
+                     "--curvature-sweep", "--no-inter-level"])
+        assert code == 0
+        lines = (out / "ablation.csv").read_text().strip().split("\n")
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert [(row["use_inter_level"], row["use_intra_level"]) for row in rows] == [
+            ("False", "True")] * 4
+
     def test_euclidean_grid_runs_attention_rows_only(self, tree_dir, tmp_path):
         out = tmp_path / "ablate"
         code = main(["ablate", "--dataset-dir", tree_dir, "--out-dir", str(out),

@@ -1,11 +1,21 @@
 import dataclasses
+import hashlib
+import types
 import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hkge import data, geometry, training
-from hkge.model import CURVATURE_MODES, KGEModel, ModelConfig
+from hkge.model import (
+    CURVATURE_MODES,
+    PARAM_ORDER,
+    KGEModel,
+    ModelConfig,
+    SparseGrads,
+    _segment_sum,
+)
 from hkge.training import (
     Adagrad,
     Adam,
@@ -160,6 +170,31 @@ def assert_matches_central_differences(m, pos, neg):
                 f"{name}{idx}: fd={fd} grad={got}"
 
 
+def gather_oracle(model, h_ids, r_ids, t_ids, q, lhs, alpha, beta, sbar):
+    """Dense gradients as ``KGEModel._gather`` summed them with ``np.unique``
+    and one segment sum per relation group."""
+    B, M = t_ids.shape
+    ent_rows, ent_inv = np.unique(np.concatenate([h_ids, t_ids.ravel()]), return_inverse=True)
+    K = ent_rows.shape[0]
+    cols = np.concatenate([np.arange(B), B + np.repeat(np.arange(B), M)])
+    summer = sparse.csr_matrix((np.concatenate([np.ones(B), alpha.ravel()]), (ent_inv, cols)),
+                               shape=(K, 2 * B))
+    dense = {name: np.zeros_like(p) for name, p in model.params.items()}
+    dense["ent_emb"][ent_rows] = (
+        summer @ np.concatenate([q["ent_emb"], lhs])
+        + np.bincount(ent_inv[B:], weights=beta.ravel(), minlength=K)[:, None]
+        * model.params["ent_emb"][ent_rows])
+    dense["ent_bias"][ent_rows] = np.bincount(
+        ent_inv, weights=np.concatenate([np.sum(sbar, axis=-1), sbar.ravel()]), minlength=K)
+    rel_rows, rel_inv = np.unique(r_ids, return_inverse=True)
+    for name, param in model.params.items():
+        if name.startswith("attn_") or param.ndim == 0:
+            dense[name][...] = q[name]
+        elif not name.startswith("ent_"):
+            dense[name][rel_rows] = _segment_sum(q[name], rel_inv, rel_rows.shape[0])
+    return dense
+
+
 class TestGradients:
     @pytest.mark.parametrize("mode", CURVATURE_MODES)
     def test_matches_central_differences(self, mode):
@@ -259,6 +294,29 @@ class TestGradients:
         for name, (rows, _) in grads.items():
             np.testing.assert_array_equal(rows, [0, 1, 3] if name.startswith("ent_") else [2])
 
+    @pytest.mark.parametrize("mode", CURVATURE_MODES)
+    def test_gather_matches_unique_and_per_table_sums(self, mode, monkeypatch):
+        # entity 1 is a tail twice in query 0 and a head in query 2, and
+        # entity 0 is both the head and a tail of query 0
+        m = random_model(ModelConfig(dim=4, curvature_mode=mode), 6, 3, seed=12)
+        pos = np.asarray([[0, 0, 1], [2, 1, 3], [1, 0, 4], [5, 2, 2]])
+        neg = np.asarray([[1, 0, 3], [3, 3, 2], [4, 1, 1], [0, 5, 5]])
+        seen = {}
+        gather = KGEModel._gather
+
+        def recording(model, h_ids, r_ids, t_ids, q, *rest):
+            seen["oracle"] = gather_oracle(model, h_ids, r_ids, t_ids, dict(q), *rest)
+            return gather(model, h_ids, r_ids, t_ids, q, *rest)
+
+        monkeypatch.setattr(KGEModel, "_gather", recording)
+        _, grads = loss_and_grads(m, pos, neg)
+        ids = np.concatenate([pos[:, 0], pos[:, 2], neg.ravel()])
+        np.testing.assert_array_equal(grads["ent_emb"][0], np.unique(ids))
+        np.testing.assert_array_equal(grads["ent_bias"][0], np.unique(ids))
+        dense = grads.to_dense(m)
+        for name, want in seen["oracle"].items():
+            assert np.array_equal(dense[name], want), name
+
 
 class TestClip:
     def test_large_gradients_scaled_to_max_norm(self):
@@ -279,7 +337,64 @@ class TestClip:
         np.testing.assert_array_equal(grads["ent_emb"][1], before)
 
 
+def adagrad_oracle(params, accum, grads, lr, eps=1e-10):
+    """Adagrad as two fancy-index read-modify-writes per group."""
+    for name, (rows, g) in grads.items():
+        accum[name][rows] += g * g
+        params[name][rows] -= lr * g / (np.sqrt(accum[name][rows]) + eps)
+
+
+def adam_oracle(params, m, v, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Lazy Adam with whole-expression updates of the touched rows."""
+    bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    for name, (rows, g) in grads.items():
+        m[name][rows] = beta1 * m[name][rows] + (1 - beta1) * g
+        v[name][rows] = beta2 * v[name][rows] + (1 - beta2) * g * g
+        update = (m[name][rows] / bc1) / (np.sqrt(v[name][rows] / bc2) + eps)
+        params[name][rows] -= lr * update
+
+
+def row_block_grads(rng, n_rows, n_touched):
+    """Gradients over more than two row blocks with a partial last one, plus
+    a group updated whole and a 0-d global curv_raw."""
+    rows = np.sort(rng.choice(n_rows, n_touched, replace=False))
+    return SparseGrads(
+        ent_emb=(rows, rng.normal(0.0, 1.0, (n_touched, 3))),
+        ent_bias=(rows, rng.normal(0.0, 1.0, n_touched)),
+        attn_a=(..., rng.normal(0.0, 1.0, 3)),
+        curv_raw=(..., np.asarray(rng.normal())),
+    )
+
+
 class TestOptimizers:
+    @pytest.mark.parametrize("kind", ("adagrad", "adam"))
+    def test_row_blocks_bitwise_equal_to_per_group_formula(self, kind):
+        n_rows, n_touched = 3 * training.BLOCK, 2 * training.BLOCK + 300
+        rng = np.random.default_rng(21)
+        params = {"ent_emb": rng.normal(0.0, 1.0, (n_rows, 3)),
+                  "ent_bias": rng.normal(0.0, 1.0, n_rows),
+                  "attn_a": rng.normal(0.0, 1.0, 3),
+                  "curv_raw": np.asarray(0.5)}
+        model = types.SimpleNamespace(params={k: v.copy() for k, v in params.items()})
+        zeros = lambda: {k: np.zeros_like(v) for k, v in params.items()}  # noqa: E731
+        opt = Adagrad(model, lr=0.1) if kind == "adagrad" else Adam(model, lr=0.1)
+        state = [zeros()] if kind == "adagrad" else [zeros(), zeros()]
+        for t in range(1, 4):
+            grads = row_block_grads(rng, n_rows, n_touched)
+            want = SparseGrads({k: (r, g.copy()) for k, (r, g) in grads.items()})
+            opt.step(model, grads)
+            if kind == "adagrad":
+                adagrad_oracle(params, state[0], want, lr=0.1)
+                got_state = [opt.accum]
+            else:
+                adam_oracle(params, *state, want, t, lr=0.1)
+                got_state = [opt.m, opt.v]
+            for got_tables, want_tables in zip([model.params, *got_state], [params, *state]):
+                for name in params:
+                    assert np.array_equal(got_tables[name], want_tables[name]), (t, name)
+            for name, (_, g) in grads.items():
+                assert np.array_equal(g, want[name][1]), name  # the step leaves g alone
+
     def test_adagrad_dense_step(self):
         # p <- p - lr * g / (sqrt(g^2) + eps) on the first step
         m = random_model(ModelConfig(dim=4, curvature_mode="attention"), 4, 2, seed=13)
@@ -326,6 +441,43 @@ class TestOptimizers:
         opt = Adagrad(m, lr=1e-4)
         opt.step(m, grads)
         assert loss(m, pos) < before
+
+
+def toy_store():
+    """240 random triples over 60 entities and 3 relations, no valid split."""
+    rng = np.random.default_rng(5)
+    h, r, t = rng.integers(0, 60, 240), rng.integers(0, 3, 240), rng.integers(0, 60, 240)
+    triples = [(f"e{a}", f"r{b}", f"e{c}") for a, b, c in zip(h, r, t)]
+    return data.augment_reciprocal(data.build_vocab({"train": triples}))
+
+
+def param_sha256(model):
+    h = hashlib.sha256()
+    for name in PARAM_ORDER:
+        if name in model.params:
+            h.update(np.ascontiguousarray(model.params[name], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the parameters after two toy epochs, as the per-group optimizer
+# formulas (adagrad_oracle, adam_oracle) and np.unique-based gather gave them
+TOY_TRAJECTORY_SHA256 = {
+    "adagrad": "afecfb97fd8587abc61ca3a01450f6b74d60054bbed13689a3a55f23e2a2e38a",
+    "adam": "108dcc30530d3888f3d9c57bb6b2c82270fbf9c65cc5f379f1320955152e7dfd",
+}
+
+
+class TestToyTrajectory:
+    @pytest.mark.parametrize("optimizer", ("adagrad", "adam"))
+    def test_two_epochs_reproduce_the_pinned_parameters(self, optimizer):
+        # any change to the arithmetic of the training step changes the digest
+        store = toy_store()
+        m = KGEModel.init(ModelConfig(dim=8, init_scale=0.1), store.n_entities,
+                          store.n_relations, seed=0)
+        result = train(m, store, TrainConfig(epochs=2, batch_size=64, neg_samples=8,
+                                             optimizer=optimizer, seed=0))
+        assert [row["split"] for row in result.history] == ["train", "train"]
+        assert param_sha256(result.model) == TOY_TRAJECTORY_SHA256[optimizer]
 
 
 class TestConfigValidation:
