@@ -376,9 +376,9 @@ class TestOptimizers:
                   "attn_a": rng.normal(0.0, 1.0, 3),
                   "curv_raw": np.asarray(0.5)}
         model = types.SimpleNamespace(params={k: v.copy() for k, v in params.items()})
-        zeros = lambda: {k: np.zeros_like(v) for k, v in params.items()}  # noqa: E731
         opt = Adagrad(model, lr=0.1) if kind == "adagrad" else Adam(model, lr=0.1)
-        state = [zeros()] if kind == "adagrad" else [zeros(), zeros()]
+        state = [{k: np.zeros_like(v) for k, v in params.items()}
+                 for _ in range(1 if kind == "adagrad" else 2)]
         for t in range(1, 4):
             grads = row_block_grads(rng, n_rows, n_touched)
             want = SparseGrads({k: (r, g.copy()) for k, (r, g) in grads.items()})
