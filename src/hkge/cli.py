@@ -7,6 +7,7 @@ produced it.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -14,8 +15,8 @@ import sys
 import numpy as np
 
 from . import checkpoint, data, evaluation, hierarchy
-from .model import KGEModel, ModelConfig
-from .training import MetricLog, NumericError, TrainConfig, train
+from .model import GEOMETRIES, KGEModel, ModelConfig
+from .training import OPTIMIZERS, MetricLog, NumericError, TrainConfig, train
 
 CLI_MODE_MAP = {
     "fixed": "fixed_one",
@@ -28,20 +29,11 @@ COMMON_DEFAULTS = {
     "dataset_dir": None,
     "out_dir": None,
     "dim": 32,
-    "seed": 0,
-    "geometry": "hyperbolic",
-    "curvature_mode": "attention",
     "no_inter_level": False,
     "no_intra_level": False,
-    "init_scale": 1e-3,
-    "epochs": 500,
-    "lr": 0.05,
-    "batch_size": 500,
-    "neg_samples": 50,
-    "eval_every": 10,
-    "optimizer": "adagrad",
-    "patience": 10,
-    "grad_clip": None,
+    **{f.name: f.default for f in dataclasses.fields(ModelConfig)
+       if f.name in ("curvature_mode", "geometry", "init_scale")},
+    **{f.name: f.default for f in dataclasses.fields(TrainConfig)},
 }
 
 COMMAND_DEFAULTS = {
@@ -62,7 +54,7 @@ def _add_common_flags(p):
     p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--dim", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--geometry", choices=("hyperbolic", "euclidean"))
+    p.add_argument("--geometry", choices=GEOMETRIES)
     p.add_argument("--curvature-mode", choices=tuple(CLI_MODE_MAP),
                    dest="curvature_mode")
     p.add_argument("--no-inter-level", action="store_true", dest="no_inter_level")
@@ -73,7 +65,7 @@ def _add_common_flags(p):
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--neg-samples", type=int, dest="neg_samples")
     p.add_argument("--eval-every", type=int, dest="eval_every")
-    p.add_argument("--optimizer", choices=("adagrad", "adam"))
+    p.add_argument("--optimizer", choices=tuple(OPTIMIZERS))
     p.add_argument("--patience", type=int)
     p.add_argument("--grad-clip", type=float, dest="grad_clip")
 
@@ -143,13 +135,7 @@ def model_config_from(cfg):
 
 
 def train_config_from(cfg):
-    return TrainConfig(
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-        neg_samples=cfg["neg_samples"], lr=cfg["lr"],
-        optimizer=cfg["optimizer"], seed=cfg["seed"],
-        grad_clip=cfg["grad_clip"], eval_every=cfg["eval_every"],
-        patience=cfg["patience"],
-    ).validate()
+    return TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)}).validate()
 
 
 def _require(cfg, *keys):
@@ -269,6 +255,7 @@ def cmd_ablate(cfg):
     _require(cfg, "dataset_dir", "out_dir")
     _check_geometry(cfg)
     _check_ablate(cfg)
+    base = model_config_from(cfg)
     tcfg = train_config_from(cfg)
     out_dir = _prepare_out_dir(cfg)
     astore = _load_augmented(cfg)
@@ -281,11 +268,8 @@ def cmd_ablate(cfg):
         runs = [run for run in ABLATION_GRID if not euclidean or run[1] == "attention"]
     rows = []
     for label, mode, inter, intra in runs:
-        mcfg = ModelConfig(
-            dim=cfg["dim"], curvature_mode=mode, geometry=cfg["geometry"],
-            use_inter_level=inter, use_intra_level=intra,
-            init_scale=cfg["init_scale"],
-        ).validate()
+        mcfg = dataclasses.replace(base, curvature_mode=mode,
+                                   use_inter_level=inter, use_intra_level=intra)
         model = KGEModel.init(mcfg, astore.n_entities, astore.n_relations,
                               seed=cfg["seed"])
         result = train(model, astore, tcfg, filters)
@@ -302,21 +286,9 @@ def cmd_ablate(cfg):
         })
         print(f"{label}: valid mrr={result.best_mrr}")
     path = os.path.join(out_dir, "ablation.csv")
-    cols = list(rows[0].keys())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(row[c]) for c in cols) + "\n")
+    data.write_csv(path, list(rows[0]), rows)
     print(f"ablation grid written to {path}")
     return 0
-
-
-def _csv_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return f"{v:.6f}"
-    return str(v)
 
 
 def cmd_analyze(cfg):

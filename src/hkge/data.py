@@ -8,6 +8,7 @@ Reciprocal augmentation gives every relation r a companion r + |R|
 head prediction is ordinary tail prediction downstream.
 """
 
+import csv
 import os
 from dataclasses import dataclass, field
 
@@ -223,6 +224,19 @@ def build_filter_index(store):
     queries = hr[np.concatenate([[0], starts])]
     return {(int(q // n_r), int(q % n_r)): run
             for q, run in zip(queries.tolist(), np.split(tails, starts))}
+
+
+def write_csv(path, header, rows):
+    """Write one run table: a header line, then each row dict's cells by column.
+
+    Comma-separated, LF line ends, quoted only where a cell needs it;
+    floats to 6 decimals, None as an empty cell, anything else as str.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([f"{row[k]:.6f}" if isinstance(row[k], float) else row[k]
+                          for k in header] for row in rows)
 
 
 def write_vocab_files(store, out_dir):

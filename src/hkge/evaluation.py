@@ -6,10 +6,11 @@ under a per-query seed derived from (master seed, h, r, t): results are
 identical no matter what order queries are evaluated in.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import write_csv
 
 TIE_MODES = ("random", "optimistic", "pessimistic")
 DEFAULT_KS = (1, 3, 10)
@@ -121,21 +122,8 @@ def per_relation_report(ranks, triples, relation_names, n_base_relations, ks=DEF
 
 
 def write_global_csv(path, report, split):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["split", "n", "mrr", "h1", "h3", "h10"])
-        writer.writerow([
-            split, report.n_queries, f"{report.mrr:.6f}",
-            *(f"{report.hits[k]:.6f}" for k in DEFAULT_KS),
-        ])
+    write_csv(path, ["split", "n", "mrr", "h1", "h3", "h10"], [{"split": split, **report.row()}])
 
 
 def write_per_relation_csv(path, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["relation", "n", "mrr", "h1", "h3", "h10"])
-        for row in rows:
-            writer.writerow([
-                row["relation"], row["n"], f"{row['mrr']:.6f}",
-                f"{row['h1']:.6f}", f"{row['h3']:.6f}", f"{row['h10']:.6f}",
-            ])
+    write_csv(path, ["relation", "n", "mrr", "h1", "h3", "h10"], rows)

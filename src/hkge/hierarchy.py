@@ -20,6 +20,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
+from .data import write_csv
+
 DEFAULT_XI_SAMPLES = 10_000
 
 
@@ -212,14 +214,8 @@ def analyze_relation(store, relation_name, n_samples=DEFAULT_XI_SAMPLES, seed=0)
 
 
 def write_hierarchy_csv(path, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(HIERARCHY_HEADER + "\n")
-        for row in rows:
-            if row.get("error"):
-                fh.write(f"{row['relation']},,,error:{row['error']},,,,\n")
-                continue
-            fh.write(
-                f"{row['relation']},{row['nodes']},{row['edges']},"
-                f"{row['khs']:.6f},{row['xi_mean']:.6f},{row['xi_stderr']:.6f},"
-                f"{row['samples_accepted']},{row['samples_rejected']}\n"
-            )
+    """One row per relation; a relation that failed gets `error:<label>` as its khs."""
+    header = HIERARCHY_HEADER.split(",")
+    write_csv(path, header, [
+        {**dict.fromkeys(header), "relation": row["relation"], "khs": f"error:{row['error']}"}
+        if row.get("error") else row for row in rows])

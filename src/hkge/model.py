@@ -353,9 +353,9 @@ class KGEModel:
         r_ids = self._check_relations(np.asarray(r_ids))
         t_ids = self._check_entities(np.asarray(t_ids))
         head = self._head(h_ids, r_ids)
-        te = self.params["ent_emb"][t_ids]          # (B, M, d)
-        out = self._tails(head, te, np.vecdot(te, te), self.params["ent_bias"][t_ids],
-                          need_cache)
+        te = np.take(self.params["ent_emb"], t_ids, axis=0)  # (B, M, d); faster than [t_ids]
+        bias = np.take(self.params["ent_bias"], t_ids)
+        out = self._tails(head, te, np.vecdot(te, te), bias, need_cache)
         if not need_cache:
             return out
         scores, tails = out

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
+from . import data, geometry
 from .model import KGEModel, sigmoid, softplus
 
 METRIC_LOG_HEADER = "epoch,split,loss,mrr,h1,h3,h10,clamp_events"
@@ -41,7 +41,9 @@ class TrainConfig:
             raise ValueError("neg_samples must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
-        if self.optimizer not in ("adagrad", "adam"):
+        if self.grad_clip is not None and self.grad_clip <= 0:
+            raise ValueError("grad_clip must be > 0")
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
@@ -188,10 +190,11 @@ class Adam:
             param -= self.lr * ((m / bc1) / (np.sqrt(v / bc2) + self.eps))
 
 
+OPTIMIZERS = {"adagrad": Adagrad, "adam": Adam}
+
+
 def make_optimizer(model, config):
-    if config.optimizer == "adagrad":
-        return Adagrad(model, config.lr)
-    return Adam(model, config.lr)
+    return OPTIMIZERS[config.optimizer](model, config.lr)
 
 
 def round_trip_f32(model):
@@ -225,12 +228,11 @@ def train(model, store, config, filters=None, log=None):
     A non-finite number in training or validation ends the run as
     diverged, and it returns the same way.
     """
-    from . import data as data_mod
     from .evaluation import evaluate_split
 
     config.validate()
     if filters is None and len(store.valid):
-        filters = data_mod.build_filter_index(store)
+        filters = data.build_filter_index(store)
 
     ss = np.random.SeedSequence(config.seed)
     shuffle_rng, neg_rng = (np.random.default_rng(s) for s in ss.spawn(2))
@@ -319,22 +321,10 @@ def train(model, store, config, filters=None, log=None):
 
 
 class MetricLog:
-    """CSV metric log: epoch,split,loss,mrr,h1,h3,h10,clamp_events."""
+    """CSV metric log with the METRIC_LOG_HEADER columns."""
 
     def __init__(self, path):
         self.path = path
 
     def write_rows(self, rows):
-        def fmt(x):
-            if x is None:
-                return ""
-            if isinstance(x, float):
-                return f"{x:.6f}"
-            return str(x)
-
-        with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write(METRIC_LOG_HEADER + "\n")
-            for row in rows:
-                fh.write(",".join(fmt(row[k]) for k in (
-                    "epoch", "split", "loss", "mrr", "h1", "h3", "h10", "clamp_events"
-                )) + "\n")
+        data.write_csv(self.path, METRIC_LOG_HEADER.split(","), rows)

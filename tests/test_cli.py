@@ -1,10 +1,12 @@
+import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from hkge import checkpoint, data, evaluation, training
+from hkge import checkpoint, cli, data, evaluation, training
 from hkge.cli import main
 from hkge.model import KGEModel, ModelConfig
 
@@ -85,6 +87,45 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == "error: --curvature-mode needs hyperbolic geometry\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ("train", "ablate"))
+    @pytest.mark.parametrize("source", ("flag", "config"))
+    @pytest.mark.parametrize("grad_clip", (0, -1))
+    def test_non_positive_grad_clip_rejected_before_any_work(self, tree_dir, tmp_path, capsys,
+                                                             command, source, grad_clip):
+        out = tmp_path / "never"
+        args = [command, "--dataset-dir", tree_dir, "--out-dir", str(out)]
+        if source == "flag":
+            args += [f"--grad-clip={grad_clip}"]
+        else:
+            cfg_path = tmp_path / "base.json"
+            cfg_path.write_text(json.dumps({"grad_clip": grad_clip}))
+            args += ["--config", str(cfg_path)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: grad_clip must be > 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ("train", "ablate"))
+    def test_config_file_reaches_train_unchanged(self, tree_dir, tmp_path, monkeypatch,
+                                                 command):
+        want = {"epochs": 2, "batch_size": 99, "neg_samples": 3, "lr": 0.02,
+                "optimizer": "adam", "seed": 7, "grad_clip": 0.5, "eval_every": 2,
+                "patience": 2}
+        fields = dataclasses.fields(training.TrainConfig)
+        assert set(want) == {f.name for f in fields}
+        assert all(want[f.name] != f.default for f in fields)
+        seen = []
+
+        def spy(model, store, config, *args, **kwargs):
+            seen.append(dataclasses.asdict(config))
+            return training.train(model, store, config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", spy)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"dim": 4, **want}))
+        assert main([command, "--dataset-dir", tree_dir, "--out-dir", str(tmp_path / "run"),
+                     "--config", str(cfg_path)]) == 0
+        assert seen and all(config == want for config in seen)
 
     @pytest.mark.parametrize("fail_from", (4, 1))
     def test_divergence_names_the_saved_parameters(self, tree_dir, tmp_path, capsys,
@@ -400,3 +441,43 @@ class TestGeometryFlag:
         from hkge import checkpoint
         model = checkpoint.load(out / "checkpoint.bin")
         assert model.config.geometry == "euclidean"
+
+
+class TestCsvFiles:
+    NAMES = {"parent_of": "is,a", "child_of": 'say "x"'}
+
+    @pytest.fixture
+    def quoted_dir(self, tmp_path):
+        """The toy tree with relation names that need CSV quoting."""
+        root = tmp_path / "quoted"
+        data.make_tree_dataset(root)
+        for path in root.glob("*.txt"):
+            text = path.read_text(encoding="utf-8")
+            for old, new in self.NAMES.items():
+                text = text.replace(f"\t{old}\t", f"\t{new}\t")
+            path.write_text(text, encoding="utf-8")
+        return str(root)
+
+    def test_every_table_is_well_formed(self, quoted_dir, tmp_path):
+        small = ["--dim", "4", "--epochs", "2", "--eval-every", "2",
+                 "--batch-size", "99", "--neg-samples", "4"]
+        common = ["--dataset-dir", quoted_dir]
+        assert main(["train", *common, "--out-dir", str(tmp_path / "train"), *small]) == 0
+        assert main(["eval", *common, "--out-dir", str(tmp_path / "eval"), "--per-relation",
+                     "--checkpoint", str(tmp_path / "train" / "checkpoint.bin")]) == 0
+        assert main(["ablate", *common, "--out-dir", str(tmp_path / "ablate"), *small]) == 0
+        assert main(["analyze", *common, "--out-dir", str(tmp_path / "analyze"),
+                     "--samples", "50"]) == 0
+        tables = {}
+        for run in ("train", "eval", "ablate", "analyze"):
+            for path in (tmp_path / run).glob("*.csv"):
+                raw = path.read_bytes()
+                assert b"\r" not in raw, path
+                rows = list(csv.reader(raw.decode("utf-8").split("\n")[:-1]))
+                assert all(len(row) == len(rows[0]) for row in rows), path
+                tables[f"{run}/{path.name}"] = rows
+        assert set(tables) == {"train/metrics.csv", "eval/metrics.csv",
+                               "eval/per_relation.csv", "ablate/ablation.csv",
+                               "analyze/hierarchy.csv"}
+        for name in ("eval/per_relation.csv", "analyze/hierarchy.csv"):
+            assert sorted(row[0] for row in tables[name][1:]) == sorted(self.NAMES.values())

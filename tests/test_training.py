@@ -488,6 +488,14 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 TrainConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize("grad_clip", (0.0, -1.0))
+    def test_rejects_non_positive_grad_clip(self, grad_clip):
+        with pytest.raises(ValueError, match="grad_clip must be > 0"):
+            TrainConfig(grad_clip=grad_clip).validate()
+
+    def test_grad_clip_none_means_no_clipping(self):
+        TrainConfig(grad_clip=None).validate()
+
 
 class TestRoundTripF32:
     def test_matches_float32_cast(self):
