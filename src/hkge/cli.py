@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import checkpoint, data, evaluation, hierarchy
 from .model import GEOMETRIES, KGEModel, ModelConfig
 from .training import OPTIMIZERS, MetricLog, NumericError, TrainConfig, train
@@ -46,6 +44,20 @@ COMMAND_DEFAULTS = {
 
 class CliError(RuntimeError):
     pass
+
+
+def _check_setting_types(file_cfg, defaults):
+    """Reject a --config value not of its default's type (a float setting also takes
+    an int); a None default means a string or null, or for grad_clip a number or null."""
+    for key, value in file_cfg.items():
+        default = defaults[key]
+        types = ((int, float, type(None)) if key == "grad_clip" else
+                 (str, type(None)) if default is None else
+                 (int, float) if isinstance(default, float) else (type(default),))
+        # bool is an int subclass, but true is no number and 1 no flag
+        if not isinstance(value, types) or isinstance(value, bool) != (bool in types):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise CliError(f"config file: {key} must be {names}, got {value!r}")
 
 
 def _add_common_flags(p):
@@ -112,10 +124,14 @@ def resolve_config(args):
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read config file {config_path}: {exc}")
-        unknown = set(file_cfg) - set(merged) - {"command"}
+        if not isinstance(file_cfg, dict):
+            raise CliError(f"config file {config_path} must hold a JSON object")
+        file_cfg.pop("command", None)
+        unknown = set(file_cfg) - set(merged)
         if unknown:
             raise CliError(f"unknown keys in config file: {sorted(unknown)}")
-        merged.update({k: v for k, v in file_cfg.items() if k != "command"})
+        _check_setting_types(file_cfg, merged)
+        merged.update(file_cfg)
     merged.update(provided)
     if merged.get("curvature_mode") in CLI_MODE_MAP:
         merged["curvature_mode"] = CLI_MODE_MAP[merged["curvature_mode"]]
@@ -273,16 +289,14 @@ def cmd_ablate(cfg):
         model = KGEModel.init(mcfg, astore.n_entities, astore.n_relations,
                               seed=cfg["seed"])
         result = train(model, astore, tcfg, filters)
-        valid_rows = [r for r in result.history if r["split"] == "valid"]
-        best = (max(valid_rows, key=lambda r: r["mrr"])
-                if valid_rows else {"mrr": None, "h1": None, "h3": None, "h10": None})
+        best = next((r for r in result.history
+                     if r["split"] == "valid" and r["epoch"] == result.best_epoch), {})
         rows.append({
             "run": label, "geometry": cfg["geometry"], "curvature_mode": mode,
             "use_inter_level": inter, "use_intra_level": intra,
             "dim": cfg["dim"], "seed": cfg["seed"], "epochs": tcfg.epochs,
             "best_epoch": result.best_epoch,
-            "mrr": result.best_mrr,
-            "h1": best["h1"], "h3": best["h3"], "h10": best["h10"],
+            **{k: best.get(k) for k in ("mrr", "h1", "h3", "h10")},
         })
         print(f"{label}: valid mrr={result.best_mrr}")
     path = os.path.join(out_dir, "ablation.csv")

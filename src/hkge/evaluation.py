@@ -11,9 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import write_csv
+from .model import NumericError
 
 TIE_MODES = ("random", "optimistic", "pessimistic")
-DEFAULT_KS = (1, 3, 10)
+KS = (1, 3, 10)  # the Hits@K cutoffs: every metrics table has h1, h3, h10
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -70,8 +71,6 @@ def compute_ranks(model, triples, filters, tie_mode="random", seed=0):
     once, in a scoring table local to this call; each query is then one
     ``score_against_all`` call against it.
     """
-    from .training import NumericError
-
     triples = np.asarray(triples)
     ranks = np.empty(len(triples), dtype=np.int64)
     table = model.scoring_table(triples[:, 0], triples[:, 1])
@@ -87,23 +86,23 @@ def compute_ranks(model, triples, filters, tie_mode="random", seed=0):
     return ranks
 
 
-def aggregate(ranks, ks=DEFAULT_KS):
+def aggregate(ranks):
     """MRR and Hits@K from integer ranks, order-independent exactly."""
     ranks = np.sort(np.asarray(ranks))
     if not len(ranks):
         raise ValueError("empty split: no queries to aggregate")
     mrr = float(np.mean(1.0 / ranks))
-    hits = {k: float(np.count_nonzero(ranks <= k) / len(ranks)) for k in ks}
+    hits = {k: float(np.count_nonzero(ranks <= k) / len(ranks)) for k in KS}
     return MetricReport(mrr=mrr, hits=hits, n_queries=len(ranks))
 
 
-def evaluate_split(model, triples, filters, ks=DEFAULT_KS, tie_mode="random", seed=0):
+def evaluate_split(model, triples, filters, tie_mode="random", seed=0):
     if triples is None or not len(triples):
         raise ValueError("empty split: nothing to evaluate")
-    return aggregate(compute_ranks(model, triples, filters, tie_mode, seed), ks)
+    return aggregate(compute_ranks(model, triples, filters, tie_mode, seed))
 
 
-def per_relation_report(ranks, triples, relation_names, n_base_relations, ks=DEFAULT_KS):
+def per_relation_report(ranks, triples, relation_names, n_base_relations):
     """Metrics of precomputed `ranks` (one per row of `triples`) grouped
     by base relation; reciprocal queries fold back onto their original
     relation.  Returns rows sorted by name."""
@@ -115,7 +114,7 @@ def per_relation_report(ranks, triples, relation_names, n_base_relations, ks=DEF
                     triples[:, 1], triples[:, 1] - n_base_relations)
     rows = []
     for rel_id in np.unique(base):
-        report = aggregate(ranks[base == rel_id], ks)
+        report = aggregate(ranks[base == rel_id])
         rows.append({"relation": relation_names[rel_id], **report.row()})
     rows.sort(key=lambda row: row["relation"])
     return rows

@@ -61,6 +61,10 @@ PARAM_ORDER = (
 )
 
 
+class NumericError(RuntimeError):
+    """Raised when the pipeline produces a non-finite number."""
+
+
 def softplus(x):
     # a NaN input gives NaN silently; the model's finite checks report it
     with np.errstate(invalid="ignore"):
@@ -228,16 +232,11 @@ class KGEModel:
 
     # -- id hygiene ---------------------------------------------------
 
-    def _check_entities(self, ids):
+    @staticmethod
+    def _check_ids(ids, n, what):
         ids = np.asarray(ids)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n_entities):
-            raise IndexError("entity id out of range")
-        return ids
-
-    def _check_relations(self, ids):
-        ids = np.asarray(ids)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n_relations):
-            raise IndexError("relation id out of range")
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise IndexError(f"{what} id out of range")
         return ids
 
     # -- curvature ----------------------------------------------------
@@ -293,8 +292,8 @@ class KGEModel:
         """c_{h,r} for a single query, as a python float."""
         if self.config.geometry != "hyperbolic":
             raise ValueError("curvature is defined for hyperbolic geometry")
-        h = self._check_entities(np.asarray([h]))
-        r = self._check_relations(np.asarray([r]))
+        h = self._check_ids([h], self.n_entities, "entity")
+        r = self._check_ids([r], self.n_relations, "relation")
         c, _ = self._curvature_batch(self.params["ent_emb"][h], r)
         return float(c[0])
 
@@ -304,8 +303,8 @@ class KGEModel:
         """Head after scale, exp0 and rotation: a point on the ball."""
         if self.config.geometry != "hyperbolic":
             raise ValueError("transform_head is defined for hyperbolic geometry")
-        head = self._head(self._check_entities(np.asarray([h])),
-                          self._check_relations(np.asarray([r])))
+        head = self._head(self._check_ids([h], self.n_entities, "entity"),
+                          self._check_ids([r], self.n_relations, "relation"))
         return head["x2"][0]
 
     def score(self, h, r, t):
@@ -317,8 +316,8 @@ class KGEModel:
     def scoring_table(self, h_ids, r_ids):
         """A ``ScoringTable`` for the queries (h_ids[i], r_ids[i]): one
         ``_head`` call over the distinct ones, and ||t||^2 of every entity."""
-        h_ids = self._check_entities(np.asarray(h_ids))
-        r_ids = self._check_relations(np.asarray(r_ids))
+        h_ids = self._check_ids(h_ids, self.n_entities, "entity")
+        r_ids = self._check_ids(r_ids, self.n_relations, "relation")
         pairs = np.unique(np.stack([h_ids, r_ids], axis=1), axis=0)
         head = self._head(pairs[:, 0], pairs[:, 1])
         fields = ("lhs", "bias", "a", "c")  # c exists on the ball only
@@ -349,9 +348,9 @@ class KGEModel:
 
         Shapes: h_ids (B,), r_ids (B,), t_ids (B, M) -> (B, M).
         """
-        h_ids = self._check_entities(np.asarray(h_ids))
-        r_ids = self._check_relations(np.asarray(r_ids))
-        t_ids = self._check_entities(np.asarray(t_ids))
+        h_ids = self._check_ids(h_ids, self.n_entities, "entity")
+        r_ids = self._check_ids(r_ids, self.n_relations, "relation")
+        t_ids = self._check_ids(t_ids, self.n_entities, "entity")
         head = self._head(h_ids, r_ids)
         te = np.take(self.params["ent_emb"], t_ids, axis=0)  # (B, M, d); faster than [t_ids]
         bias = np.take(self.params["ent_bias"], t_ids)

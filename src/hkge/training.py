@@ -10,14 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data, geometry
-from .model import KGEModel, sigmoid, softplus
+from . import data, evaluation, geometry
+from .model import KGEModel, NumericError, sigmoid, softplus
 
 METRIC_LOG_HEADER = "epoch,split,loss,mrr,h1,h3,h10,clamp_events"
-
-
-class NumericError(RuntimeError):
-    """Raised when the pipeline produces a non-finite number."""
 
 
 @dataclass
@@ -148,9 +144,10 @@ def _row_blocks(grads, params, *states):
 class Adagrad:
     """Classic Adagrad with sparse row updates on embedding tables."""
 
-    def __init__(self, model, lr, eps=1e-10):
+    eps = 1e-10
+
+    def __init__(self, model, lr):
         self.lr = lr
-        self.eps = eps
         self.accum = {k: np.zeros_like(v) for k, v in model.params.items()}
 
     def step(self, model, grads):
@@ -171,11 +168,10 @@ class Adam:
     variants; rows untouched by a batch keep their stale moments.
     """
 
-    def __init__(self, model, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, model, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in model.params.items()}
         self.v = {k: np.zeros_like(v) for k, v in model.params.items()}
@@ -218,6 +214,13 @@ class TrainResult:
     last_epoch: int = 0  # the epoch the run ended in
 
 
+def _log_row(epoch, split, **cells):
+    """One metric-log row: every METRIC_LOG_HEADER column, None where unset."""
+    row = dict.fromkeys(METRIC_LOG_HEADER.split(","))
+    row.update(epoch=epoch, split=split, **cells)
+    return row
+
+
 def train(model, store, config, filters=None, log=None):
     """Mini-batch training with periodic filtered validation.
 
@@ -228,8 +231,6 @@ def train(model, store, config, filters=None, log=None):
     A non-finite number in training or validation ends the run as
     diverged, and it returns the same way.
     """
-    from .evaluation import evaluate_split
-
     config.validate()
     if filters is None and len(store.valid):
         filters = data.build_filter_index(store)
@@ -244,77 +245,50 @@ def train(model, store, config, filters=None, log=None):
 
     optimizer = make_optimizer(model, config)
     result = TrainResult(model=model)
-    best_params = None
     bad_rounds = 0
 
-    for epoch in range(1, config.epochs + 1):
-        result.last_epoch = epoch
-        geometry.reset_clamp_events()
-        perm = shuffle_rng.permutation(n_train)
-        term_sum = 0.0
-        term_count = 0
-        for start in range(0, n_train, config.batch_size):
-            batch = triples[perm[start:start + config.batch_size]]
-            negatives = sample_negatives(
-                neg_rng, model.n_entities, (len(batch), config.neg_samples))
-            try:
-                value, grads = loss_and_grads(model, batch, negatives)
-            except NumericError:
-                result.diverged = True
-                break
-            if config.grad_clip is not None:
-                clip_grads(grads, config.grad_clip)
-            optimizer.step(model, grads)
-            n_terms = batch.shape[0] * (1 + config.neg_samples)
-            term_sum += value * n_terms
-            term_count += n_terms
-        if result.diverged:
-            break
-        train_clamps = geometry.clamp_events()
-        result.history.append({
-            "epoch": epoch, "split": "train",
-            "loss": term_sum / term_count,
-            "mrr": None, "h1": None, "h3": None, "h10": None,
-            "clamp_events": train_clamps,
-        })
-
-        run_eval = (
-            len(store.valid) > 0
-            and (epoch % config.eval_every == 0 or epoch == config.epochs)
-        )
-        if run_eval:
+    try:
+        for epoch in range(1, config.epochs + 1):
+            result.last_epoch = epoch
             geometry.reset_clamp_events()
-            snapshot = round_trip_f32(model)
-            try:
-                report = evaluate_split(snapshot, store.valid, filters, seed=config.seed)
-            except NumericError:
-                # finite in f64 but overflowing the f32 snapshot: the
-                # checkpoint this run would produce is unusable
-                result.diverged = True
-                break
-            result.history.append({
-                "epoch": epoch, "split": "valid",
-                "loss": None, "mrr": report.mrr,
-                "h1": report.hits[1], "h3": report.hits[3], "h10": report.hits[10],
-                "clamp_events": geometry.clamp_events(),
-            })
-            if result.best_mrr is None or report.mrr > result.best_mrr:
-                result.best_mrr = report.mrr
-                result.best_epoch = epoch
-                best_params = snapshot.params
-                bad_rounds = 0
-            else:
-                bad_rounds += 1
-                if bad_rounds >= config.patience:
-                    result.stopped_early = True
-                    break
+            perm = shuffle_rng.permutation(n_train)
+            term_sum = 0.0
+            for start in range(0, n_train, config.batch_size):
+                batch = triples[perm[start:start + config.batch_size]]
+                negatives = sample_negatives(
+                    neg_rng, model.n_entities, (len(batch), config.neg_samples))
+                value, grads = loss_and_grads(model, batch, negatives)
+                if config.grad_clip is not None:
+                    clip_grads(grads, config.grad_clip)
+                optimizer.step(model, grads)
+                term_sum += value * (len(batch) * (1 + config.neg_samples))
+            result.history.append(_log_row(
+                epoch, "train", loss=term_sum / (n_train * (1 + config.neg_samples)),
+                clamp_events=geometry.clamp_events()))
 
-    if best_params is not None:
-        result.model = KGEModel(
-            model.config, model.n_entities, model.n_relations, best_params
-        )
-    else:
-        result.model = model
+            if len(store.valid) and (epoch % config.eval_every == 0 or epoch == config.epochs):
+                geometry.reset_clamp_events()
+                snapshot = round_trip_f32(model)
+                # a NumericError here means f32 overflow: the checkpoint would be unusable
+                report = evaluation.evaluate_split(snapshot, store.valid, filters,
+                                                   seed=config.seed)
+                result.history.append(_log_row(
+                    epoch, "valid", mrr=report.mrr,
+                    **{f"h{k}": v for k, v in report.hits.items()},
+                    clamp_events=geometry.clamp_events()))
+                if result.best_mrr is None or report.mrr > result.best_mrr:
+                    result.best_mrr = report.mrr
+                    result.best_epoch = epoch
+                    result.model = snapshot
+                    bad_rounds = 0
+                else:
+                    bad_rounds += 1
+                    if bad_rounds >= config.patience:
+                        result.stopped_early = True
+                        break
+    except NumericError:
+        result.diverged = True
+
     if log is not None:
         log.write_rows(result.history)
     return result

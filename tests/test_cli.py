@@ -180,6 +180,54 @@ class TestTrain:
         assert code == 1
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,key,value", (
+        ("train", "no_inter_level", "yes"),
+        ("train", "dim", 8.0),
+        ("train", "seed", 1.5),
+        ("train", "batch_size", 99.0),
+        ("train", "epochs", "2"),
+        ("train", "grad_clip", "0.5"),
+        ("train", "dim", True),
+        ("train", "lr", True),
+        ("train", "no_intra_level", 1),
+        ("train", "optimizer", None),
+        ("train", "out_dir", 3),
+        ("eval", "per_relation", "no"),
+        ("analyze", "relations", ["parent_of"]),
+    ))
+    def test_config_value_of_wrong_type_rejected_before_any_work(self, tree_dir, tmp_path,
+                                                                 capsys, command, key, value):
+        out = tmp_path / "never"
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        assert main([command, "--dataset-dir", tree_dir, "--out-dir", str(out),
+                     "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file: {key} must be ")
+        assert err.endswith(f", got {value!r}\n")
+        assert not out.exists()
+
+    def test_config_values_of_allowed_types_accepted(self, tree_dir, tmp_path):
+        # an int for a float setting, a string for a None-default path, null grad_clip
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"dataset_dir": tree_dir, "out_dir": str(out),
+                                        "dim": 4, "epochs": 1, "lr": 1, "init_scale": 0,
+                                        "grad_clip": None, "no_inter_level": True}))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        resolved = json.loads((out / "config.json").read_text())
+        assert (resolved["lr"], resolved["grad_clip"], resolved["no_inter_level"]) == (1, None, True)
+
+    @pytest.mark.parametrize("content", ("[1, 2]", '["dim"]', "3", '"dim"', "null"))
+    def test_config_file_must_hold_an_object(self, tree_dir, tmp_path, capsys, content):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(content)
+        out = tmp_path / "never"
+        assert main(["train", "--dataset-dir", tree_dir, "--out-dir", str(out),
+                     "--config", str(cfg_path)]) == 1
+        assert "must hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_reproduces_final_training_metrics(self, tree_dir, tmp_path):

@@ -450,6 +450,21 @@ class TestScore:
         with pytest.raises(IndexError):
             m.curvature(0, 5)
 
+    @pytest.mark.parametrize("call,what", (
+        (lambda m: m.score(3, 0, 0), "entity"),
+        (lambda m: m.score(0, 0, -4), "entity"),
+        (lambda m: m.score(0, 2, 0), "relation"),
+        (lambda m: m.curvature(-1, 0), "entity"),
+        (lambda m: m.curvature(0, 5), "relation"),
+        (lambda m: m.transform_head(0, 2), "relation"),
+        (lambda m: m.scoring_table([0, 3], [0, 0]), "entity"),
+        (lambda m: m.scoring_table([0, 0], [1, 2]), "relation"),
+    ))
+    def test_bad_id_error_names_its_kind(self, call, what):
+        m = blank_model(ModelConfig(dim=4), 3, 2)
+        with pytest.raises(IndexError, match=f"^{what} id out of range$"):
+            call(m)
+
 
 class TestScoreAgainstAll:
     @pytest.mark.parametrize("mode", ("fixed_one", "attention"))

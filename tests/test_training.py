@@ -18,6 +18,7 @@ from hkge.model import (
 )
 from hkge.training import (
     Adagrad,
+    METRIC_LOG_HEADER,
     Adam,
     NumericError,
     TrainConfig,
@@ -519,6 +520,19 @@ class TestTrainLoop:
         assert result.best_mrr is None
         for key in before:
             np.testing.assert_array_equal(m.params[key], before[key])
+
+    def test_history_rows_have_exactly_the_metric_log_columns(self):
+        store = chain_store()
+        cfg = ModelConfig(dim=4, curvature_mode="fixed_one")
+        m = KGEModel.init(cfg, store.n_entities, store.n_relations, seed=5)
+        result = train(m, store, TrainConfig(epochs=4, batch_size=8, neg_samples=2,
+                                             eval_every=2, seed=5))
+        assert [row["split"] for row in result.history] == ["train", "train", "valid"] * 2
+        header = METRIC_LOG_HEADER.split(",")
+        for row in result.history:
+            assert list(row) == header
+            unset = ("mrr", "h1", "h3", "h10") if row["split"] == "train" else ("loss",)
+            assert [k for k in header if row[k] is None] == list(unset)
 
     def test_loss_decreases_on_chain(self):
         store = chain_store()
