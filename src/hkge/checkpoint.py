@@ -1,28 +1,32 @@
-"""Binary checkpoint format.
+"""Binary checkpoint format, and the float32 precision it stores.
 
 Layout: magic ``HKGE``, then a little-endian u32 header
 (version, dim, n_entities, n_relations, curvature-mode tag, geometry
-tag, transform flags), then the parameter arrays as little-endian
-float32 in a fixed order.  The mode-specific curvature pre-activation
-block is last: one float for global mode, n_relations for per_relation,
-absent otherwise.  Writes go through a temp file and an atomic rename.
+tag, transform flags), then one block of little-endian float32 per
+parameter group, in ``PARAM_ORDER``.  Writes go through a temp file
+and an atomic rename.
 
-Every other block is always present, whatever the configuration reads:
-``save`` writes zeros for a group the model does not hold (say
-``attn_a`` outside attention mode, or ``rel_scale`` with the scaling
-off), and ``load`` drops such blocks, whatever they hold.
+Version 2 stores exactly the groups ``model.param_shapes`` lists for
+the header's configuration.  Version 1 files still load: they hold a
+block for every group of the attention model with both transforms on,
+whatever the configuration reads, plus ``curv_raw`` by curvature mode
+alone (also in euclidean geometry); ``load`` drops the blocks the
+model does not hold, whatever they contain.
 """
 
+import math
 import os
 import struct
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
-from .model import CURVATURE_MODES, GEOMETRIES, KGEModel, ModelConfig
+from .model import CURVATURE_MODES, GEOMETRIES, KGEModel, ModelConfig, param_shapes
 
 MAGIC = b"HKGE"
-VERSION = 1
+VERSION = 2
+STORED = np.dtype("<f4")
 _HEADER = struct.Struct("<7I")
 
 FLAG_INTER = 1
@@ -33,22 +37,24 @@ class CheckpointError(ValueError):
     pass
 
 
-def _array_specs(dim, n_entities, n_relations, curvature_mode):
-    specs = [
-        ("ent_emb", (n_entities, dim)),
-        ("ent_bias", (n_entities,)),
-        ("rel_emb", (n_relations, dim)),
-        ("rel_scale", (n_relations, dim // 2)),
-        ("rel_theta", (n_relations, dim // 2)),
-        ("rel_trans", (n_relations, dim)),
-        ("attn_a", (dim,)),
-        ("attn_p", (dim,)),
-    ]
-    if curvature_mode == "global":
-        specs.append(("curv_raw", ()))
-    elif curvature_mode == "per_relation":
-        specs.append(("curv_raw", (n_relations,)))
-    return specs
+def round_trip_f32(model):
+    """The model as a checkpoint would store it (float32 precision).
+
+    Validation metrics are always computed on this view so the logged
+    numbers describe exactly the model that gets saved.
+    """
+    params = {k: v.astype(STORED).astype(np.float64) for k, v in model.params.items()}
+    return KGEModel(model.config, model.n_entities, model.n_relations, params)
+
+
+def _stored_shapes(version, config, n_entities, n_relations):
+    """The blocks of a file, name -> shape, in file order."""
+    if version == VERSION:
+        return param_shapes(config, n_entities, n_relations)
+    hyp = replace(config, geometry="hyperbolic")
+    full = replace(hyp, curvature_mode="attention", use_inter_level=True, use_intra_level=True)
+    return {**param_shapes(full, n_entities, n_relations),
+            **param_shapes(hyp, n_entities, n_relations)}
 
 
 def save(model, path):
@@ -61,20 +67,19 @@ def save(model, path):
         CURVATURE_MODES.index(cfg.curvature_mode), GEOMETRIES.index(cfg.geometry),
         flags,
     )
-    specs = _array_specs(cfg.dim, model.n_entities, model.n_relations, cfg.curvature_mode)
     out_dir = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(MAGIC)
             fh.write(header)
-            for name, shape in specs:
-                arr = np.asarray(model.params.get(name, np.zeros(shape)), dtype=np.float64)
+            for name, shape in param_shapes(cfg, model.n_entities, model.n_relations).items():
+                arr = np.asarray(model.params[name], dtype=STORED)
                 if arr.shape != shape:
                     raise CheckpointError(
                         f"{name}: expected shape {shape}, model has {arr.shape}"
                     )
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+                fh.write(arr.tobytes())
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -92,7 +97,7 @@ def load(path):
     version, dim, n_entities, n_relations, mode_tag, geo_tag, flags = _HEADER.unpack(
         blob[4:4 + _HEADER.size]
     )
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError(f"{path}: unsupported format version {version}")
     if mode_tag >= len(CURVATURE_MODES) or geo_tag >= len(GEOMETRIES):
         raise CheckpointError(f"{path}: unknown mode/geometry tag")
@@ -103,17 +108,19 @@ def load(path):
         use_inter_level=bool(flags & FLAG_INTER),
         use_intra_level=bool(flags & FLAG_INTRA),
     )
-    specs = _array_specs(dim, n_entities, n_relations, config.curvature_mode)
+    try:
+        shapes = _stored_shapes(version, config, n_entities, n_relations)
+    except ValueError as exc:  # the header does not describe a model
+        raise CheckpointError(f"{path}: {exc}") from None
     params = {}
     offset = 4 + _HEADER.size
-    for name, shape in specs:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = 4 * count
-        if offset + nbytes > len(blob):
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        if offset + 4 * count > len(blob):
             raise CheckpointError(f"{path}: truncated in array {name}")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        arr = np.frombuffer(blob, dtype=STORED, count=count, offset=offset)
         params[name] = arr.astype(np.float64).reshape(shape)
-        offset += nbytes
+        offset += 4 * count
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
     return KGEModel(config, n_entities, n_relations, params)

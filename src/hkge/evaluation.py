@@ -96,10 +96,10 @@ def aggregate(ranks):
     return MetricReport(mrr=mrr, hits=hits, n_queries=len(ranks))
 
 
-def evaluate_split(model, triples, filters, tie_mode="random", seed=0):
+def evaluate_split(model, triples, filters, seed=0):
     if triples is None or not len(triples):
         raise ValueError("empty split: nothing to evaluate")
-    return aggregate(compute_ranks(model, triples, filters, tie_mode, seed))
+    return aggregate(compute_ranks(model, triples, filters, seed=seed))
 
 
 def per_relation_report(ranks, triples, relation_names, n_base_relations):

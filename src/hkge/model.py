@@ -17,7 +17,7 @@ embeddings are (B, M, d), and the gradient of each tail is
 alpha*lhs + beta*t, which ``_gather`` sums with one sparse product.
 
 Training (``_forward``, gathered tails) and ``score_against_all``
-(contiguous slices of the embedding table) share both stages, so a
+(the whole embedding table, in place) share both stages, so a
 number scored during evaluation is bitwise the number scored during
 training.  That rests on one rule: every reduction over the embedding
 axis is done row by row (``np.sum(u * v, axis=-1)`` on the head side,
@@ -115,7 +115,11 @@ def param_shapes(config, n_entities, n_relations):
     is on, and curvature groups exist on the ball only: the attention
     gate (``rel_emb``, ``attn_a``, ``attn_p``) in attention mode, and
     ``curv_raw`` as one value (global) or one per relation (per_relation).
+    Raises ValueError where (config, n_entities, n_relations) is no model.
     """
+    config.validate()
+    if n_entities < 1 or n_relations < 1:
+        raise ValueError("need at least one entity and one relation")
     d, R = config.dim, n_relations
     mode = config.curvature_mode if config.geometry == "hyperbolic" else None
     attention = mode == "attention"
@@ -191,8 +195,9 @@ def _segment_sum(values, index, n_segments):
 
 class KGEModel:
     def __init__(self, config, n_entities, n_relations, params):
-        # params must hold every group in param_shapes; other groups are dropped
-        self.config = config.validate()
+        # params must hold every group in param_shapes, which also validates
+        # the config; other groups are dropped
+        self.config = config
         self.n_entities = int(n_entities)
         self.n_relations = int(n_relations)  # after reciprocal augmentation
         self.params = {name: params[name]
@@ -206,9 +211,6 @@ class KGEModel:
 
         All groups are drawn in one order and the unread ones dropped, so
         a seed gives a group the same values in every configuration."""
-        config.validate()
-        if n_entities < 1 or n_relations < 1:
-            raise ValueError("need at least one entity and one relation")
         shapes = param_shapes(config, n_entities, n_relations)
         rng = np.random.default_rng(seed)
         d = config.dim
@@ -325,23 +327,17 @@ class KGEModel:
         return ScoringTable(n=np.vecdot(emb, emb), head={k: head[k] for k in fields if k in head},
                             rows={(h, r): i for i, (h, r) in enumerate(pairs.tolist())})
 
-    def score_against_all(self, h, r, table=None, chunk=16384):
+    def score_against_all(self, h, r, table=None):
         """score(h, r, j) for every entity j, bitwise equal to the loop.
 
         ``table`` (from ``scoring_table``) must hold (h, r); without one,
-        a one-query table is built.  Tails are contiguous slices of the
-        embedding table, not gathers.
+        a one-query table is built.  The tails are the whole embedding
+        table, read in place rather than gathered.
         """
         if table is None:
             table = self.scoring_table([h], [r])
-        head = table.query_head(h, r)
-        emb, n, bias = self.params["ent_emb"], table.n, self.params["ent_bias"]
-        out = np.empty(self.n_entities)
-        for start in range(0, self.n_entities, chunk):
-            stop = min(start + chunk, self.n_entities)
-            out[start:stop] = self._tails(head, emb[None, start:stop], n[None, start:stop],
-                                          bias[None, start:stop])[0]
-        return out
+        return self._tails(table.query_head(h, r), self.params["ent_emb"][None], table.n[None],
+                           self.params["ent_bias"][None])[0]
 
     def _forward(self, h_ids, r_ids, t_ids, need_cache=False):
         """Scores for tails t_ids[b, m] against query (h_ids[b], r_ids[b]).

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data, evaluation, geometry
+from .checkpoint import round_trip_f32
 from .model import KGEModel, NumericError, sigmoid, softplus
 
 METRIC_LOG_HEADER = "epoch,split,loss,mrr,h1,h3,h10,clamp_events"
@@ -191,16 +192,6 @@ OPTIMIZERS = {"adagrad": Adagrad, "adam": Adam}
 
 def make_optimizer(model, config):
     return OPTIMIZERS[config.optimizer](model, config.lr)
-
-
-def round_trip_f32(model):
-    """The model as a checkpoint would store it (float32 precision).
-
-    Validation metrics are always computed on this view so the logged
-    numbers describe exactly the model that gets saved.
-    """
-    params = {k: v.astype(np.float32).astype(np.float64) for k, v in model.params.items()}
-    return KGEModel(model.config, model.n_entities, model.n_relations, params)
 
 
 @dataclass

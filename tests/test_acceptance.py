@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from hkge import data, geometry
+from hkge.checkpoint import round_trip_f32
 from hkge.evaluation import compute_ranks, evaluate_split
 from hkge.hierarchy import khs, relation_subgraph, xi_estimate
 from hkge.model import KGEModel, ModelConfig
@@ -23,7 +24,6 @@ from hkge.training import (
     TrainConfig,
     loss,
     loss_and_grads,
-    round_trip_f32,
     train,
 )
 

@@ -1,11 +1,17 @@
+import itertools
 import os
 
 import numpy as np
 import pytest
 
 from hkge import checkpoint
-from hkge.checkpoint import CheckpointError, load, save
-from hkge.model import CURVATURE_MODES, GEOMETRIES, KGEModel, ModelConfig, param_shapes
+from hkge.checkpoint import CheckpointError, load, round_trip_f32, save
+from hkge.model import CURVATURE_MODES, GEOMETRIES, KGEModel, ModelConfig
+
+FLAGS = ((True, True), (False, True), (True, False), (False, False))
+ALL_CONFIGS = [(mode, geometry, inter, intra)
+               for mode, geometry, (inter, intra)
+               in itertools.product(CURVATURE_MODES, GEOMETRIES, FLAGS)]
 
 
 def make_model(mode="attention", geometry="hyperbolic", inter=True, intra=True):
@@ -13,28 +19,25 @@ def make_model(mode="attention", geometry="hyperbolic", inter=True, intra=True):
                       use_inter_level=inter, use_intra_level=intra)
     m = KGEModel.init(cfg, 5, 4, seed=3)
     rng = np.random.default_rng(9)
-    # every block of the file layout is drawn; the model keeps its own groups
-    for key, shape in checkpoint._array_specs(4, 5, 4, mode):
-        value = rng.normal(0.0, 0.5, shape)
-        if key in m.params:
-            m.params[key] = value
+    for key, value in m.params.items():
+        m.params[key] = rng.normal(0.0, 0.5, value.shape)
     return m
 
 
-@pytest.mark.parametrize("mode", ("fixed_one", "global", "per_relation", "attention"))
-@pytest.mark.parametrize("geometry", ("hyperbolic", "euclidean"))
-def test_round_trip_all_modes(tmp_path, mode, geometry):
-    m = make_model(mode=mode, geometry=geometry)
+@pytest.mark.parametrize("mode, geometry, inter, intra", ALL_CONFIGS)
+def test_round_trip_all_configurations(tmp_path, mode, geometry, inter, intra):
+    m = make_model(mode=mode, geometry=geometry, inter=inter, intra=intra)
     path = tmp_path / "model.bin"
     save(m, path)
     back = load(path)
     assert back.config == m.config
     assert (back.n_entities, back.n_relations) == (5, 4)
-    assert set(back.params) == set(m.params)
-    for key, val in m.params.items():
-        # storage is float32: loading returns exactly the rounded values
-        np.testing.assert_array_equal(back.params[key],
-                                      np.asarray(val, dtype=np.float32).astype(np.float64))
+    assert list(back.params) == list(m.params)
+    # storage is float32: loading returns exactly the rounded values
+    for key, val in round_trip_f32(m).params.items():
+        np.testing.assert_array_equal(back.params[key], val)
+        np.testing.assert_array_equal(val, val.astype(np.float32).astype(np.float64))
+        assert np.all(val != m.params[key])  # the rounding did happen
 
 
 def test_round_trip_preserves_flags(tmp_path):
@@ -136,51 +139,62 @@ def test_overwrite_is_atomic_replacement(tmp_path):
     assert load(path).config.curvature_mode == "per_relation"
 
 
-@pytest.mark.parametrize("mode", CURVATURE_MODES)
-@pytest.mark.parametrize("geometry", GEOMETRIES)
-@pytest.mark.parametrize("inter, intra", ((True, True), (False, True), (True, False),
-                                          (False, False)))
-def test_file_length_is_the_v1_layout(tmp_path, mode, geometry, inter, intra):
-    # every block but curv_raw is written whatever the model holds
+@pytest.mark.parametrize("mode, geometry, inter, intra", ALL_CONFIGS)
+def test_file_length_is_the_v2_layout(tmp_path, mode, geometry, inter, intra):
+    # exactly the groups the model holds, one float32 each
     m = make_model(mode=mode, geometry=geometry, inter=inter, intra=intra)
     path = tmp_path / "model.bin"
     save(m, path)
-    E, R, d = 5, 4, 4
-    floats = E * d + E + R * d + 2 * R * (d // 2) + R * d + 2 * d
-    floats += {"global": 1, "per_relation": R}.get(mode, 0)
-    assert os.path.getsize(path) == 32 + 4 * floats
-    assert set(load(path).params) == set(param_shapes(m.config, E, R))
+    assert os.path.getsize(path) == 32 + 4 * sum(v.size for v in m.params.values())
 
 
-@pytest.mark.parametrize("mode, geometry, inter, intra", (
-    ("fixed_one", "hyperbolic", False, False),
-    ("global", "euclidean", True, False),
-    ("per_relation", "euclidean", False, True),
-))
+def v1_bytes(m, unread):
+    """A version-1 file of `m`, built by hand; `unread(name, count)` fills
+    the blocks of groups the model does not hold (v1 writers wrote zeros)."""
+    cfg, E, R, d = m.config, m.n_entities, m.n_relations, m.config.dim
+    blocks = [("ent_emb", E * d), ("ent_bias", E), ("rel_emb", R * d), ("rel_scale", R * d // 2),
+              ("rel_theta", R * d // 2), ("rel_trans", R * d), ("attn_a", d), ("attn_p", d)]
+    # curv_raw by curvature mode alone, in euclidean geometry too
+    blocks += {"global": [("curv_raw", 1)], "per_relation": [("curv_raw", R)]}.get(
+        cfg.curvature_mode, [])
+    flags = checkpoint.FLAG_INTER * cfg.use_inter_level + checkpoint.FLAG_INTRA * cfg.use_intra_level
+    out = [b"HKGE", np.array([1, d, E, R, CURVATURE_MODES.index(cfg.curvature_mode),
+                              GEOMETRIES.index(cfg.geometry), flags], dtype="<u4").tobytes()]
+    for name, count in blocks:
+        values = m.params[name] if name in m.params else unread(name, count)
+        out.append(np.asarray(values, dtype="<f4").tobytes())
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("mode, geometry, inter, intra", ALL_CONFIGS)
 def test_unread_blocks_are_ignored(tmp_path, mode, geometry, inter, intra):
-    # a block the configuration does not read may hold anything, e.g. an
-    # older writer's values: loading drops it, so scores do not change
+    # a version-1 file still loads; a block the configuration does not read
+    # may hold anything, and loading drops it
     m = make_model(mode=mode, geometry=geometry, inter=inter, intra=intra)
+    rng = np.random.default_rng(11)
+    path = tmp_path / "v1.bin"
+    path.write_bytes(v1_bytes(m, lambda name, count: rng.normal(3.0, 1.0, count)))
+    back = load(path)
+    assert back.config == m.config
+    assert list(back.params) == list(m.params)
+    for key, val in round_trip_f32(m).params.items():
+        np.testing.assert_array_equal(back.params[key], val)
+
+
+@pytest.mark.parametrize("slot, value, match", (
+    (1, 3, "even"), (1, 0, "even"), (2, 0, "entity"), (3, 0, "relation"),
+))
+def test_header_that_is_no_model_is_rejected(tmp_path, slot, value, match):
+    # checked before any block is read: the file below holds no blocks at all
+    m = make_model()
     path = tmp_path / "model.bin"
     save(m, path)
-    blob = bytearray(path.read_bytes())
-    offset, junked = 32, 0
-    for name, shape in checkpoint._array_specs(4, 5, 4, mode):
-        nbytes = 4 * int(np.prod(shape))
-        if name not in m.params:
-            junk = np.random.default_rng(junked).normal(3.0, 1.0, nbytes // 4)
-            blob[offset:offset + nbytes] = junk.astype("<f4").tobytes()
-            junked += 1
-        offset += nbytes
-    assert junked > 0
-    junk_path = tmp_path / "junk.bin"
-    junk_path.write_bytes(bytes(blob))
-    clean, dirty = load(path), load(junk_path)
-    assert dirty.params.keys() == clean.params.keys()
-    for h in range(5):
-        for r in range(4):
-            np.testing.assert_array_equal(dirty.score_against_all(h, r),
-                                          clean.score_against_all(h, r))
+    header = np.frombuffer(path.read_bytes()[4:32], dtype="<u4").copy()
+    header[slot] = value
+    path.write_bytes(b"HKGE" + header.tobytes())
+    with pytest.raises(CheckpointError, match=match) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_header_layout_is_stable(tmp_path):
@@ -191,4 +205,4 @@ def test_header_layout_is_stable(tmp_path):
     blob = path.read_bytes()
     assert blob[:4] == b"HKGE"
     header = np.frombuffer(blob[4:32], dtype="<u4")
-    np.testing.assert_array_equal(header, [1, 4, 5, 4, 1, 1, checkpoint.FLAG_INTER])
+    np.testing.assert_array_equal(header, [2, 4, 5, 4, 1, 1, checkpoint.FLAG_INTER])

@@ -300,6 +300,21 @@ class TestEval:
         assert code == 1
         assert "magic" in capsys.readouterr().err
 
+    def test_header_that_is_no_model(self, tree_dir, tmp_path, capsys):
+        store = data.augment_reciprocal(data.load_dataset(tree_dir))
+        model = KGEModel.init(ModelConfig(dim=4), store.n_entities, store.n_relations)
+        path = tmp_path / "odd.bin"
+        checkpoint.save(model, str(path))
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = (3).to_bytes(4, "little")  # dim
+        path.write_bytes(bytes(blob))
+        code = main(["eval", "--dataset-dir", tree_dir, "--out-dir", str(tmp_path / "out"),
+                     "--checkpoint", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: dim must be a positive even integer, got 3")
+        assert "Traceback" not in err
+
     def test_non_finite_checkpoint(self, tree_dir, tmp_path, capsys):
         store = data.augment_reciprocal(data.load_dataset(tree_dir))
         cfg = ModelConfig(dim=8, curvature_mode="fixed_one")

@@ -475,22 +475,17 @@ class TestScoreAgainstAll:
             loop = np.array([m.score(2, r, t) for t in range(7)])
             np.testing.assert_array_equal(full, loop)
 
-    def test_chunking_changes_nothing(self):
-        m = random_model(ModelConfig(dim=4, curvature_mode="attention"), 7, 2, seed=13)
-        np.testing.assert_array_equal(m.score_against_all(0, 1),
-                                      m.score_against_all(0, 1, chunk=3))
-
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("mode", CURVATURE_MODES)
     def test_table_rows_bitwise_equal_to_one_query(self, mode, geometry):
         # a row of the table, and each ||t||^2, does not depend on what else
-        # the table holds or on the chunk size (4 does not divide 11)
+        # the table holds
         m = random_model(ModelConfig(dim=4, curvature_mode=mode, geometry=geometry),
                          11, 3, seed=15)
         h, r = [2, 5, 2, 0, 10, 2], [1, 0, 1, 2, 2, 0]
         table = m.scoring_table(h, r)
         for hq, rq in zip(h, r):
-            full = m.score_against_all(hq, rq, table=table, chunk=4)
+            full = m.score_against_all(hq, rq, table=table)
             np.testing.assert_array_equal(full, m.score_against_all(hq, rq))
             np.testing.assert_array_equal(full, [m.score(hq, rq, t) for t in range(11)])
 
@@ -527,7 +522,7 @@ class TestOneKernel:
         t[:, 4] = t[0, 4]  # one tail in every query
         scores, _ = m._forward(h, r, t, need_cache=True)
         for b in range(12):
-            full = m.score_against_all(int(h[b]), int(r[b]), chunk=7)
+            full = m.score_against_all(int(h[b]), int(r[b]))
             for j in range(9):
                 assert scores[b, j] == m.score(int(h[b]), int(r[b]), int(t[b, j]))
                 assert scores[b, j] == full[t[b, j]]

@@ -8,6 +8,7 @@ import pytest
 from scipy import sparse
 
 from hkge import data, geometry, training
+from hkge.checkpoint import round_trip_f32
 from hkge.model import (
     CURVATURE_MODES,
     PARAM_ORDER,
@@ -25,7 +26,6 @@ from hkge.training import (
     clip_grads,
     loss,
     loss_and_grads,
-    round_trip_f32,
     sample_negatives,
     train,
 )
