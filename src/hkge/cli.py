@@ -48,15 +48,19 @@ class CliError(RuntimeError):
 
 def _check_setting_types(file_cfg, defaults):
     """Reject a --config value not of its default's type (a float setting also takes
-    an int); a None default means a string or null, or for grad_clip a number or null."""
+    an int); a None default means a string or null, for grad_clip a number or null
+    and for relations a list of strings or null."""
     for key, value in file_cfg.items():
         default = defaults[key]
         types = ((int, float, type(None)) if key == "grad_clip" else
+                 (list, type(None)) if key == "relations" else
                  (str, type(None)) if default is None else
                  (int, float) if isinstance(default, float) else (type(default),))
         # bool is an int subclass, but true is no number and 1 no flag
-        if not isinstance(value, types) or isinstance(value, bool) != (bool in types):
-            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        if (not isinstance(value, types) or isinstance(value, bool) != (bool in types)
+                or isinstance(value, list) and not all(isinstance(v, str) for v in value)):
+            names = " or ".join("null" if t is type(None) else
+                                "list of str" if t is list else t.__name__ for t in types)
             raise CliError(f"config file: {key} must be {names}, got {value!r}")
 
 
@@ -106,8 +110,9 @@ def build_parser():
     parsers["ablate"].add_argument("--curvature-sweep", action="store_true",
                                    dest="curvature_sweep",
                                    help="sweep the 4 curvature modes instead of the transform grid")
-    parsers["analyze"].add_argument("--relations",
-                                    help="comma-separated relation names (default: all)")
+    parsers["analyze"].add_argument("--relations", action="append", metavar="NAME",
+                                    help="a relation name, taken verbatim; repeat the "
+                                         "flag for several (default: all)")
     parsers["analyze"].add_argument("--samples", type=int,
                                     help="xi triangle samples per relation")
     return parser
@@ -311,11 +316,8 @@ def cmd_analyze(cfg):
     store = data.load_dataset(
         cfg["dataset_dir"], report=lambda msg: print(msg, file=sys.stderr)
     )
-    if cfg["relations"]:
-        names = [n.strip() for n in str(cfg["relations"]).split(",") if n.strip()]
-    else:
-        names = list(store.relations)
     explicit = bool(cfg["relations"])
+    names = cfg["relations"] if explicit else list(store.relations)
     rows = []
     exit_code = 0
     for name in names:

@@ -6,6 +6,8 @@ under a per-query seed derived from (master seed, h, r, t): results are
 identical no matter what order queries are evaluated in.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,25 +66,42 @@ def _query_rng(seed, h, r, t):
     )
 
 
-def compute_ranks(model, triples, filters, tie_mode="random", seed=0):
+def compute_ranks(model, triples, filters, seed=0):
     """Filtered rank of every (h, r, t) query, in input order.
 
     ||t||^2 of every entity and each distinct query's head are computed
     once, in a scoring table local to this call; each query is then one
-    ``score_against_all`` call against it.
+    ``score_against_all`` call against it.  The queries are ranked in
+    contiguous blocks, one per CPU in the process's affinity mask: the
+    calling thread ranks the first, a thread pool the rest.  A query's
+    scores and tie-break draw do not depend on the thread that ranks it,
+    so the ranks do not depend on the CPU count, and an error names the
+    first failing query in input order, as a serial pass would.
     """
     triples = np.asarray(triples)
     ranks = np.empty(len(triples), dtype=np.int64)
     table = model.scoring_table(triples[:, 0], triples[:, 1])
-    for i, (h, r, t) in enumerate(triples):
-        scores = model.score_against_all(int(h), int(r), table=table)
-        if not np.all(np.isfinite(scores)):
-            raise NumericError(
-                f"non-finite score while ranking query (h={int(h)}, r={int(r)})"
-            )
-        known = filters.get((int(h), int(r)), _EMPTY) if filters else _EMPTY
-        rng = _query_rng(seed, h, r, t) if tie_mode == "random" else None
-        ranks[i] = rank_filtered(scores, t, known, tie_mode=tie_mode, rng=rng)
+
+    def rank_block(lo, hi):
+        for i in range(lo, hi):
+            h, r, t = (int(v) for v in triples[i])
+            scores = model.score_against_all(h, r, table=table)
+            if not np.all(np.isfinite(scores)):
+                raise NumericError(f"non-finite score while ranking query (h={h}, r={r})")
+            known = filters.get((h, r), _EMPTY) if filters else _EMPTY
+            ranks[i] = rank_filtered(scores, t, known, rng=_query_rng(seed, h, r, t))
+
+    n = len(triples)
+    k = max(1, min(len(os.sched_getaffinity(0)), n))
+    blocks = [(n * j // k, n * (j + 1) // k) for j in range(k)]
+    if k == 1:
+        rank_block(*blocks[0])
+    else:
+        with ThreadPoolExecutor(k - 1) as pool:
+            rest = [pool.submit(rank_block, *block) for block in blocks[1:]]
+            rank_block(*blocks[0])
+            for future in rest:  # in block order: the earliest failing query raises
+                future.result()
     return ranks
 
 

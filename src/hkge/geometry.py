@@ -9,7 +9,8 @@ shape of the point arguments (one curvature per row).
 
 Near-boundary arguments to arctanh are clamped to 1 - BALL_EPS instead
 of overflowing; every clamped element increments a module-level counter
-so callers can watch for saturation (see ``clamp_events``).
+so callers can watch for saturation (see ``clamp_events``).  A lock
+guards the add, because ranking threads share the counter.
 
 Each step of the model's head transform (``block_scale``, ``exp0``,
 ``block_rotate``, ``mobius_add``, ``project_to_ball``) has one private
@@ -27,6 +28,8 @@ reads the forward's cache.  ``hyp_distance`` composes the public
 functions and is kept as the kernel's independent reference.
 """
 
+import threading
+
 import numpy as np
 
 # Margin kept between representable points and the unit sphere.
@@ -37,6 +40,7 @@ TAU_SMALL = 1e-12
 DEN_EPS = 1e-15
 
 _clamp_events = 0
+_clamp_lock = threading.Lock()
 
 
 def clamp_events():
@@ -51,7 +55,9 @@ def reset_clamp_events():
 
 def _count_clamps(mask):
     global _clamp_events
-    _clamp_events += int(np.count_nonzero(mask))
+    n = int(np.count_nonzero(mask))
+    with _clamp_lock:
+        _clamp_events += n
 
 
 def _as_float(name, x):

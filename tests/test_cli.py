@@ -193,7 +193,8 @@ class TestTrain:
         ("train", "optimizer", None),
         ("train", "out_dir", 3),
         ("eval", "per_relation", "no"),
-        ("analyze", "relations", ["parent_of"]),
+        ("analyze", "relations", "parent_of"),
+        ("analyze", "relations", ["parent_of", 3]),
     ))
     def test_config_value_of_wrong_type_rejected_before_any_work(self, tree_dir, tmp_path,
                                                                  capsys, command, key, value):
@@ -488,7 +489,8 @@ class TestAnalyze:
     def test_unknown_relation_fails_with_error_row(self, tree_dir, tmp_path, capsys):
         out = tmp_path / "analyze"
         code = main(["analyze", "--dataset-dir", tree_dir, "--out-dir", str(out),
-                     "--relations", "parent_of,wrong_name", "--samples", "100"])
+                     "--relations", "parent_of", "--relations", "wrong_name",
+                     "--samples", "100"])
         assert code == 1
         lines = (out / "hierarchy.csv").read_text().strip().split("\n")
         assert "wrong_name,,,error:unknown-relation,,,," in lines
@@ -520,6 +522,20 @@ class TestCsvFiles:
                 text = text.replace(f"\t{old}\t", f"\t{new}\t")
             path.write_text(text, encoding="utf-8")
         return str(root)
+
+    def test_analyze_selects_a_relation_whose_name_holds_a_comma(self, quoted_dir, tmp_path):
+        cfg_path = tmp_path / "analyze.json"
+        cfg_path.write_text(json.dumps({"relations": ["is,a"], "samples": 50}))
+        common = ["analyze", "--dataset-dir", quoted_dir]
+        assert main([*common, "--out-dir", str(tmp_path / "flag"), "--relations", "is,a",
+                     "--samples", "50"]) == 0
+        assert main([*common, "--out-dir", str(tmp_path / "file"), "--config",
+                     str(cfg_path)]) == 0
+        raw = (tmp_path / "flag" / "hierarchy.csv").read_bytes()
+        rows = list(csv.reader(raw.decode("utf-8").split("\n")[:-1]))
+        assert [row[0] for row in rows[1:]] == ["is,a"]
+        assert rows[1][3] == "1.000000"
+        assert (tmp_path / "file" / "hierarchy.csv").read_bytes() == raw
 
     def test_every_table_is_well_formed(self, quoted_dir, tmp_path):
         small = ["--dim", "4", "--epochs", "2", "--eval-every", "2",

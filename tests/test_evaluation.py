@@ -1,7 +1,11 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from hkge import data
+from hkge import data, geometry
 from hkge.evaluation import (
     MetricReport,
     aggregate,
@@ -151,7 +155,7 @@ class TestComputeRanks:
         m = scored_model(rng.normal(size=12), n_relations=2)
         triples = np.asarray([[0, 0, 3], [5, 1, 0], [2, 0, 2]])
         filters = {(0, 0): np.asarray([1, 3]), (5, 1): np.asarray([0, 2, 4])}
-        ranks = compute_ranks(m, triples, filters, tie_mode="optimistic")
+        ranks = compute_ranks(m, triples, filters)
         for i, (h, r, t) in enumerate(triples):
             scores = m.score_against_all(int(h), int(r))
             known = filters.get((int(h), int(r)), [])
@@ -193,6 +197,81 @@ class TestComputeRanks:
             compute_ranks(m, np.asarray([[0, 0, 1]]), None)
 
 
+def use_cpus(monkeypatch, n):
+    """Make the process's affinity mask hold n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def boundary_model():
+    """Attention model whose points crowd the ball's boundary, so that
+    ranking clamps; 24 queries over 40 entities and 2 relations."""
+    m = KGEModel.init(ModelConfig(dim=4, curvature_mode="attention", init_scale=3.0),
+                      40, 2, seed=3)
+    rng = np.random.default_rng(0)
+    triples = np.stack([rng.integers(0, 40, 24), rng.integers(0, 2, 24),
+                        rng.integers(0, 40, 24)], axis=1)
+    filters = {(int(h), int(r)): np.asarray([int(t)]) for h, r, t in triples[::3]}
+    return m, triples, filters
+
+
+class TestThreadedRanking:
+    @pytest.mark.parametrize("n_queries", (1, 2, 24))
+    def test_ranks_do_not_depend_on_the_cpu_count(self, monkeypatch, n_queries):
+        m, triples, filters = boundary_model()
+        triples = triples[:n_queries]
+        threads = set()
+        score = m.score_against_all
+
+        def recorded(h, r, table=None):
+            threads.add(threading.get_ident())
+            return score(h, r, table=table)
+
+        m.score_against_all = recorded
+        use_cpus(monkeypatch, 1)
+        serial = compute_ranks(m, triples, filters, seed=2)
+        assert threads == {threading.get_ident()}
+        for n_cpus in (2, 3, n_queries + 1):
+            threads.clear()
+            use_cpus(monkeypatch, n_cpus)
+            ranks = compute_ranks(m, triples, filters, seed=2)
+            assert ranks.tobytes() == serial.tobytes(), n_cpus
+            # the caller ranks block 0 and pool threads the rest; a pool
+            # thread may rank more than one block of these tiny queries
+            k = min(n_cpus, n_queries)
+            assert (len(threads) == 1) if k == 1 else (1 < len(threads) <= k), n_cpus
+
+    @pytest.mark.parametrize("n_cpus", (1, 2, 3))
+    def test_error_names_the_earliest_failing_query(self, monkeypatch, n_cpus):
+        # relation 1 fails at query 2 (block 0), relation 2 at query 5 (the
+        # last block), which a worker thread may reach first
+        m = KGEModel.init(ModelConfig(dim=4, curvature_mode="fixed_one"), 9, 3, seed=0)
+        m.params["rel_trans"][1:] = np.nan
+        triples = np.asarray([[0, 0, 1], [1, 0, 2], [2, 1, 3],
+                              [3, 0, 4], [4, 0, 5], [5, 2, 6]])
+        use_cpus(monkeypatch, n_cpus)
+        with pytest.raises(NumericError, match=r"query \(h=2, r=1\)"):
+            compute_ranks(m, triples, None)
+
+    def test_clamp_counts_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # a lost update on the shared counter shows as a smaller total; a
+        # short switch interval makes one likely without the lock
+        m, triples, filters = boundary_model()
+        totals = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n_cpus in (1, 2, 8):
+                use_cpus(monkeypatch, n_cpus)
+                geometry.reset_clamp_events()
+                for _ in range(5):
+                    compute_ranks(m, triples, filters)
+                totals[n_cpus] = geometry.clamp_events()
+        finally:
+            sys.setswitchinterval(interval)
+        assert totals[1] > 0
+        assert totals[2] == totals[1] and totals[8] == totals[1], totals
+
+
 class TestEvaluateSplit:
     def test_known_report(self):
         # scores 3,2,1,0: true tails 0, 1, 3 rank 1, 2, 4 unfiltered
@@ -223,7 +302,7 @@ class TestPerRelation:
         # relations: 2 base + 2 reciprocal; queries under r and r+2
         # aggregate into the same row
         triples = np.asarray([[0, 0, 0], [1, 2, 1], [2, 1, 0], [3, 3, 5]])
-        ranks = compute_ranks(m, triples, None, tie_mode="optimistic")
+        ranks = compute_ranks(m, triples, None)
         rows = per_relation_report(ranks, triples, ["r_a", "r_b", "r_a^-1", "r_b^-1"],
                                    n_base_relations=2)
         assert [row["relation"] for row in rows] == ["r_a", "r_b"]
@@ -232,7 +311,7 @@ class TestPerRelation:
     def test_rows_sorted_by_name(self):
         m = scored_model(np.zeros(4), n_relations=3)
         triples = np.asarray([[0, 2, 1], [0, 1, 1], [0, 0, 1]])
-        ranks = compute_ranks(m, triples, None, tie_mode="optimistic")
+        ranks = compute_ranks(m, triples, None)
         rows = per_relation_report(ranks, triples, ["zeta", "alpha", "mid"],
                                    n_base_relations=3)
         assert [row["relation"] for row in rows] == ["alpha", "mid", "zeta"]

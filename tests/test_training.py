@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 import types
 import warnings
 
@@ -544,6 +545,29 @@ class TestTrainLoop:
         losses = [row["loss"] for row in result.history if row["split"] == "train"]
         assert losses[-1] < losses[0]
         assert not result.diverged
+
+    def test_validation_on_one_or_two_cpus_gives_identical_runs(self, monkeypatch):
+        # validation ranks on every CPU of the affinity mask; near-boundary
+        # points make it count clamps
+        rng = np.random.default_rng(5)
+
+        def triples(n):
+            h, r, t = rng.integers(0, 30, n), rng.integers(0, 2, n), rng.integers(0, 30, n)
+            return [(f"e{a}", f"r{b}", f"e{c}") for a, b, c in zip(h, r, t)]
+
+        store = data.augment_reciprocal(data.build_vocab({"train": triples(120),
+                                                          "valid": triples(20)}))
+        runs = []
+        for n_cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n_cpus: set(range(n)))
+            m = KGEModel.init(ModelConfig(dim=4, init_scale=3.0), store.n_entities,
+                              store.n_relations, seed=0)
+            runs.append(train(m, store, TrainConfig(epochs=4, batch_size=32, neg_samples=4,
+                                                    eval_every=2, seed=0)))
+        valid = [row for row in runs[0].history if row["split"] == "valid"]
+        assert len(valid) == 2 and all(row["clamp_events"] > 0 for row in valid)
+        assert runs[1].history == runs[0].history
+        assert param_sha256(runs[1].model) == param_sha256(runs[0].model)
 
     def test_bitwise_deterministic(self):
         store = chain_store()
