@@ -242,8 +242,9 @@ class TestThreadedRanking:
 
     @pytest.mark.parametrize("n_cpus", (1, 2, 3))
     def test_error_names_the_earliest_failing_query(self, monkeypatch, n_cpus):
-        # relation 1 fails at query 2 (block 0), relation 2 at query 5 (the
-        # last block), which a worker thread may reach first
+        # relation 1 fails at query 2 and relation 2 at query 5; at 2 and 3
+        # CPUs they sit in different blocks, and the later block's thread
+        # may reach its failure first
         m = KGEModel.init(ModelConfig(dim=4, curvature_mode="fixed_one"), 9, 3, seed=0)
         m.params["rel_trans"][1:] = np.nan
         triples = np.asarray([[0, 0, 1], [1, 0, 2], [2, 1, 3],
