@@ -7,6 +7,7 @@ identical no matter what order queries are evaluated in.
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -66,6 +67,14 @@ def _query_rng(seed, h, r, t):
     )
 
 
+def _cpu_count():
+    """CPUs in the process's affinity mask; 1 where the platform has no
+    affinity call (macOS, Windows), so ranking stays on the caller."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def compute_ranks(model, triples, filters, seed=0):
     """Filtered rank of every (h, r, t) query, in input order.
 
@@ -76,14 +85,20 @@ def compute_ranks(model, triples, filters, seed=0):
     calling thread ranks the first, a thread pool the rest.  A query's
     scores and tie-break draw do not depend on the thread that ranks it,
     so the ranks do not depend on the CPU count, and an error names the
-    first failing query in input order, as a serial pass would.
+    first failing query in input order, as a serial pass would.  Once an
+    error or interrupt leaves the call, the blocks after it stop at
+    their next query.
     """
     triples = np.asarray(triples)
     ranks = np.empty(len(triples), dtype=np.int64)
     table = model.scoring_table(triples[:, 0], triples[:, 1])
 
+    stop = threading.Event()  # set once a block's error is on its way out
+
     def rank_block(lo, hi):
         for i in range(lo, hi):
+            if stop.is_set():
+                return
             h, r, t = (int(v) for v in triples[i])
             scores = model.score_against_all(h, r, table=table)
             if not np.all(np.isfinite(scores)):
@@ -92,16 +107,19 @@ def compute_ranks(model, triples, filters, seed=0):
             ranks[i] = rank_filtered(scores, t, known, rng=_query_rng(seed, h, r, t))
 
     n = len(triples)
-    k = max(1, min(len(os.sched_getaffinity(0)), n))
+    k = max(1, min(_cpu_count(), n))
     blocks = [(n * j // k, n * (j + 1) // k) for j in range(k)]
-    if k == 1:
-        rank_block(*blocks[0])
-    else:
-        with ThreadPoolExecutor(k - 1) as pool:
-            rest = [pool.submit(rank_block, *block) for block in blocks[1:]]
+    with ThreadPoolExecutor(max(1, k - 1)) as pool:  # k = 1 starts no thread
+        rest = [pool.submit(rank_block, *block) for block in blocks[1:]]
+        try:
             rank_block(*blocks[0])
             for future in rest:  # in block order: the earliest failing query raises
                 future.result()
+        except BaseException:
+            # later blocks cannot hold an earlier failure: end them now
+            # rather than let the pool's shutdown wait for their queries
+            stop.set()
+            raise
     return ranks
 
 

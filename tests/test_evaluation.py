@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -252,6 +253,52 @@ class TestThreadedRanking:
         use_cpus(monkeypatch, n_cpus)
         with pytest.raises(NumericError, match=r"query \(h=2, r=1\)"):
             compute_ranks(m, triples, None)
+
+    def test_no_affinity_call_ranks_on_the_caller(self, monkeypatch):
+        # platforms without os.sched_getaffinity (macOS, Windows) rank serially
+        m, triples, filters = boundary_model()
+        use_cpus(monkeypatch, 2)
+        threaded = compute_ranks(m, triples, filters, seed=2)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        threads = set()
+        score = m.score_against_all
+
+        def recorded(h, r, table=None):
+            threads.add(threading.get_ident())
+            return score(h, r, table=table)
+
+        m.score_against_all = recorded
+        ranks = compute_ranks(m, triples, filters, seed=2)
+        assert ranks.tobytes() == threaded.tobytes()
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("failure", (NumericError, KeyboardInterrupt))
+    def test_failure_in_the_first_block_stops_the_others(self, monkeypatch, failure):
+        # the caller's block fails once the pool thread has begun block 1;
+        # that thread then scores slowly, so without the stop it would
+        # rank all 12 of its queries before the error came through
+        m, triples, filters = boundary_model()
+        caller = threading.get_ident()
+        started, failed = threading.Event(), threading.Event()
+        worker_calls = []
+        score = m.score_against_all
+
+        def gated(h, r, table=None):
+            if threading.get_ident() == caller:
+                assert started.wait(5)
+                failed.set()
+                raise failure("planted")
+            started.set()
+            assert failed.wait(5)
+            worker_calls.append(h)
+            time.sleep(0.01)
+            return score(h, r, table=table)
+
+        m.score_against_all = gated
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(failure, match="planted"):
+            compute_ranks(m, triples, filters)
+        assert 1 <= len(worker_calls) < len(triples) // 2, worker_calls
 
     def test_clamp_counts_do_not_depend_on_the_cpu_count(self, monkeypatch):
         # a lost update on the shared counter shows as a smaller total; a
