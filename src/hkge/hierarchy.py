@@ -9,9 +9,13 @@ d(a, m) against what a flat metric would predict; trees come out
 negative.
 
 A relation graph is held as its directed edge array plus one symmetric
-CSR adjacency matrix, both built with NumPy.  Distances are BFS levels
-read off `breadth_first_order`, exact small integers in float64, so xi
-results are the same as from an unweighted Dijkstra.
+CSR adjacency matrix, both built with NumPy.  Distances from a source
+come from one `breadth_first_order` call, but only the few that a
+triangle reads are worked out: `bfs_distances` returns a reader whose
+`[v]` walks v's BFS predecessors up to the nearest node already read
+and keeps the level of every node it passes.  Levels are exact small
+integers in float64, so xi results are the same as from an unweighted
+Dijkstra.
 """
 
 from dataclasses import dataclass
@@ -84,44 +88,55 @@ def khs(graph):
         raise ValueError("hierarchy score undefined on a graph with no edges")
     n = graph.n_nodes
     i, j = graph.directed_edges.T
-    one_way = int(np.count_nonzero(~np.isin(j * n + i, i * n + j)))
+    keys = i * n + j  # sorted, as `directed_edges` is
+    reverse = j * n + i
+    found = keys[np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)]
+    one_way = int(np.count_nonzero(found != reverse))
     return one_way / graph.n_edges
 
 
-def _levels(parent_pos):
-    """BFS level of each position in a BFS order, from its parent's position.
+class _Levels(dict):
+    """d(source, v) as `[v]`, read off one BFS's predecessor array.
 
-    `parent_pos[k]` is the position of the parent of the node at position
-    k + 1 (position 0 is the source).  Pointer jumping: `hops[k]` is the
-    level gap between position k and its ancestor `up[k]`, and each round
-    doubles the jump, so after ceil(log2(depth)) rounds every position
-    points at the source.  The last position is deepest, so it gets there
-    last.
+    Every node read so far is a key, so reading it again is a plain dict
+    lookup.  Reading a new node walks its predecessors up to the nearest
+    key and stores the level of every node it passes: each node is
+    walked over at most once per source.
     """
-    up = np.concatenate([[0], parent_pos])
-    hops = np.ones(len(up), dtype=np.intp)
-    hops[0] = 0
-    while up[-1]:
-        hops += hops[up]
-        up = up[up]
-    return hops.astype(np.float64)
+
+    __slots__ = ("_pred",)
+
+    def __init__(self, source, pred):
+        super().__init__({source: 0.0})
+        self._pred = memoryview(pred)
+
+    def __missing__(self, v):
+        pred = self._pred
+        v = int(v)
+        if pred[v] < 0:  # the source is a key, so v was not reached
+            self[v] = np.inf
+            return np.inf
+        path = []
+        while v not in self:
+            path.append(v)
+            v = pred[v]
+        top = int(self[v]) + len(path)
+        self.update(zip(path, map(float, range(top, top - len(path), -1))))
+        return float(top)
 
 
 def bfs_distances(csgraph, source):
-    """Unweighted shortest-path distances from `source` (inf if unreachable).
+    """Unweighted shortest-path distances from `source`, as a reader:
+    `[v]` is d(source, v) as a float, inf if v is unreachable.
 
     `csgraph` must be symmetric, as `RelationGraph.csgraph` is by
     construction: the search runs with `directed=True`, which on a
     symmetric matrix gives the undirected distances without SciPy
     symmetrising it again on every call.
     """
-    order, pred = breadth_first_order(
+    _, pred = breadth_first_order(
         csgraph, source, directed=True, return_predecessors=True)
-    pos = np.empty(csgraph.shape[0], dtype=np.intp)
-    pos[order] = np.arange(len(order))
-    dist = np.full(csgraph.shape[0], np.inf)
-    dist[order] = _levels(pos[pred[order[1:]]])
-    return dist
+    return _Levels(int(source), pred)
 
 
 def _midpoint(graph, dist_b, b, c):

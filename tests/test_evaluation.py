@@ -191,6 +191,26 @@ class TestComputeRanks:
         different = compute_ranks(m, triples, None, seed=6)
         assert not np.array_equal(ranks, different)
 
+    def test_tie_draw_comes_from_the_query_seed(self):
+        # every score ties: the rank is 1 + one draw in [0, ties] from a
+        # generator seeded with (seed, h, r, t), as before the generator
+        # was built lazily; a query without ties builds no generator
+        m = scored_model(np.zeros(9))
+        triples = np.asarray([[0, 0, 1], [2, 0, 3], [4, 0, 5]])
+        want = [1 + np.random.default_rng(np.random.SeedSequence([5, h, r, t])).integers(0, 9)
+                for h, r, t in triples.tolist()]
+        np.testing.assert_array_equal(compute_ranks(m, triples, None, seed=5), want)
+
+    def test_no_generator_without_ties(self, monkeypatch):
+        m = scored_model(np.arange(9.0))
+        built = []
+        seed_sequence = np.random.SeedSequence
+        monkeypatch.setattr(np.random, "SeedSequence",
+                            lambda *a, **k: built.append(a) or seed_sequence(*a, **k))
+        ranks = compute_ranks(m, np.asarray([[0, 0, 1], [2, 0, 8]]), None, seed=5)
+        np.testing.assert_array_equal(ranks, [8, 1])
+        assert built == []
+
     def test_non_finite_scores_raise(self):
         m = scored_model(np.zeros(4))
         m.params["ent_bias"][2] = np.nan

@@ -74,6 +74,12 @@ def reference_distances(g, edge_list):
     return dijkstra(adj.tocsr(), directed=False, unweighted=True)
 
 
+def read_all(csgraph, src):
+    """Every node's distance from `src`, read one by one through the reader."""
+    reader = bfs_distances(csgraph, src)
+    return np.array([reader[v] for v in range(csgraph.shape[0])])
+
+
 def star_graph(k):
     return build_graph("star", [(0, leaf) for leaf in range(1, k + 1)])
 
@@ -140,7 +146,7 @@ class TestBfs:
             D = floyd_warshall(g.n_nodes, g.directed_edges)
             cs = g.csgraph
             for src in range(g.n_nodes):
-                np.testing.assert_array_equal(bfs_distances(cs, src), D[src])
+                np.testing.assert_array_equal(read_all(cs, src), D[src])
 
     def test_disconnected_is_inf(self):
         g = build_graph("r", [(0, 1), (2, 3)])
@@ -154,16 +160,40 @@ class TestBfs:
             g = build_graph("r", edge_list)
             D = reference_distances(g, edge_list)
             for src in range(g.n_nodes):
-                np.testing.assert_array_equal(bfs_distances(g.csgraph, src), D[src])
+                np.testing.assert_array_equal(read_all(g.csgraph, src), D[src])
 
     def test_deep_graph_matches_dijkstra(self):
-        # a path with side branches: hundreds of levels, many jump rounds
+        # a path with side branches: hundreds of levels, long walks
         n = 562
         edge_list = [(i, i + 1) for i in range(n - 1)] + [(i, n + i) for i in range(0, n, 7)]
         g = build_graph("r", edge_list)
         D = reference_distances(g, edge_list)
         for src in (0, 1, n // 2, n - 1, n + 7):
-            np.testing.assert_array_equal(bfs_distances(g.csgraph, src), D[src])
+            np.testing.assert_array_equal(read_all(g.csgraph, src), D[src])
+
+    def test_read_order_does_not_matter(self):
+        # a 9x9 grid has many shortest paths between most pairs, and a
+        # 4-cycle beside it is unreachable from the grid; reading the
+        # deepest nodes first, in shuffled order, then everything again,
+        # must give the same distances as reading in index order
+        side = 9
+        grid = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+        grid += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+        far = side * side
+        edge_list = grid + [(far, far + 1), (far + 1, far + 2), (far + 2, far + 3), (far + 3, far)]
+        g = build_graph("r", edge_list)
+        D = reference_distances(g, edge_list)
+        rng = np.random.default_rng(11)
+        for src in (0, side // 2, far // 2, far - 1, far + 2):
+            reader = bfs_distances(g.csgraph, src)
+            order = rng.permutation(g.n_nodes)
+            order = order[np.argsort(-D[src][order], kind="stable")]  # deepest first
+            got = {int(v): reader[np.int32(v)] for v in order}
+            assert all(type(d) is float for d in got.values())
+            np.testing.assert_array_equal([got[v] for v in range(g.n_nodes)], D[src])
+            again = [reader[int(v)] for v in rng.permutation(g.n_nodes)]
+            assert sorted(again) == sorted(got.values())
+            np.testing.assert_array_equal(read_all(g.csgraph, src), D[src])
 
 
 class TestXiTriangle:
@@ -264,6 +294,31 @@ class TestXiExactness:
         # or the midpoint rule changes them
         row = analyze_relation(self.store(), "r", n_samples=200, seed=seed)
         assert (row["nodes"], row["edges"], row["khs"]) == (63, 80, 0.95)
+        got = (row["xi_mean"], row["xi_stderr"],
+               row["samples_accepted"], row["samples_rejected"])
+        assert got == expected
+
+
+class TestAnalyzeRelationPinned:
+    def store(self):
+        """A seeded 120-node random recursive tree, 12 random cross-links
+        (cycles) and 5 tree edges also given in reverse."""
+        rng = np.random.default_rng(0)
+        n = 120
+        tree = [(f"e{int(rng.integers(0, i))}", "r", f"e{i}") for i in range(1, n)]
+        cross = [(f"e{int(a)}", "r", f"e{int(b)}") for a, b in rng.integers(0, n, (12, 2))]
+        back = [(t, r, h) for h, r, t in tree[::25]]
+        return data.build_vocab({"train": tree + cross + back, "valid": [], "test": []})
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, (-1.129071097883598, 0.07979977214427718, 300, 343)),
+        (1, (-0.9869689754689754, 0.07519935486530728, 300, 334)),
+    ])
+    def test_pinned_output(self, seed, expected):
+        # expected values were recorded with the full-array BFS levels
+        # (pointer jumping) that the distance reader replaced
+        row = analyze_relation(self.store(), "r", n_samples=300, seed=seed)
+        assert (row["nodes"], row["edges"], row["khs"]) == (120, 136, 0.9264705882352942)
         got = (row["xi_mean"], row["xi_stderr"],
                row["samples_accepted"], row["samples_rejected"])
         assert got == expected
