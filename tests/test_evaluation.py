@@ -193,8 +193,7 @@ class TestComputeRanks:
 
     def test_tie_draw_comes_from_the_query_seed(self):
         # every score ties: the rank is 1 + one draw in [0, ties] from a
-        # generator seeded with (seed, h, r, t), as before the generator
-        # was built lazily; a query without ties builds no generator
+        # generator seeded with (seed, h, r, t)
         m = scored_model(np.zeros(9))
         triples = np.asarray([[0, 0, 1], [2, 0, 3], [4, 0, 5]])
         want = [1 + np.random.default_rng(np.random.SeedSequence([5, h, r, t])).integers(0, 9)
@@ -202,6 +201,7 @@ class TestComputeRanks:
         np.testing.assert_array_equal(compute_ranks(m, triples, None, seed=5), want)
 
     def test_no_generator_without_ties(self, monkeypatch):
+        # a generator costs about 100 us to build, and most queries have no ties
         m = scored_model(np.arange(9.0))
         built = []
         seed_sequence = np.random.SeedSequence

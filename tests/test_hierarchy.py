@@ -174,8 +174,8 @@ class TestBfs:
     def test_read_order_does_not_matter(self):
         # a 9x9 grid has many shortest paths between most pairs, and a
         # 4-cycle beside it is unreachable from the grid; reading the
-        # deepest nodes first, in shuffled order, then everything again,
-        # must give the same distances as reading in index order
+        # deepest nodes first, in shuffled order, then everything again
+        # in another order, must give the reference distances each time
         side = 9
         grid = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
         grid += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
@@ -191,9 +191,8 @@ class TestBfs:
             got = {int(v): reader[np.int32(v)] for v in order}
             assert all(type(d) is float for d in got.values())
             np.testing.assert_array_equal([got[v] for v in range(g.n_nodes)], D[src])
-            again = [reader[int(v)] for v in rng.permutation(g.n_nodes)]
-            assert sorted(again) == sorted(got.values())
-            np.testing.assert_array_equal(read_all(g.csgraph, src), D[src])
+            again = rng.permutation(g.n_nodes)
+            np.testing.assert_array_equal([reader[int(v)] for v in again], D[src][again])
 
 
 class TestXiTriangle:
