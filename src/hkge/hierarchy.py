@@ -9,22 +9,27 @@ d(a, m) against what a flat metric would predict; trees come out
 negative.
 
 A relation graph is held as its directed edge array plus one symmetric
-CSR adjacency matrix, both built with NumPy.  Distances from a source
-come from one `breadth_first_order` call, but only the few that a
-triangle reads are worked out: `bfs_distances` returns a reader whose
-`[v]` walks v's BFS predecessors up to the nearest node already read
-and keeps the level of every node it passes.  Levels are exact small
-integers in float64, so xi results are the same as from an unweighted
-Dijkstra.
+CSR adjacency matrix, both built with NumPy.  A triangle reads only a
+few distances, through a reader whose `[v]` walks v's BFS predecessors
+up to the nearest node whose distance it knows.  On a graph with a
+cycle, `bfs_distances` makes one `breadth_first_order` call per source.
+On a forest (|E| = |V| - components, which most hierarchies are) one
+call per graph suffices: from a virtual root joined to every tree, the
+predecessors are each node's parent, and a source's reader starts out
+knowing the distances to the source's ancestors.  Distances are exact
+small integers in float64 either way, so xi results are the same as
+from an unweighted Dijkstra.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import count
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .data import write_csv
+from .data import sorted_unique, write_csv
 
 DEFAULT_XI_SAMPLES = 10_000
 
@@ -44,10 +49,33 @@ class RelationGraph:
     def n_edges(self):
         return len(self.directed_edges)
 
+    @cached_property
+    def forest_pred(self):
+        """BFS predecessors of the graph rooted at a virtual node n, or None
+        if the graph has a cycle; worked out on first use, so `csgraph`
+        must not change after it.
+
+        The virtual root is joined to one node of each tree, so one
+        `breadth_first_order` call roots every tree at once, and it is its
+        own predecessor.
+        """
+        n, cs = self.n_nodes, self.csgraph
+        n_trees, labels = connected_components(cs, directed=False)
+        if cs.nnz // 2 != n - n_trees:
+            return None
+        tops = np.empty(n_trees, dtype=np.int32)
+        tops[labels] = np.arange(n, dtype=np.int32)  # any node of each tree will do
+        indptr = np.append(cs.indptr, cs.nnz + n_trees)
+        indices = np.concatenate([cs.indices, tops])
+        rooted = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
+        _, pred = breadth_first_order(rooted, n, directed=True, return_predecessors=True)
+        pred[n] = n
+        return memoryview(pred)
+
 
 def _decode_unique(keys, n):
     """Sorted unique (i, j) pairs from i*n + j keys."""
-    return np.stack(np.divmod(np.unique(keys), n), axis=1)
+    return np.stack(np.divmod(sorted_unique(keys), n), axis=1)
 
 
 def build_graph(relation, edge_list):
@@ -96,33 +124,34 @@ def khs(graph):
 
 
 class _Levels(dict):
-    """d(source, v) as `[v]`, read off one BFS's predecessor array.
+    """d(source, v) as `[v]`, read off a BFS predecessor array.
 
-    Every node read so far is a key, so reading it again is a plain dict
-    lookup.  Reading a new node walks its predecessors up to the nearest
-    key and stores the level of every node it passes: each node is
-    walked over at most once per source.
+    Starts from the nodes whose distance is known (the source, or on a
+    forest the source's ancestors too); every node read is added, so
+    reading it again is a plain dict lookup.  Reading a new node walks
+    its predecessors up to the nearest known node and stores the
+    distance of every node it passes: each node is walked over at most
+    once per source.
     """
 
     __slots__ = ("_pred",)
 
-    def __init__(self, source, pred):
-        super().__init__({source: 0.0})
-        self._pred = memoryview(pred)
+    def __init__(self, known, pred):
+        super().__init__(known)
+        self._pred = pred
 
     def __missing__(self, v):
         pred = self._pred
         v = int(v)
-        if pred[v] < 0:  # the source is a key, so v was not reached
+        if pred[v] < 0:  # the source is known, so v was not reached
             self[v] = np.inf
             return np.inf
         path = []
         while v not in self:
             path.append(v)
             v = pred[v]
-        top = int(self[v]) + len(path)
-        self.update(zip(path, map(float, range(top, top - len(path), -1))))
-        return float(top)
+        self.update(zip(reversed(path), count(self[v] + 1.0)))
+        return self[path[0]]
 
 
 def bfs_distances(csgraph, source):
@@ -136,7 +165,29 @@ def bfs_distances(csgraph, source):
     """
     _, pred = breadth_first_order(
         csgraph, source, directed=True, return_predecessors=True)
-    return _Levels(int(source), pred)
+    return _Levels({int(source): 0.0}, memoryview(pred))
+
+
+def _distances(graph, source):
+    """Reader of d(source, v) on `graph`.
+
+    On a forest it walks the one rooted predecessor array: the source's
+    ancestors are known up front (the j-th at distance j, the virtual
+    root at inf), and any other node's walk stops at its lowest ancestor
+    shared with the source, or at the virtual root if there is none.
+    On a graph with a cycle it runs a BFS from the source.
+    """
+    pred = graph.forest_pred
+    if pred is None:
+        return bfs_distances(graph.csgraph, source)
+    root = len(pred) - 1
+    chain, v = [], int(source)
+    while v != root:
+        chain.append(v)
+        v = pred[v]
+    reader = _Levels({root: np.inf}, pred)
+    reader.update(zip(chain, count(0.0)))
+    return reader
 
 
 def _midpoint(graph, dist_b, b, c):
@@ -159,14 +210,14 @@ def xi_triangle(graph, a, b, c):
     Rejections: b-c disconnected or at odd distance; any pair involving
     `a` disconnected; midpoint coincides with `a`.
     """
-    dist_b = bfs_distances(graph.csgraph, b)
+    dist_b = _distances(graph, b)
     d_bc = dist_b[c]
     if not np.isfinite(d_bc) or int(d_bc) % 2 == 1:
         return None
     m = _midpoint(graph, dist_b, b, c)
     if m == a:
         return None  # d(a, m) = 0 would divide by zero below
-    dist_a = bfs_distances(graph.csgraph, a)
+    dist_a = _distances(graph, a)
     d_ab, d_ac, d_am = dist_a[b], dist_a[c], dist_a[m]
     if not (np.isfinite(d_ab) and np.isfinite(d_ac) and np.isfinite(d_am)):
         return None

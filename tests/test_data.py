@@ -14,6 +14,7 @@ from hkge.data import (
     load_split,
     make_tree_dataset,
     normalize_dataset_name,
+    sorted_unique,
     write_vocab_files,
 )
 
@@ -167,6 +168,17 @@ class TestFilterIndex:
         empty = np.empty((0, 3), dtype=np.int64)
         store = TripleStore(entities=[], relations=[], train=empty, valid=empty, test=empty)
         assert build_filter_index(store) == {}
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("size, high", [(0, 5), (1, 5), (2, 1), (500, 7), (5000, 10**12)])
+    def test_matches_np_unique_bitwise(self, size, high):
+        rng = np.random.default_rng(size)
+        for dtype in (np.int64, np.int32):
+            keys = rng.integers(-high, high, size).astype(dtype)
+            got, want = sorted_unique(keys), np.unique(keys)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestReferenceCheck:

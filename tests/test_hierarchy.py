@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
-from hkge import data
+from hkge import data, hierarchy
 from hkge.hierarchy import (
     HIERARCHY_HEADER,
     RelationGraph,
+    _distances,
     analyze_relation,
     bfs_distances,
     build_graph,
@@ -82,6 +83,57 @@ def read_all(csgraph, src):
 
 def star_graph(k):
     return build_graph("star", [(0, leaf) for leaf in range(1, k + 1)])
+
+
+def random_forest_edges(rng, n):
+    """A random recursive forest over shuffled ids: several trees, edges
+    pointing either way, and some edges also given in reverse."""
+    ids = rng.permutation(n) * 3 + 1
+    edges = []
+    for i in range(1, n):
+        if rng.random() < 0.08:
+            continue  # i starts a new tree
+        p, c = ids[int(rng.integers(0, i))], ids[i]
+        edges.append((int(p), int(c)) if rng.random() < 0.7 else (int(c), int(p)))
+    edges += [(t, h) for h, t in edges[::5]]
+    return edges
+
+
+def count_bfs_calls(monkeypatch):
+    """Counts scipy `breadth_first_order` calls made by the hierarchy module."""
+    calls = []
+    real = hierarchy.breadth_first_order
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "breadth_first_order", counted)
+    return calls
+
+
+def reference_xi_estimate(g, n_samples, seed):
+    """xi_estimate written out over an all-pairs Dijkstra matrix: the same
+    sample stream, rejection rules and min-index midpoint walk."""
+    D = dijkstra(g.csgraph, directed=False, unweighted=True)
+    indptr, indices = g.csgraph.indptr, g.csgraph.indices
+    rng = np.random.default_rng(seed)
+    values, rejected, attempts = [], 0, 0
+    while len(values) < n_samples and attempts < max(20 * n_samples, 1000):
+        attempts += 1
+        a, b, c = (int(x) for x in rng.choice(g.n_nodes, size=3, replace=False))
+        d_bc = D[b, c]
+        m = c
+        if np.isfinite(d_bc) and d_bc % 2 == 0:
+            for _ in range(int(d_bc) // 2):
+                m = min(int(x) for x in indices[indptr[m]:indptr[m + 1]] if D[b, x] == D[b, m] - 1)
+        if not np.isfinite(d_bc) or d_bc % 2 or m == a or not np.isfinite(D[a, [b, c, m]]).all():
+            rejected += 1
+            continue
+        values.append((D[a, m] ** 2 + d_bc ** 2 / 4.0 - (D[a, b] ** 2 + D[a, c] ** 2) / 2.0)
+                      / (2.0 * D[a, m]))
+    arr = np.asarray(values)
+    return arr.mean(), arr.std(ddof=1) / np.sqrt(len(arr)), len(arr), rejected
 
 
 class TestBuildGraph:
@@ -195,6 +247,67 @@ class TestBfs:
             np.testing.assert_array_equal([reader[int(v)] for v in again], D[src][again])
 
 
+class TestForestReader:
+    """On a forest, distances come from one rooted BFS: every read must
+    equal the per-source BFS reader and SciPy's unweighted Dijkstra."""
+
+    def assert_reads_match(self, g, sources):
+        assert g.forest_pred is not None
+        D = dijkstra(g.csgraph, directed=False, unweighted=True, indices=sources)
+        for src, want in zip(sources, D):
+            reader = _distances(g, src)
+            got = [reader[v] for v in range(g.n_nodes)]
+            assert all(type(d) is float for d in got)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, read_all(g.csgraph, src))
+
+    def test_random_forests(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            g = build_graph("r", random_forest_edges(rng, int(rng.integers(3, 90))))
+            assert g.forest_pred is not None
+            self.assert_reads_match(g, list(range(g.n_nodes)))
+
+    def test_several_trees_are_apart(self):
+        rng = np.random.default_rng(6)
+        g = build_graph("r", random_forest_edges(rng, 200))
+        _, labels = connected_components(g.csgraph)
+        assert labels.max() >= 5
+        self.assert_reads_match(g, [0, 17, g.n_nodes - 1])
+
+    @pytest.mark.parametrize("edges", [
+        [(i, i + 1) for i in range(1999)],                                     # path
+        [(i, i + 1) for i in range(999)] + [(i, 1000 + i) for i in range(999)],  # caterpillar
+        [(0, leaf) for leaf in range(1, 2000)],                                # star
+    ], ids=["path", "caterpillar", "star"])
+    def test_deep_and_wide_trees(self, edges):
+        g = build_graph("r", edges)
+        self.assert_reads_match(g, [0, 1, 2, 500, 998, 999, 1000, 1500, g.n_nodes - 1])
+
+    def test_xi_estimate_makes_one_bfs_per_graph(self, monkeypatch):
+        calls = count_bfs_calls(monkeypatch)
+        rng = np.random.default_rng(8)
+        g = build_graph("r", random_forest_edges(rng, 300))
+        result = xi_estimate(g, n_samples=200, seed=0)
+        assert len(calls) == 1 and calls[0] == g.n_nodes  # from the virtual root
+        assert (result.mean, result.stderr, result.accepted, result.rejected) == \
+            pytest.approx(reference_xi_estimate(g, 200, 0), rel=1e-12)
+
+    def test_one_extra_edge_takes_the_bfs_path(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        edges = random_forest_edges(rng, 300)
+        forest = build_graph("r", edges)
+        d = dijkstra(forest.csgraph, directed=False, unweighted=True, indices=0)
+        ends = forest.node_ids[[0, np.flatnonzero(d == 3)[0]]]  # closes a 4-cycle
+        g = build_graph("r", edges + [tuple(map(int, ends))])
+        assert g.forest_pred is None
+        calls = count_bfs_calls(monkeypatch)
+        result = xi_estimate(g, n_samples=200, seed=0)
+        assert len(calls) > result.accepted
+        assert (result.mean, result.stderr, result.accepted, result.rejected) == \
+            pytest.approx(reference_xi_estimate(g, 200, 0), rel=1e-12)
+
+
 class TestXiTriangle:
     def test_star_is_minus_one(self):
         # leaves meet at the hub: d_am=1, d_bc=2, d_ab=d_ac=2 for any
@@ -291,6 +404,7 @@ class TestXiExactness:
         # expected values were computed with SciPy's unweighted Dijkstra
         # distances; any drift in the sample stream, the rejection rules
         # or the midpoint rule changes them
+        assert relation_subgraph(self.store(), "r").forest_pred is None  # the BFS path
         row = analyze_relation(self.store(), "r", n_samples=200, seed=seed)
         assert (row["nodes"], row["edges"], row["khs"]) == (63, 80, 0.95)
         got = (row["xi_mean"], row["xi_stderr"],
@@ -316,8 +430,37 @@ class TestAnalyzeRelationPinned:
     def test_pinned_output(self, seed, expected):
         # expected values were recorded with the full-array BFS levels
         # (pointer jumping) that the distance reader replaced
+        assert relation_subgraph(self.store(), "r").forest_pred is None  # the BFS path
         row = analyze_relation(self.store(), "r", n_samples=300, seed=seed)
         assert (row["nodes"], row["edges"], row["khs"]) == (120, 136, 0.9264705882352942)
+        got = (row["xi_mean"], row["xi_stderr"],
+               row["samples_accepted"], row["samples_rejected"])
+        assert got == expected
+
+
+class TestForestPinned:
+    def store(self):
+        """TestAnalyzeRelationPinned's tree and reversed edges without its
+        cross-links, beside a seeded 40-node second tree: a forest."""
+        rng = np.random.default_rng(0)
+        n = 120
+        tree = [(f"e{int(rng.integers(0, i))}", "r", f"e{i}") for i in range(1, n)]
+        back = [(t, r, h) for h, r, t in tree[::25]]
+        rng = np.random.default_rng(1)
+        second = [(f"f{int(rng.integers(0, i))}", "r", f"f{i}") for i in range(1, 40)]
+        return data.build_vocab({"train": tree + back + second, "valid": [], "test": []})
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, (-1.5533786676286676, 0.07632828647071783, 300, 1299)),
+        (1, (-1.5507194194694196, 0.07449790696272085, 300, 1187)),
+    ])
+    def test_pinned_output(self, seed, expected, monkeypatch):
+        # expected values were recorded with one BFS per sampled source,
+        # before forests got their own reader
+        calls = count_bfs_calls(monkeypatch)
+        row = analyze_relation(self.store(), "r", n_samples=300, seed=seed)
+        assert len(calls) == 1
+        assert (row["nodes"], row["edges"], row["khs"]) == (160, 163, 0.9386503067484663)
         got = (row["xi_mean"], row["xi_stderr"],
                row["samples_accepted"], row["samples_rejected"])
         assert got == expected
