@@ -265,7 +265,6 @@ class TestForestReader:
         rng = np.random.default_rng(5)
         for _ in range(30):
             g = build_graph("r", random_forest_edges(rng, int(rng.integers(3, 90))))
-            assert g.forest_pred is not None
             self.assert_reads_match(g, list(range(g.n_nodes)))
 
     def test_several_trees_are_apart(self):
