@@ -9,7 +9,9 @@ head prediction is ordinary tail prediction downstream.
 """
 
 import csv
+import operator
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,18 +223,54 @@ def sorted_unique(keys):
     return keys[keep]
 
 
+class FilterIndex(Mapping):
+    """Read-only (h, r) -> tails map of every (h, r, t) seen in any split.
+
+    A query (h, r) is encoded as h * n_r + r, where n_r is one more than
+    the largest relation id in the store.  Three int64 arrays hold the
+    map: `keys`, the sorted query codes; `starts`, where each query's run
+    of tails begins in `tails`, plus one end offset; and `tails`, each
+    run sorted and unique.  A lookup is one binary search on `keys` and
+    returns the run as an int64 view of `tails`, so it must not be
+    written to.  A key that is not a pair of integers with h >= 0 and
+    0 <= r < n_r is missing, so it never reads another query's run.
+    Iteration yields (h, r) pairs of Python ints in code order.
+    """
+
+    __slots__ = ("_n_r", "_keys", "_starts", "_tails")
+
+    def __init__(self, n_r, keys, starts, tails):
+        self._n_r, self._keys, self._starts, self._tails = n_r, keys, starts, tails
+
+    def __getitem__(self, key):
+        try:
+            h, r = map(operator.index, key)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        q = h * self._n_r + r
+        if h < 0 or not 0 <= r < self._n_r or q > self._keys[-1]:
+            raise KeyError(key)
+        i = self._keys.searchsorted(q)
+        if self._keys[i] != q:
+            raise KeyError(key)
+        return self._tails[self._starts[i]:self._starts[i + 1]]
+
+    def __iter__(self):
+        return zip(*(part.tolist() for part in np.divmod(self._keys, self._n_r)))
+
+    def __len__(self):
+        return len(self._keys)
+
+
 def build_filter_index(store):
-    """(h, r) -> sorted array of every tail seen in any split."""
+    """FilterIndex of every tail seen in any split, per (h, r) query."""
     triples = np.concatenate([store.split(s) for s in ("train", "valid", "test")])
-    if not len(triples):
-        return {}
     h, r, t = triples.astype(np.int64).T
-    n_r, n_t = int(r.max()) + 1, int(t.max()) + 1
+    n_r, n_t = int(r.max(initial=-1)) + 1, int(t.max(initial=-1)) + 1
     # one sorted key per distinct triple; a query's tails are a contiguous run
     hr, tails = np.divmod(sorted_unique((h * n_r + r) * n_t + t), n_t)
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(hr)) + 1, [len(hr)]]).tolist()
-    return {(int(q // n_r), int(q % n_r)): tails[s:e]
-            for q, s, e in zip(hr[bounds[:-1]].tolist(), bounds[:-1], bounds[1:])}
+    starts = np.flatnonzero(np.diff(hr, prepend=-1))
+    return FilterIndex(n_r, hr[starts], np.append(starts, len(hr)), tails)
 
 
 def write_csv(path, header, rows):

@@ -89,6 +89,9 @@ def _cpu_count():
 def compute_ranks(model, triples, filters, seed=0):
     """Filtered rank of every (h, r, t) query, in input order.
 
+    `filters` maps (h, r) to the tails to filter out (a
+    `data.FilterIndex`, or any mapping with `get`); None filters none.
+
     ||t||^2 of every entity and each distinct query's head are computed
     once, in a scoring table local to this call; each query is then one
     ``score_against_all`` call against it.  The queries are ranked in

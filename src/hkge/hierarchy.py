@@ -18,7 +18,9 @@ call per graph suffices: from a virtual root joined to every tree, the
 predecessors are each node's parent, and a source's reader starts out
 knowing the distances to the source's ancestors.  Distances are exact
 small integers in float64 either way, so xi results are the same as
-from an unweighted Dijkstra.
+from an unweighted Dijkstra.  A sampled triangle whose nodes lie in
+different components is rejected before any distance is read, by
+component labels computed once per graph.
 """
 
 from dataclasses import dataclass
@@ -50,17 +52,22 @@ class RelationGraph:
         return len(self.directed_edges)
 
     @cached_property
+    def component_labels(self):
+        """Connected-component label of every node, worked out on first use
+        (as is `forest_pred`), so `csgraph` must not change after it."""
+        return connected_components(self.csgraph, directed=False)[1]
+
+    @cached_property
     def forest_pred(self):
         """BFS predecessors of the graph rooted at a virtual node n, or None
-        if the graph has a cycle; worked out on first use, so `csgraph`
-        must not change after it.
+        if the graph has a cycle.
 
         The virtual root is joined to one node of each tree, so one
         `breadth_first_order` call roots every tree at once, and it is its
         own predecessor.
         """
-        n, cs = self.n_nodes, self.csgraph
-        n_trees, labels = connected_components(cs, directed=False)
+        n, cs, labels = self.n_nodes, self.csgraph, self.component_labels
+        n_trees = int(labels.max()) + 1
         if cs.nnz // 2 != n - n_trees:
             return None
         tops = np.empty(n_trees, dtype=np.int32)
@@ -207,20 +214,23 @@ def _midpoint(graph, dist_b, b, c):
 def xi_triangle(graph, a, b, c):
     """xi for one sampled triangle, or None if the sample is rejected.
 
-    Rejections: b-c disconnected or at odd distance; any pair involving
-    `a` disconnected; midpoint coincides with `a`.
+    Rejections: the three nodes not all in one component, checked
+    before any distance is read; b-c at odd distance; midpoint
+    coincides with `a`.  Every distance read after the first check is
+    finite.
     """
+    labels = graph.component_labels
+    if not labels[a] == labels[b] == labels[c]:
+        return None
     dist_b = _distances(graph, b)
     d_bc = dist_b[c]
-    if not np.isfinite(d_bc) or int(d_bc) % 2 == 1:
+    if int(d_bc) % 2 == 1:
         return None
     m = _midpoint(graph, dist_b, b, c)
     if m == a:
         return None  # d(a, m) = 0 would divide by zero below
     dist_a = _distances(graph, a)
     d_ab, d_ac, d_am = dist_a[b], dist_a[c], dist_a[m]
-    if not (np.isfinite(d_ab) and np.isfinite(d_ac) and np.isfinite(d_am)):
-        return None
     return float(
         (d_am ** 2 + d_bc ** 2 / 4.0 - (d_ab ** 2 + d_ac ** 2) / 2.0) / (2.0 * d_am)
     )

@@ -169,6 +169,32 @@ class TestFilterIndex:
         store = TripleStore(entities=[], relations=[], train=empty, valid=empty, test=empty)
         assert build_filter_index(store) == {}
 
+    def test_out_of_range_keys_are_missing(self):
+        # queries are encoded as h * n_r + r: a key outside h >= 0,
+        # 0 <= r < n_r must not read the query its code lands on
+        store = augment_reciprocal(build_vocab(TOY))
+        filters = build_filter_index(store)
+        n_r = store.n_relations
+        assert {(1, 0), (0, 0), (0, n_r - 1)} <= filters.keys()
+        for key in [(0, n_r), (-1, n_r), (1, -1), (2 ** 70, 0), (1, 0, 0), (1,), "ab", (1.0, 0)]:
+            assert key not in filters
+            assert filters.get(key, "missing") == "missing"
+            with pytest.raises(KeyError):
+                filters[key]
+
+    def test_numpy_integer_keys(self):
+        store = augment_reciprocal(build_vocab(TOY))
+        filters = build_filter_index(store)
+        n_r = store.n_relations
+        for h, r in filters:
+            want = filters[(h, r)]
+            for key in [(np.int64(h), np.int64(r)), (np.int32(h), np.uint8(r)),
+                        tuple(np.asarray([h, r]))]:
+                np.testing.assert_array_equal(filters[key], want)
+                assert filters.get(key).dtype == np.int64
+        assert filters.get((np.int64(0), np.int64(n_r))) is None
+        assert filters.get((np.int64(-1), np.int32(n_r))) is None
+
 
 class TestSortedUnique:
     @pytest.mark.parametrize("size, high", [(0, 5), (1, 5), (2, 1), (500, 7), (5000, 10**12)])

@@ -151,6 +151,22 @@ class TestAggregate:
 
 
 class TestComputeRanks:
+    def test_filter_index_ranks_equal_dict_ranks(self):
+        # queries repeat within and across splits; integer scores tie often,
+        # so the random tie-break is drawn for many queries
+        rng = np.random.default_rng(12)
+        triples = rng.integers(0, [30, 4, 30], size=(600, 3))
+        store = data.augment_reciprocal(data.TripleStore(
+            entities=[f"e{i}" for i in range(30)], relations=[f"r{i}" for i in range(4)],
+            train=triples[:400], valid=np.concatenate([triples[400:500], triples[:60]]),
+            test=np.concatenate([triples[500:], triples[350:450]]), n_base_relations=4))
+        m = scored_model(rng.integers(0, 5, 30).astype(float), n_relations=8)
+        index = data.build_filter_index(store)
+        queries = np.concatenate([store.valid, store.test])
+        ranks = compute_ranks(m, queries, index, seed=3)
+        np.testing.assert_array_equal(ranks, compute_ranks(m, queries, dict(index.items()), seed=3))
+        assert (ranks < compute_ranks(m, queries, None, seed=3)).any()
+
     def test_matches_per_query_calls(self):
         rng = np.random.default_rng(11)
         m = scored_model(rng.normal(size=12), n_relations=2)

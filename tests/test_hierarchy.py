@@ -307,6 +307,38 @@ class TestForestReader:
             pytest.approx(reference_xi_estimate(g, 200, 0), rel=1e-12)
 
 
+class TestComponents:
+    """A triangle across components is rejected before any BFS."""
+
+    def two_rings(self):
+        # two rings of 60 with chords: cyclic, so every read runs a BFS
+        rng = np.random.default_rng(10)
+        edges = []
+        for base in (0, 100):
+            edges += [(base + i, base + (i + 1) % 60) for i in range(60)]
+            edges += [(base + int(i), base + int(j)) for i, j in rng.integers(0, 60, (15, 2))]
+        g = build_graph("r", edges)
+        assert g.forest_pred is None
+        assert g.component_labels.max() == 1
+        return g
+
+    def test_cross_component_triangle_reads_nothing(self, monkeypatch):
+        g = self.two_rings()
+        calls = count_bfs_calls(monkeypatch)
+        for a, b, c in [(0, 1, 70), (70, 1, 2), (0, 61, 62), (61, 0, 1)]:
+            assert xi_triangle(g, a, b, c) is None
+        assert calls == []
+
+    def test_fewer_bfs_calls_and_same_estimate(self, monkeypatch):
+        g = self.two_rings()
+        calls = count_bfs_calls(monkeypatch)
+        result = xi_estimate(g, n_samples=150, seed=0)
+        # without the component check each attempt reads from b at least
+        assert len(calls) < result.accepted + result.rejected
+        assert (result.mean, result.stderr, result.accepted, result.rejected) == \
+            pytest.approx(reference_xi_estimate(g, 150, 0), rel=1e-12)
+
+
 class TestXiTriangle:
     def test_star_is_minus_one(self):
         # leaves meet at the hub: d_am=1, d_bc=2, d_ab=d_ac=2 for any
