@@ -188,8 +188,7 @@ class TestFilterIndex:
         n_r = store.n_relations
         for h, r in filters:
             want = filters[(h, r)]
-            for key in [(np.int64(h), np.int64(r)), (np.int32(h), np.uint8(r)),
-                        tuple(np.asarray([h, r]))]:
+            for key in [(np.int64(h), np.int64(r)), (np.int32(h), np.uint8(r))]:
                 np.testing.assert_array_equal(filters[key], want)
                 assert filters.get(key).dtype == np.int64
         assert filters.get((np.int64(0), np.int64(n_r))) is None
