@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_csv
+from .data import sorted_unique, write_csv
 from .model import NumericError
 
-TIE_MODES = ("random", "optimistic", "pessimistic")
 KS = (1, 3, 10)  # the Hits@K cutoffs: every metrics table has h1, h3, h10
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -33,49 +32,31 @@ class MetricReport:
                 **{f"h{k}": v for k, v in self.hits.items()}}
 
 
-def rank_filtered(scores, t_true, known_tails, tie_mode="random", rng=None):
-    """Filtered rank of t_true: 1 + #better + tie adjustment.
+def rank_filtered(scores, t_true, known_tails, tie_seed):
+    """Filtered rank of t_true: 1 + #better + its place among its ties.
 
     Candidates are all entities except known-true tails other than
-    t_true itself.  Under `random`, the true tail takes a uniformly
-    random position among its ties (needs `rng`); `optimistic` and
-    `pessimistic` pin it first or last.
+    t_true itself.  The candidates that score above and level with
+    t_true are counted over all entities, less the same counts over
+    the distinct known tails other than t_true, so no candidate mask
+    or copy of ``scores`` is built.  t_true takes a uniformly random
+    place among its ties, drawn from a generator seeded with
+    ``SeedSequence(tie_seed)``, which is built only when there are ties.
     """
-    if tie_mode not in TIE_MODES:
-        raise ValueError(f"unknown tie_mode {tie_mode!r}")
     t_true = int(t_true)
     s_true = scores[t_true]
-    allowed = np.ones(scores.shape[0], dtype=bool)
-    if known_tails is not None and len(known_tails):
-        allowed[np.asarray(known_tails)] = False
-    allowed[t_true] = True
-    pool = scores[allowed]
-    better = int(np.count_nonzero(pool > s_true))
-    ties = int(np.count_nonzero(pool == s_true)) - 1  # t_true matches itself
-    if tie_mode == "optimistic" or ties == 0:
+    better = int(np.count_nonzero(scores > s_true))
+    ties = int(np.count_nonzero(scores == s_true)) - 1  # t_true matches itself
+    known = np.asarray(known_tails, dtype=np.int64)
+    known = sorted_unique(known[known != t_true])
+    if len(known):
+        filtered = scores[known]
+        better -= int(np.count_nonzero(filtered > s_true))
+        ties -= int(np.count_nonzero(filtered == s_true))
+    if not ties:
         return 1 + better
-    if tie_mode == "pessimistic":
-        return 1 + better + ties
-    if rng is None:
-        raise ValueError("random tie-breaking needs an rng")
+    rng = np.random.default_rng(np.random.SeedSequence(tie_seed))
     return 1 + better + int(rng.integers(0, ties + 1))
-
-
-class _QueryRng:
-    """The tie-break generator of query (h, r, t) under `seed`, built on
-    its first draw: building it costs about 100 us, and `rank_filtered`
-    draws only for a query with ties."""
-
-    __slots__ = ("_entropy", "_rng")
-
-    def __init__(self, seed, h, r, t):
-        self._entropy = [int(seed), int(h), int(r), int(t)]
-        self._rng = None
-
-    def integers(self, *args):
-        if self._rng is None:
-            self._rng = np.random.default_rng(np.random.SeedSequence(self._entropy))
-        return self._rng.integers(*args)
 
 
 def _cpu_count():
@@ -92,18 +73,21 @@ def compute_ranks(model, triples, filters, seed=0):
     `filters` maps (h, r) to the tails to filter out (a
     `data.FilterIndex`, or any mapping with `get`); None filters none.
 
-    ||t||^2 of every entity and each distinct query's head are computed
-    once, in a scoring table local to this call; each query is then one
-    ``score_against_all`` call against it.  The queries are ranked in
-    contiguous blocks, one per CPU in the process's affinity mask: the
-    calling thread ranks the first, a thread pool the rest.  A query's
-    scores and tie-break draw do not depend on the thread that ranks it,
-    so the ranks do not depend on the CPU count, and an error names the
-    first failing query in input order, as a serial pass would.  Once an
-    error or interrupt leaves the call, the blocks after it stop at
-    their next query.
+    ||t||^2 of every entity, its square root and each distinct query's
+    head are computed once, in a scoring table local to this call.  Each
+    query is then one ``score_against_all`` call against it, a score-only
+    pass over 1-D arrays that keeps nothing for a backward, and one
+    ``rank_filtered`` call, which counts instead of masking.  The queries
+    are ranked in contiguous blocks, one per CPU in the process's
+    affinity mask: the calling thread ranks the first, a thread pool the
+    rest.  A query's scores and tie-break draw do not depend on the
+    thread that ranks it, so the ranks do not depend on the CPU count,
+    and an error names the first failing query in input order, as a
+    serial pass would.  Once an error or interrupt leaves the call, the
+    blocks after it stop at their next query.
     """
     triples = np.asarray(triples)
+    seed = int(seed)
     ranks = np.empty(len(triples), dtype=np.int64)
     table = model.scoring_table(triples[:, 0], triples[:, 1])
 
@@ -118,7 +102,7 @@ def compute_ranks(model, triples, filters, seed=0):
             if not np.all(np.isfinite(scores)):
                 raise NumericError(f"non-finite score while ranking query (h={h}, r={r})")
             known = filters.get((h, r), _EMPTY) if filters else _EMPTY
-            ranks[i] = rank_filtered(scores, t, known, rng=_QueryRng(seed, h, r, t))
+            ranks[i] = rank_filtered(scores, t, known, (seed, h, r, t))
 
     n = len(triples)
     k = max(1, min(_cpu_count(), n))

@@ -24,7 +24,8 @@ needs, and returns the inputs' gradients; the curvature's is per row.
 ``_gram_sqdist``, the model's tail kernel, is tail exp0, (-l) (+)_c
 exp0(t), its projection and the squared gyrodistance in Gram form: a
 pair (l, t) enters only through ||l||^2, ||t||^2 and <l, t>.  Its VJP
-reads the forward's cache.  ``hyp_distance`` composes the public
+reads the forward's cache; a forward that no backward follows keeps
+none and reuses its own buffers.  ``hyp_distance`` composes the public
 functions and is kept as the kernel's independent reference.
 """
 
@@ -86,7 +87,8 @@ def tanh_ratio(z):
     """tanh(z)/z, stable at z = 0 (limit 1)."""
     z = np.asarray(z, dtype=np.float64)
     big = z > TAU_SMALL
-    out = np.divide(np.tanh(z), z, out=np.empty_like(z), where=big)
+    out = np.tanh(z, out=np.empty_like(z))
+    np.divide(out, z, out=out, where=big)
     small = ~big  # NaN lands here and stays NaN
     zs = z[small]
     out[small] = 1.0 - zs * zs / 3.0
@@ -228,42 +230,69 @@ def hyp_distance(x, y, c):
     return np.squeeze(d, axis=-1)
 
 
-def _gram_sqdist(a, n, x, c, query=None):
+def _gram_sqdist(a, n, x, c, query=None, rn=None, need_cache=True):
     """hyp_distance(l, exp0(t), c)**2 from a = ||l||^2, n = ||t||^2 and x = <l, t>,
     and the cache (inputs and intermediates) ``_gram_sqdist_backward`` reads.
 
-    Arguments broadcast: (B, 1) query columns against (B, M) pairs.
-    ``query(b)`` names row b of a degenerate denominator.
+    Arguments broadcast: (B, 1) query columns against (B, M) pairs, or
+    (1,) query values against (M,) tails.  ``rn`` is sqrt(n) where the
+    caller holds it.  ``query(b)`` names row b of a degenerate denominator.
+    Without ``need_cache`` no backward follows: the cache is None, and
+    each step writes into the buffer of an intermediate nothing reads
+    any more (``x`` among them) instead of a fresh array.  Either way
+    every value comes from the same operations in the same order.
     """
+
+    def spare(buf):
+        return None if need_cache else buf
+
     sc = np.sqrt(c)
-    zt = sc * np.sqrt(n)
+    zt = sc * (np.sqrt(n) if rn is None else rn)
     ft = tanh_ratio(zt)
 
     # md = (-l) (+)_c tH with tH = ft*t: p = <-l, tH>, b = ||tH||^2
-    p = -ft * x
-    b = ft * ft * n
-    A2 = 1.0 + 2.0 * c * p + c * b
+    p = np.multiply(np.negative(ft, out=spare(zt)), x, out=spare(x))
+    b = np.multiply(ft, ft, out=spare(zt))
+    b *= n
+    e = np.multiply(2.0 * c, p, out=spare(ft))  # 1 + 2c*p, shared by A2 and D2
+    e += 1.0
+    A2 = c * b
+    A2 += e
     B2 = 1.0 - c * a
-    D2 = 1.0 + 2.0 * c * p + c * c * a * b
+    D2 = c * c * a * b
+    D2 += e
     _check_denominator(D2, query)
-    N2 = A2 * A2 * a + 2.0 * A2 * B2 * p + B2 * B2 * b
+    N2 = np.multiply(A2, A2, out=spare(e))
+    N2 *= a
+    term = np.multiply(2.0, A2, out=spare(A2))
+    term *= B2
+    term *= p
+    N2 += term
+    N2 += np.multiply(B2 * B2, b, out=spare(p))
     # ||md||^2 = N2/D2^2 cancels to rounding noise when l ~ tH
-    nm = np.sqrt(np.maximum(N2 / (D2 * D2), 0.0))
+    nm = np.multiply(D2, D2, out=spare(D2))
+    np.divide(N2, nm, out=nm)
+    np.maximum(nm, 0.0, out=nm)
+    np.sqrt(nm, out=nm)
 
     # md projected inside the clamp radius, then the gyrodistance
     limit = (1.0 - BALL_EPS) / sc
     over = nm > limit
     _count_clamps(over)
-    nm = np.minimum(nm, limit)
-    g = sc * nm
+    np.minimum(nm, limit, out=nm)
+    g = np.multiply(sc, nm, out=spare(nm))
     gmask = g > 1.0 - BALL_EPS
     _count_clamps(gmask)
-    gcl = np.minimum(g, 1.0 - BALL_EPS)
-    atg = np.arctanh(gcl)
-    dist = 2.0 * atg / sc
-    return dist * dist, {"a": a, "n": n, "x": x, "c": c, "sc": sc, "zt": zt, "ft": ft,
-                         "p": p, "b": b, "A2": A2, "B2": B2, "D2": D2, "N2": N2, "nm": nm,
-                         "live": ~(over | gmask), "gcl": gcl, "atg": atg, "dist": dist}
+    gcl = np.minimum(g, 1.0 - BALL_EPS, out=g)
+    atg = np.arctanh(gcl, out=spare(gcl))
+    dist = np.multiply(2.0, atg, out=spare(atg))
+    dist /= sc
+    sq = np.multiply(dist, dist, out=spare(dist))
+    if not need_cache:
+        return sq, None
+    return sq, {"a": a, "n": n, "x": x, "c": c, "sc": sc, "zt": zt, "ft": ft,
+                "p": p, "b": b, "A2": A2, "B2": B2, "D2": D2, "N2": N2, "nm": nm,
+                "live": ~(over | gmask), "gcl": gcl, "atg": atg, "dist": dist}
 
 
 def _gram_sqdist_backward(sq_bar, T):

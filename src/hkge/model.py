@@ -27,10 +27,14 @@ many rows there are or where they live.  A BLAS matrix product such as
 break it.
 
 ||t||^2 is an input of ``_tails``: ``_forward`` computes it for its
-gathered tails, and ``scoring_table`` computes it once for every entity,
-together with the heads of all distinct queries of a ranking pass in one
-``_head`` call.  ``score_against_all`` reads one query's row of that
-table; by the rule above the row is bitwise what a one-query head gives.
+gathered tails, and ``scoring_table`` computes it and its square root
+once for every entity, together with the heads of all distinct queries
+of a ranking pass in one ``_head`` call.  ``score_against_all`` reads
+one query's row of that table; by the rule above the row is bitwise
+what a one-query head gives.  It is a score-only pass: the query's head
+against 1-D arrays over all entities, with no cache for a backward, so
+``_gram_sqdist`` writes each step into the buffer of an intermediate
+that is no longer read, by the same operations in the same order.
 """
 
 from dataclasses import dataclass
@@ -163,23 +167,27 @@ def _query_name(h, r):
 class ScoringTable:
     """What ranking many queries against every entity shares.
 
-    ``n`` is ||t||^2 of every entity, and ``head`` holds the fields the
-    tail stage reads (``lhs``, ``bias``, ``a`` = ||lhs||^2 and, on the
-    ball, ``c``), one row per distinct query; ``rows`` maps (h, r) to its
-    row.  Built by ``KGEModel.scoring_table`` from the current
-    parameters, so it is stale once they change: keep it local.
+    ``n`` is ||t||^2 of every entity and ``rn`` its square root, and
+    ``head`` holds the fields the tail stage reads (``lhs``, ``bias``,
+    ``a`` = ||lhs||^2 and, on the ball, ``c``), one row per distinct
+    query; ``rows`` maps (h, r) to its row.  Built by
+    ``KGEModel.scoring_table`` from the current parameters, so it is
+    stale once they change: keep it local.  Scoring reads it and never
+    writes to it.
     """
 
     n: np.ndarray
+    rn: np.ndarray
     head: dict
     rows: dict
 
     def query_head(self, h, r):
-        """The one-row head of query (h, r), as ``KGEModel._tails`` takes it."""
+        """The head of query (h, r) with no batch axis, as ``KGEModel._tails``
+        takes it to score 1-D tail arrays."""
         i = self.rows.get((h, r))
         if i is None:
             raise KeyError(f"{_query_name(h, r)} is not in the scoring table")
-        head = {k: v[i:i + 1] for k, v in self.head.items()}
+        head = {k: v[i, ...] for k, v in self.head.items()}
         head["query"] = lambda b: _query_name(h, r)
         return head
 
@@ -317,14 +325,16 @@ class KGEModel:
 
     def scoring_table(self, h_ids, r_ids):
         """A ``ScoringTable`` for the queries (h_ids[i], r_ids[i]): one
-        ``_head`` call over the distinct ones, and ||t||^2 of every entity."""
+        ``_head`` call over the distinct ones, and ||t||^2 of every entity
+        with its square root."""
         h_ids = self._check_ids(h_ids, self.n_entities, "entity")
         r_ids = self._check_ids(r_ids, self.n_relations, "relation")
         pairs = np.unique(np.stack([h_ids, r_ids], axis=1), axis=0)
         head = self._head(pairs[:, 0], pairs[:, 1])
         fields = ("lhs", "bias", "a", "c")  # c exists on the ball only
         emb = self.params["ent_emb"]
-        return ScoringTable(n=np.vecdot(emb, emb), head={k: head[k] for k in fields if k in head},
+        n = np.vecdot(emb, emb)
+        return ScoringTable(n=n, rn=np.sqrt(n), head={k: head[k] for k in fields if k in head},
                             rows={(h, r): i for i, (h, r) in enumerate(pairs.tolist())})
 
     def score_against_all(self, h, r, table=None):
@@ -332,12 +342,14 @@ class KGEModel:
 
         ``table`` (from ``scoring_table``) must hold (h, r); without one,
         a one-query table is built.  The tails are the whole embedding
-        table, read in place rather than gathered.
+        table, read in place rather than gathered, and every array of the
+        pass is 1-D over the entities.  No backward follows, so the tail
+        stage keeps no cache and reuses its own buffers.
         """
         if table is None:
             table = self.scoring_table([h], [r])
-        return self._tails(table.query_head(h, r), self.params["ent_emb"][None], table.n[None],
-                           self.params["ent_bias"][None])[0]
+        return self._tails(table.query_head(h, r), self.params["ent_emb"], table.n,
+                           self.params["ent_bias"], rn=table.rn)
 
     def _forward(self, h_ids, r_ids, t_ids, need_cache=False):
         """Scores for tails t_ids[b, m] against query (h_ids[b], r_ids[b]).
@@ -350,7 +362,7 @@ class KGEModel:
         head = self._head(h_ids, r_ids)
         te = np.take(self.params["ent_emb"], t_ids, axis=0)  # (B, M, d); faster than [t_ids]
         bias = np.take(self.params["ent_bias"], t_ids)
-        out = self._tails(head, te, np.vecdot(te, te), bias, need_cache)
+        out = self._tails(head, te, np.vecdot(te, te), bias, need_cache=need_cache)
         if not need_cache:
             return out
         scores, tails = out
@@ -390,22 +402,26 @@ class KGEModel:
         hd.update(lhs=lhs, a=np.sum(lhs * lhs, axis=-1))
         return hd
 
-    def _tails(self, head, te, n, t_bias, need_cache=False):
+    def _tails(self, head, te, n, t_bias, rn=None, need_cache=False):
         """Scores of tail embeddings te[b, m] against head[b]: (B, M).
 
-        ``n`` is ||te||^2 (``np.vecdot(te, te)``), which callers that score
-        many queries against the same tails compute once.
+        A head without the batch axis (``ScoringTable.query_head``) scores
+        te[m] as (M,).  ``n`` is ||te||^2 (``np.vecdot(te, te)``) and ``rn``
+        its square root, which callers that score many queries against
+        the same tails compute once.
         """
-        a = head["a"][:, None]
+        a = head["a"][..., None]
         # one dot product per row: a row's result does not depend on M (a BLAS
         # lhs @ te.T would), which keeps eval and training scores bitwise equal
-        x = np.vecdot(head["lhs"][:, None, :], te)
+        x = np.vecdot(head["lhs"][..., None, :], te)
         if self.config.geometry == "euclidean":
             # (2||lhs - t||)^2; the clamp catches rounding when lhs ~ t
             sq, cache = 4.0 * np.maximum(a - 2.0 * x + n, 0.0), None
         else:
-            sq, cache = geometry._gram_sqdist(a, n, x, head["c"][:, None], head["query"])
-        scores = head["bias"][:, None] + t_bias - sq
+            sq, cache = geometry._gram_sqdist(a, n, x, head["c"][..., None], head["query"],
+                                              rn=rn, need_cache=need_cache)
+        scores = head["bias"][..., None] + t_bias
+        scores -= sq
         return (scores, cache) if need_cache else scores
 
     # -- backward -----------------------------------------------------

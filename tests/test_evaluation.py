@@ -36,74 +36,73 @@ def scored_model(scores, n_relations=1):
     return m
 
 
-def brute_rank(scores, t, known, mode):
+def tie_draw(tie_seed, ties):
+    """The draw in [0, ties] that a query with `ties` ties adds to its rank."""
+    return int(np.random.default_rng(np.random.SeedSequence(tie_seed)).integers(0, ties + 1))
+
+
+def brute_rank(scores, t, known, tie_seed=(0,)):
     """Rank computed the slow, obvious way."""
     keep = set(range(len(scores))) - {int(k) for k in known} | {int(t)}
     better = sum(1 for j in keep if scores[j] > scores[t])
     ties = sum(1 for j in keep if j != t and scores[j] == scores[t])
-    return 1 + better + (ties if mode == "pessimistic" else 0)
+    return 1 + better + (tie_draw(tie_seed, ties) if ties else 0)
+
+
+def mask_rank(scores, t, known, tie_seed):
+    """Filtered rank through a candidate mask, as the benchmark's oracle
+    ranks: the plain form of ``rank_filtered``'s counts."""
+    allowed = np.ones(len(scores), dtype=bool)
+    allowed[np.asarray(known, dtype=np.int64)] = False
+    allowed[t] = True
+    pool = scores[allowed]
+    ties = int(np.sum(pool == scores[t])) - 1
+    return 1 + int(np.sum(pool > scores[t])) + (tie_draw(tie_seed, ties) if ties else 0)
 
 
 class TestRankFiltered:
     def test_unique_scores(self):
         scores = np.asarray([3.0, 2.0, 1.0])
-        assert rank_filtered(scores, 0, [], tie_mode="optimistic") == 1
-        assert rank_filtered(scores, 1, [], tie_mode="optimistic") == 2
-        assert rank_filtered(scores, 2, [], tie_mode="optimistic") == 3
+        assert rank_filtered(scores, 0, [], (0,)) == 1
+        assert rank_filtered(scores, 1, [], (0,)) == 2
+        assert rank_filtered(scores, 2, [], (0,)) == 3
 
     def test_filtering_removes_better_candidates(self):
         scores = np.asarray([3.0, 2.0, 1.0])
         # entity 0 is a known-true tail: it no longer outranks entity 1
-        assert rank_filtered(scores, 1, [0], tie_mode="optimistic") == 1
+        assert rank_filtered(scores, 1, [0], (0,)) == 1
 
     def test_true_tail_immune_to_own_filter(self):
         scores = np.asarray([3.0, 2.0, 1.0])
         # t appears in its own filter list and must stay in the pool
-        assert rank_filtered(scores, 1, [0, 1], tie_mode="optimistic") == 1
+        assert rank_filtered(scores, 1, [0, 1], (0,)) == 1
 
-    def test_tie_modes_bracket(self):
+    def test_ties_take_the_seeded_draw(self):
+        # all five tie: the rank is 1 + one draw in [0, 4] from SeedSequence(tie_seed)
         scores = np.zeros(5)
-        assert rank_filtered(scores, 2, [], tie_mode="optimistic") == 1
-        assert rank_filtered(scores, 2, [], tie_mode="pessimistic") == 5
-        rng = np.random.default_rng(3)
-        r = rank_filtered(scores, 2, [], tie_mode="random", rng=rng)
-        assert 1 <= r <= 5
+        for tie_seed in ((3,), (3, 1), (4,)):
+            r = rank_filtered(scores, 2, [], tie_seed)
+            assert 1 <= r <= 5
+            assert r == 1 + tie_draw(tie_seed, 4)
+        assert len({rank_filtered(scores, 2, [], (s,)) for s in range(50)}) == 5
 
     def test_random_tie_mean_is_centered(self):
         # all-tied pool of 41: rank is uniform on 1..41, mean 21
         scores = np.zeros(41)
-        rng = np.random.default_rng(0)
-        draws = np.asarray([
-            rank_filtered(scores, 0, [], tie_mode="random", rng=rng)
-            for _ in range(10_000)
-        ])
+        draws = np.asarray([rank_filtered(scores, 0, [], (0, i)) for i in range(10_000)])
         # 3 sigma of the sample mean: 3 * (40/sqrt(12)) / 100 ~ 0.35
         assert abs(draws.mean() - 21.0) < 0.35
         assert draws.min() == 1 and draws.max() == 41
 
-    def test_random_requires_rng(self):
-        with pytest.raises(ValueError, match="rng"):
-            rank_filtered(np.zeros(3), 0, [], tie_mode="random")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="tie_mode"):
-            rank_filtered(np.zeros(3), 0, [], tie_mode="typo")
-
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
-        for _ in range(300):
+        for i in range(300):
             n = int(rng.integers(2, 21))
             # coarse scores so ties actually happen
             scores = rng.integers(0, 4, size=n).astype(np.float64)
             t = int(rng.integers(0, n))
             known = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
-            for mode in ("optimistic", "pessimistic"):
-                assert rank_filtered(scores, t, known, tie_mode=mode) == \
-                    brute_rank(scores, t, known, mode)
-            r = rank_filtered(scores, t, known, tie_mode="random",
-                              rng=np.random.default_rng(1))
-            assert brute_rank(scores, t, known, "optimistic") <= r \
-                <= brute_rank(scores, t, known, "pessimistic")
+            assert rank_filtered(scores, t, known, (1, i)) == brute_rank(scores, t, known, (1, i))
 
     def test_filtering_never_worsens_rank(self):
         rng = np.random.default_rng(8)
@@ -112,10 +111,52 @@ class TestRankFiltered:
             scores = rng.normal(size=n)
             t = int(rng.integers(0, n))
             known = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
-            for mode in ("optimistic", "pessimistic"):
-                filtered = rank_filtered(scores, t, known, tie_mode=mode)
-                raw = rank_filtered(scores, t, [], tie_mode=mode)
-                assert filtered <= raw
+            assert rank_filtered(scores, t, known, (0,)) <= rank_filtered(scores, t, [], (0,))
+
+
+class TestCountRank:
+    """``rank_filtered`` counts over all entities and subtracts the known
+    tails; the rank is the one a candidate mask gives."""
+
+    @staticmethod
+    def known_lists(rng, n, t):
+        others = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+        yield np.empty(0, dtype=np.int64)                       # empty
+        yield np.sort(others)                                   # a FilterIndex run
+        yield np.concatenate([others, others[:3], others[:1]])  # duplicates
+        yield np.concatenate([[t], others, [t]])                # holds t_true, twice
+        yield np.full(4, t)                                     # only t_true
+
+    def test_equals_the_mask_rank(self):
+        rng = np.random.default_rng(31)
+        n_ties = 0
+        for i in range(400):
+            n = int(rng.integers(2, 60))
+            # few distinct integer values: most queries have ties, many among the known
+            scores = rng.integers(-3, 3, size=n).astype(np.float64)
+            t = int(rng.integers(0, n))
+            n_ties += int(np.sum(scores == scores[t])) > 1
+            for j, known in enumerate(self.known_lists(rng, n, t)):
+                tie_seed = (5, i, j)
+                assert rank_filtered(scores, t, known, tie_seed) == \
+                    mask_rank(scores, t, known, tie_seed), (i, j)
+        assert n_ties > 300
+
+    def test_compute_ranks_equals_the_mask_rank(self):
+        # through compute_ranks: a dict filter with duplicates and t_true in
+        # its lists, queries with no entry, and no filter at all
+        rng = np.random.default_rng(32)
+        m = scored_model(rng.integers(0, 4, 50).astype(float), n_relations=3)
+        triples = np.stack([rng.integers(0, 50, 40), rng.integers(0, 3, 40),
+                            rng.integers(0, 50, 40)], axis=1)
+        filters = {(int(h), int(r)): np.concatenate([rng.integers(0, 50, 6), [t, t]])
+                   for h, r, t in triples[::2]}
+        for index in (filters, None):
+            ranks = compute_ranks(m, triples, index, seed=9)
+            for i, (h, r, t) in enumerate(triples.tolist()):
+                known = (index or {}).get((h, r), [])
+                scores = m.score_against_all(h, r)
+                assert ranks[i] == mask_rank(scores, t, known, (9, h, r, t)), (i, index is None)
 
 
 class TestAggregate:
@@ -176,7 +217,7 @@ class TestComputeRanks:
         for i, (h, r, t) in enumerate(triples):
             scores = m.score_against_all(int(h), int(r))
             known = filters.get((int(h), int(r)), [])
-            assert ranks[i] == brute_rank(scores, t, known, "optimistic")
+            assert ranks[i] == brute_rank(scores, t, known)
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("mode", CURVATURE_MODES)
@@ -217,7 +258,8 @@ class TestComputeRanks:
         np.testing.assert_array_equal(compute_ranks(m, triples, None, seed=5), want)
 
     def test_no_generator_without_ties(self, monkeypatch):
-        # a generator costs about 100 us to build, and most queries have no ties
+        # the counts show whether a query has ties before any draw; most
+        # queries have none, and build no generator
         m = scored_model(np.arange(9.0))
         built = []
         seed_sequence = np.random.SeedSequence

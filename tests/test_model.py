@@ -508,6 +508,25 @@ class TestScoreAgainstAll:
         assert out.shape == (1,)
         assert out[0] == 0.0
 
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_pass_leaves_its_inputs_alone(self, geometry):
+        # the score-only pass works in its own buffers: a second call from
+        # the same table gives the same array, and nothing it read changed
+        m = random_model(ModelConfig(dim=4, geometry=geometry), 9, 3, seed=17)
+        h, r = [4, 0, 4, 8], [2, 1, 0, 2]
+        table = m.scoring_table(h, r)
+        kept = {"n": table.n.copy(), "rn": table.rn.copy(),
+                **{f"head.{k}": v.copy() for k, v in table.head.items()},
+                **{k: m.params[k].copy() for k in ("ent_emb", "ent_bias")}}
+        first = [m.score_against_all(hq, rq, table=table) for hq, rq in zip(h, r)]
+        for hq, rq, want in zip(h, r, first):
+            np.testing.assert_array_equal(m.score_against_all(hq, rq, table=table), want)
+        np.testing.assert_array_equal(table.rn, np.sqrt(table.n))
+        now = {"n": table.n, "rn": table.rn, **{f"head.{k}": v for k, v in table.head.items()},
+               **{k: m.params[k] for k in ("ent_emb", "ent_bias")}}
+        for name, before in kept.items():
+            assert now[name].tobytes() == before.tobytes(), name
+
 
 class TestOneKernel:
     """Training, score() and score_against_all() share one tail kernel."""
@@ -582,6 +601,17 @@ class TestOneKernel:
         m._forward(h, r, t)
         assert counts == want
         assert want[0] == 1 and want[1] >= 3 and want[2] == want[1]
+        # the score-only pass over all entities counts each site as the
+        # training forward does over the same tails
+        every = np.arange(m.n_entities)[None]
+        for b in range(3):
+            counts.clear()
+            m.score_against_all(int(h[b]), int(r[b]))
+            alone = list(counts)
+            counts.clear()
+            m._forward(h[b:b + 1], r[b:b + 1], every)
+            assert alone == counts, b
+            assert alone[1] >= 1 and alone[2] == alone[1], b
 
 
 class TestCopy:
