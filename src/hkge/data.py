@@ -1,8 +1,13 @@
 """Dataset ingestion, vocabularies, reciprocal augmentation, filters.
 
 Benchmark layout: a directory with `train.txt`, `valid.txt`, `test.txt`,
-one `head<TAB>relation<TAB>tail` triple per line.  Vocabularies assign
-ids in first-appearance order over train, then valid, then test.
+one `head<TAB>relation<TAB>tail` triple per line.  A file is read as
+bytes: it must be UTF-8; LF, CRLF and a lone CR each end a line;
+whitespace-only lines are skipped; every other line has exactly three
+non-empty tab-separated fields, and names are compared as exact bytes.
+Separators are found and names numbered with NumPy, so one Python str
+is made per distinct name and none per line or field.  Vocabularies
+assign ids in first-appearance order over train, then valid, then test.
 Reciprocal augmentation gives every relation r a companion r + |R|
 (named `<r>^-1`) and doubles every split with (t, r+|R|, h) triples, so
 head prediction is ordinary tail prediction downstream.
@@ -82,53 +87,213 @@ class TripleStore:
             raise DatasetError(f"symbol not in vocabulary: {exc.args[0]!r}") from None
 
 
-def load_split(path):
-    """Parse one TSV triple file into a list of (h, r, t) string tuples."""
+SPLITS = ("train", "valid", "test")
+FIELDS = ("head", "relation", "tail")
+
+# Every character str.isspace() accepts: a line made only of these is
+# blank (`str.strip` would leave it empty) and is skipped.
+WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+              "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+# their UTF-8 encodings as integers (first byte highest), by byte width
+_SPACE_CODES = {w: np.array([int.from_bytes(c.encode(), "big") for c in WHITESPACE
+                             if len(c.encode()) == w]) for w in (1, 2, 3)}
+
+
+@dataclass(frozen=True)
+class Split:
+    """Parsed triple files: their bytes, joined, and where each field lies.
+
+    `data` is uint8: the files one after another, each with every line end
+    made "\\n" and a final "\\n" added when missing, then 7 zero bytes.
+    `fields` is an (n, 3, 2) array of each (head, relation, tail) field's
+    [start, end) byte offsets in `data`, file after file, int32 when they
+    fit; `sizes` holds each file's number of triples.
+    """
+
+    data: np.ndarray
+    fields: np.ndarray
+    sizes: tuple
+
+
+def _space_width(b, pos):
+    """Byte width of the whitespace character starting at each of `pos` in b, 0 if none."""
+    c0, c1, c2 = (b.take(pos + k, mode="clip").astype(np.int64) for k in range(3))
+    width = np.zeros(len(pos), dtype=np.int64)
+    width[np.isin(c0, _SPACE_CODES[1])] = 1
+    width[np.isin(c0 << 8 | c1, _SPACE_CODES[2])] = 2
+    width[np.isin(c0 << 16 | c1 << 8 | c2, _SPACE_CODES[3])] = 3
+    return width
+
+
+def _blank(b, starts, ends):
+    """Which of the lines b[starts:ends] hold only whitespace (b must be valid UTF-8).
+
+    Only a line whose first character is whitespace can be blank, so only
+    those lines' bytes are read.
+    """
+    first = b[starts]
+    maybe = np.flatnonzero((first <= 32) | (first >= 0x80))
+    cand = maybe[_space_width(b, starts[maybe]) > 0]
+    size = ends[cand] - starts[cand]
+    offset = np.cumsum(size) - size
+    pos = np.repeat(starts[cand] - offset, size) + np.arange(size.sum())
+    width = _space_width(b, pos)
+    covered = np.zeros(len(pos) + 2, dtype=bool)
+    for k in range(3):  # a character never spans two lines in valid UTF-8
+        covered[np.flatnonzero(width > k) + k] = True
+    solid = np.bincount(np.repeat(np.arange(len(cand)), size)[~covered[:len(pos)]],
+                        minlength=len(cand))
+    blank = np.zeros(len(starts), dtype=bool)
+    blank[cand[solid == 0]] = True
+    return blank
+
+
+def _parse(files):
+    """Parse (where, bytes) triple files, in order, into one `Split`; errors name `where`.
+
+    UTF-8; LF, CRLF or CR line ends; lines of only whitespace skipped;
+    every other line exactly three non-empty tab-separated fields.
+    """
+    wheres, raws = [], []
+    for where, raw in files:
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{where}: not valid UTF-8 ({exc})") from None
+        if b"\r" in raw:  # universal newlines: CRLF and a lone CR end a line too
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if raw and not raw.endswith(b"\n"):
+            raw += b"\n"
+        wheres.append(where)
+        raws.append(raw)
+    bounds = np.cumsum([0] + [len(raw) for raw in raws])  # where each file starts, then the end
+    data = np.frombuffer(b"".join(raws + [bytes(7)]), dtype=np.uint8)
+    del raws
+    b = data[:bounds[-1]]  # no line crosses a file boundary: each file ends in "\n"
+    line_ends = np.flatnonzero(b == 10)
+    line_starts = np.concatenate(([0], line_ends + 1))[:-1]
+    kept = np.flatnonzero(~_blank(b, line_starts, line_ends))
+    starts, ends = line_starts[kept], line_ends[kept]
+    tabs = np.flatnonzero(b == 9)
+    first_tab = np.searchsorted(tabs, starts)
+    n_tabs = np.searchsorted(tabs, ends) - first_tab
+    tabs = np.append(tabs, [len(b), len(b)])  # read only by lines with under 2 tabs
+    t1, t2 = tabs[first_tab], tabs[first_tab + 1]
+    fields = np.empty((len(starts), 6), dtype=np.int32 if len(data) < 2 ** 31 else np.int64)
+    for k, col in enumerate((starts, t1, t1 + 1, t2, t2 + 1, ends)):
+        fields[:, k] = col
+    fields = fields.reshape(-1, 3, 2)
+    empty = fields[:, :, 0] == fields[:, :, 1]
+    bad = (n_tabs != 2) | empty.any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        f = int(np.searchsorted(bounds, starts[i], side="right")) - 1
+        where = f"{wheres[f]}:{kept[i] - np.searchsorted(line_ends, bounds[f]) + 1}"
+        if n_tabs[i] != 2:
+            raise DatasetError(f"{where}: expected 3 tab-separated fields, got {n_tabs[i] + 1}")
+        raise DatasetError(f"{where}: empty {FIELDS[empty[i].argmax()]} field")
+    return Split(data, fields, tuple(np.diff(np.searchsorted(starts, bounds)).tolist()))
+
+
+def _read(path):
+    """(path, bytes) of a split file."""
     if not os.path.isfile(path):
         raise DatasetError(f"missing split file: {path}")
-    triples = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n").rstrip("\r")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise DatasetError(
-                        f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
-                    )
-                triples.append((parts[0], parts[1], parts[2]))
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path}: not valid UTF-8 ({exc})") from None
-    return triples
+    with open(path, "rb") as fh:
+        return path, fh.read()
+
+
+def load_split(path):
+    """Parse one triple file (format as in the module docstring) into a `Split`."""
+    return _parse([_read(path)])
+
+
+def _dense(keys):
+    """Ids 0..u-1 of the distinct values of an integer array, in value order,
+    and the first index at which each id occurs."""
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    del sorted_keys
+    ids = np.empty(len(keys), dtype=np.int64)
+    ids[order] = np.cumsum(new)
+    ids -= 1
+    return ids, np.minimum.reduceat(order, np.flatnonzero(new))
+
+
+def _factorize(data, spans):
+    """First-appearance ids of the byte strings data[s:e] for each [s, e) in
+    `spans` (..., 2), in C order, and the distinct strings decoded, in id order.
+
+    Strings are grouped by length, and a group of length L is compared as
+    ceil(L / 8) little-endian 8-byte words read at each start (bytes past L
+    masked off), so equal ids mean equal bytes.  `data` must run at least
+    7 bytes past every span.
+    """
+    start = spans[..., 0].ravel()
+    length = spans[..., 1].ravel() - start
+    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))  # 8 bytes at every offset
+    order = np.argsort(length, kind="stable")
+    cuts = np.flatnonzero(np.diff(length[order], prepend=-1))
+    ids = np.empty(len(start), dtype=np.int64)
+    firsts, n_seen = [np.empty(0, dtype=np.int64)], 0
+    for a, b in zip(cuts, np.append(cuts[1:], len(order))):
+        idx, size = order[a:b], int(length[order[a]])
+
+        def word(w):
+            out = words[start[idx] + w]
+            out &= np.uint64((1 << 8 * min(size - w, 8)) - 1)
+            return out
+
+        group, first = _dense(word(0))
+        for w in range(8, size, 8):  # number the distinct (ids so far, next word) pairs
+            col, col_first = _dense(word(w))
+            group, first = _dense(group * len(col_first) + col)
+        ids[idx] = group + n_seen
+        firsts.append(idx[first])
+        n_seen += len(first)
+    firsts = np.concatenate(firsts)
+    del order  # the transients go before the names are made
+    by_appearance = np.argsort(firsts)
+    rank = np.empty(len(firsts), dtype=np.int64)
+    rank[by_appearance] = np.arange(len(firsts))
+    # the distinct strings, each with the byte after it (a tab or a line end),
+    # gathered by a cumulative sum of source-index steps; then tab-joined
+    lo, size = start[firsts[by_appearance]], length[firsts[by_appearance]] + 1
+    ends = np.cumsum(size)
+    src = np.ones(int(size.sum()), dtype=start.dtype)
+    src[ends - size] = lo - np.append(0, lo + size - 1)[:-1]
+    text = data[np.cumsum(src, out=src)]
+    text[ends - 1] = ord("\t")
+    del start, length, src
+    return np.take(rank, ids, out=ids), text.tobytes().decode().split("\t")[:-1]
 
 
 def build_vocab(splits):
-    """First-appearance vocabularies over train -> valid -> test."""
-    entities, relations = [], []
-    ent_index, rel_index = {}, {}
-    for split_name in ("train", "valid", "test"):
-        for h, r, t in splits.get(split_name, []):
-            for e in (h, t):
-                if e not in ent_index:
-                    ent_index[e] = len(entities)
-                    entities.append(e)
-            if r not in rel_index:
-                rel_index[r] = len(relations)
-                relations.append(r)
-    encoded = {}
-    for split_name in ("train", "valid", "test"):
-        rows = [
-            (ent_index[h], rel_index[r], ent_index[t])
-            for h, r, t in splits.get(split_name, [])
-        ]
-        encoded[split_name] = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    """First-appearance vocabularies over train -> valid -> test.
+
+    `splits` is a `Split` of the train, valid and test files, or a mapping
+    from split name to a list of (h, r, t) name tuples, which are written
+    out as triple files' bytes (so no name may hold a tab or a line break)
+    and parsed as such.
+    """
+    if not isinstance(splits, Split):
+        splits = _parse((name, "".join(f"{h}\t{r}\t{t}\n" for h, r, t in splits.get(name, []))
+                         .encode()) for name in SPLITS)
+    data, fields = splits.data, splits.fields
+    ent_ids, entities = _factorize(data, fields[:, ::2])
+    rel_ids, relations = _factorize(data, fields[:, 1])
+    triples = np.empty((len(fields), 3), dtype=np.int64)
+    triples[:, ::2] = ent_ids.reshape(-1, 2)
+    triples[:, 1] = rel_ids
+    train, valid, test = np.split(triples, np.cumsum(splits.sizes[:2]))
     return TripleStore(
-        entities=entities, relations=relations,
-        train=encoded["train"], valid=encoded["valid"], test=encoded["test"],
+        entities=entities, relations=relations, train=train, valid=valid, test=test,
         n_base_relations=len(relations),
-        ent_index=ent_index, rel_index=rel_index,
+        ent_index=dict(zip(entities, range(len(entities)))),
+        rel_index=dict(zip(relations, range(len(relations)))),
     )
 
 
@@ -175,11 +340,8 @@ def load_dataset(dataset_dir, *, verify_reference=True, report=None):
     """
     if not os.path.isdir(dataset_dir):
         raise DatasetError(f"dataset directory not found: {dataset_dir}")
-    splits = {}
-    for split_name in ("train", "valid", "test"):
-        path = os.path.join(dataset_dir, f"{split_name}.txt")
-        splits[split_name] = load_split(path)
-    store = build_vocab(splits)
+    store = build_vocab(_parse(_read(os.path.join(dataset_dir, f"{split_name}.txt"))
+                               for split_name in SPLITS))
     store.name = os.path.basename(os.path.normpath(dataset_dir))
     if verify_reference:
         errors, warnings = check_reference(store.name, dataset_stats(store))
@@ -273,15 +435,17 @@ def build_filter_index(store):
     return FilterIndex(n_r, hr[starts], np.append(starts, len(hr)), tails)
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, rows, mode="w"):
     """Write one run table: a header line, then each row dict's cells by column.
 
     Comma-separated, LF line ends, quoted only where a cell needs it;
     floats to 6 decimals, None as an empty cell, anything else as str.
+    With mode "a" the rows are appended to the table and no header is written.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, mode, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        if mode == "w":
+            writer.writerow(header)
         writer.writerows([f"{row[k]:.6f}" if isinstance(row[k], float) else row[k]
                           for k in header] for row in rows)
 

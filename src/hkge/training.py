@@ -205,13 +205,6 @@ class TrainResult:
     last_epoch: int = 0  # the epoch the run ended in
 
 
-def _log_row(epoch, split, **cells):
-    """One metric-log row: every METRIC_LOG_HEADER column, None where unset."""
-    row = dict.fromkeys(METRIC_LOG_HEADER.split(","))
-    row.update(epoch=epoch, split=split, **cells)
-    return row
-
-
 def train(model, store, config, filters=None, log=None):
     """Mini-batch training with periodic filtered validation.
 
@@ -220,7 +213,8 @@ def train(model, store, config, filters=None, log=None):
     validation MRR (float32-rounded, i.e. exactly what a checkpoint
     holds), or the final parameters untouched if validation never ran.
     A non-finite number in training or validation ends the run as
-    diverged, and it returns the same way.
+    diverged, and it returns the same way.  Each history row goes to
+    `log` (a MetricLog) as soon as it is made.
     """
     config.validate()
     if filters is None and len(store.valid):
@@ -238,6 +232,14 @@ def train(model, store, config, filters=None, log=None):
     result = TrainResult(model=model)
     bad_rounds = 0
 
+    def record(epoch, split, **cells):
+        """Log one row: every METRIC_LOG_HEADER column, None where unset."""
+        row = dict.fromkeys(METRIC_LOG_HEADER.split(","))
+        row.update(epoch=epoch, split=split, **cells)
+        result.history.append(row)
+        if log is not None:
+            log.append(row)
+
     try:
         for epoch in range(1, config.epochs + 1):
             result.last_epoch = epoch
@@ -253,9 +255,8 @@ def train(model, store, config, filters=None, log=None):
                     clip_grads(grads, config.grad_clip)
                 optimizer.step(model, grads)
                 term_sum += value * (len(batch) * (1 + config.neg_samples))
-            result.history.append(_log_row(
-                epoch, "train", loss=term_sum / (n_train * (1 + config.neg_samples)),
-                clamp_events=geometry.clamp_events()))
+            record(epoch, "train", loss=term_sum / (n_train * (1 + config.neg_samples)),
+                   clamp_events=geometry.clamp_events())
 
             if len(store.valid) and (epoch % config.eval_every == 0 or epoch == config.epochs):
                 geometry.reset_clamp_events()
@@ -263,10 +264,9 @@ def train(model, store, config, filters=None, log=None):
                 # a NumericError here means f32 overflow: the checkpoint would be unusable
                 report = evaluation.evaluate_split(snapshot, store.valid, filters,
                                                    seed=config.seed)
-                result.history.append(_log_row(
-                    epoch, "valid", mrr=report.mrr,
-                    **{f"h{k}": v for k, v in report.hits.items()},
-                    clamp_events=geometry.clamp_events()))
+                record(epoch, "valid", mrr=report.mrr,
+                       **{f"h{k}": v for k, v in report.hits.items()},
+                       clamp_events=geometry.clamp_events())
                 if result.best_mrr is None or report.mrr > result.best_mrr:
                     result.best_mrr = report.mrr
                     result.best_epoch = epoch
@@ -279,17 +279,19 @@ def train(model, store, config, filters=None, log=None):
                         break
     except NumericError:
         result.diverged = True
-
-    if log is not None:
-        log.write_rows(result.history)
     return result
 
 
 class MetricLog:
-    """CSV metric log with the METRIC_LOG_HEADER columns."""
+    """CSV metric log with the METRIC_LOG_HEADER columns.
+
+    Creating one writes the header; each row is appended, and reaches the
+    file, when it is logged, so an interrupted run keeps every finished row.
+    """
 
     def __init__(self, path):
         self.path = path
+        data.write_csv(path, METRIC_LOG_HEADER.split(","), [])
 
-    def write_rows(self, rows):
-        data.write_csv(self.path, METRIC_LOG_HEADER.split(","), rows)
+    def append(self, row):
+        data.write_csv(self.path, METRIC_LOG_HEADER.split(","), [row], mode="a")

@@ -33,16 +33,99 @@ def write_toy(root):
     return root
 
 
+def split_names(split):
+    """The (h, r, t) name tuples of a parsed split."""
+    text = split.data.tobytes()
+    return [tuple(text[s:e].decode() for s, e in row) for row in split.fields.tolist()]
+
+
+def reference_load(root):
+    """Line-by-line reading of a dataset directory: the semantics
+    load_dataset keeps (universal newlines, blank lines skipped, first
+    appearance order over train -> valid -> test)."""
+    splits = {}
+    for name in ("train", "valid", "test"):
+        with open(root / f"{name}.txt", encoding="utf-8") as fh:
+            rows = [tuple(line.rstrip("\n").split("\t")) for line in fh if line.strip()]
+        assert all(len(row) == 3 and all(row) for row in rows)
+        splits[name] = rows
+    ents, rels = {}, {}
+    for rows in splits.values():
+        for h, r, t in rows:
+            ents.setdefault(h, len(ents))
+            rels.setdefault(r, len(rels))
+            ents.setdefault(t, len(ents))
+    arrays = {name: np.array([(ents[h], rels[r], ents[t]) for h, r, t in rows],
+                             dtype=np.int64).reshape(-1, 3) for name, rows in splits.items()}
+    return list(ents), list(rels), arrays
+
+
+def assert_matches_reference(root):
+    store = load_dataset(root, verify_reference=False)
+    entities, relations, arrays = reference_load(root)
+    assert store.entities == entities
+    assert store.relations == relations
+    assert store.ent_index == {e: i for i, e in enumerate(entities)}
+    assert store.rel_index == {r: i for i, r in enumerate(relations)}
+    assert store.n_base_relations == len(relations)
+    for name, want in arrays.items():
+        got = store.split(name)
+        assert got.dtype == np.int64 and got.flags.c_contiguous and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    return store
+
+
+def write_splits(root, contents):
+    """Write each split's bytes (missing splits are empty files)."""
+    root.mkdir(exist_ok=True)
+    for name in ("train", "valid", "test"):
+        (root / f"{name}.txt").write_bytes(contents.get(name, b""))
+    return root
+
+
+def random_names(rng, count):
+    """Distinct names of 1-40 UTF-8 bytes: multi-byte characters, spaces
+    (inner, leading, and whole-whitespace names), and groups that differ
+    only in their last byte."""
+    alphabet = list("abcxyz019_/. ") + ["é", "ß", "中", "🙂", "\u3000", "\xa0"]
+    names = set()
+    while len(names) < count:
+        name = ""
+        size = int(rng.integers(1, 41))
+        while True:
+            ch = alphabet[int(rng.integers(len(alphabet)))]
+            if len((name + ch).encode()) > size:
+                break
+            name += ch
+        if not name:
+            continue
+        names.add(name)
+        if rng.random() < 0.3 and len(name.encode()) < 40:
+            names.update(name + last for last in "ab")
+    return sorted(names)
+
+
 class TestLoadSplit:
     def test_parses_in_order(self, tmp_path):
         path = tmp_path / "train.txt"
         path.write_text("a\tr\tb\nb\tr\tc\n")
-        assert load_split(path) == [("a", "r", "b"), ("b", "r", "c")]
+        split = load_split(path)
+        assert split_names(split) == [("a", "r", "b"), ("b", "r", "c")]
+        assert split.fields.shape == (2, 3, 2)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "train.txt"
         path.write_text("a\tr\tb\n\n   \nb\tr\tc\n")
-        assert len(load_split(path)) == 2
+        assert load_split(path).sizes == (2,)
+
+    @pytest.mark.parametrize("blank", ["   ", "\t\t", "\u3000", " \t\u2003\t\x0b\x1c\x85\xa0"])
+    def test_whitespace_only_lines_skipped(self, tmp_path, blank):
+        path = tmp_path / "train.txt"
+        path.write_text(f"a\tr\tb\n{blank}\n{blank}\nc\tr\td\n", encoding="utf-8")
+        assert split_names(load_split(path)) == [("a", "r", "b"), ("c", "r", "d")]
+
+    def test_whitespace_set_is_str_isspace(self):
+        assert set(data.WHITESPACE) == {c for c in map(chr, range(0x110000)) if c.isspace()}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="missing split file"):
@@ -54,10 +137,83 @@ class TestLoadSplit:
         with pytest.raises(DatasetError, match=r":2: expected 3"):
             load_split(path)
 
+    @pytest.mark.parametrize("raw, line, got", [
+        (b"a\tr\tb\n\n   \n\t\t\n\xe3\x80\x80\nc\td\n", 6, 2),
+        (b"a\tr\tb\r\n\r\nc\tr\td\te\r\n", 3, 4),
+        (b"a\tr\tb\r\rx", 3, 1),
+    ])
+    def test_field_count_names_the_physical_line(self, tmp_path, raw, line, got):
+        path = tmp_path / "train.txt"
+        path.write_bytes(raw)
+        with pytest.raises(DatasetError,
+                           match=rf"train.txt:{line}: expected 3 tab-separated fields, got {got}$"):
+            load_split(path)
+
+    @pytest.mark.parametrize("bad, which", [
+        ("a\t\tb", "relation"), ("a\t\t", "relation"), ("a\tr\t", "tail"), ("\tr\tb", "head"),
+    ])
+    def test_empty_field_rejected(self, tmp_path, bad, which):
+        path = tmp_path / "train.txt"
+        path.write_text(f"a\tr\tb\n\n{bad}\nc\tr\td\n")
+        with pytest.raises(DatasetError, match=rf"train.txt:3: empty {which} field"):
+            load_split(path)
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "train.txt"
+        path.write_bytes(b"a\tr\tb\n\xff\tr\tc\n")
+        with pytest.raises(DatasetError, match=r"train.txt: not valid UTF-8 \("):
+            load_split(path)
+
     def test_symbols_may_contain_spaces(self, tmp_path):
         path = tmp_path / "train.txt"
         path.write_text("New York\tpart of\tUnited States\n")
-        assert load_split(path) == [("New York", "part of", "United States")]
+        assert split_names(load_split(path)) == [("New York", "part of", "United States")]
+
+
+class TestLoaderSemantics:
+    """load_dataset against the line-by-line reference."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_names_match_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        ents, rels = random_names(rng, 80), random_names(rng, 12)
+        contents = {}
+        for name, n in (("train", 300), ("valid", 40), ("test", 40)):
+            lines = [f"{ents[h]}\t{rels[r]}\t{ents[t]}" for h, r, t in
+                     zip(rng.integers(0, len(ents), n), rng.integers(0, len(rels), n),
+                         rng.integers(0, len(ents), n))]
+            contents[name] = ("\n".join(lines) + "\n").encode()
+        contents["train"] = "\ufeff".encode() + contents["train"]  # a leading BOM
+        store = assert_matches_reference(write_splits(tmp_path / "kg", contents))
+        assert store.entities[0].startswith("\ufeff")
+
+    @pytest.mark.parametrize("train", [
+        b"a\tr\tb\r\nb\tr\tc\r\n",            # CRLF
+        b"a\tr\tb\rb\tr\tc\r",                  # a lone CR ends a line
+        b"a\tr\tb\r\r\nb\tr\tc",                 # CR then CRLF, no final newline
+        b"a\tr\tb\nb\tq\tc",                     # no final newline
+        b"",                                    # an empty file
+    ])
+    def test_line_endings_match_reference(self, tmp_path, train):
+        assert_matches_reference(write_splits(tmp_path / "kg", {
+            "train": train, "valid": b"c\tr\ta\r\n", "test": b"d\tr\ta"}))
+
+    def test_errors_name_the_file_and_its_own_line(self, tmp_path):
+        root = write_splits(tmp_path / "kg", {"train": b"a\tr\tb\n\nc\tr\td\n",
+                                              "valid": b"\n a\tr\tb\r\nx\ty\n"})
+        with pytest.raises(DatasetError, match=r"valid.txt:3: expected 3 tab-separated fields, got 2$"):
+            load_dataset(root, verify_reference=False)
+
+    def test_build_vocab_rejects_empty_names(self):
+        with pytest.raises(DatasetError, match=r"^valid:1: empty tail field$"):
+            build_vocab({"train": [("a", "r", "b")], "valid": [("a", "r", "")]})
+
+    def test_build_vocab_of_tuples_matches_load(self, tmp_path):
+        root = write_toy(tmp_path)
+        loaded, built = load_dataset(root), build_vocab(TOY)
+        assert (loaded.entities, loaded.relations) == (built.entities, built.relations)
+        for name in TOY:
+            np.testing.assert_array_equal(loaded.split(name), built.split(name))
 
 
 class TestVocab:

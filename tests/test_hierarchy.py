@@ -412,6 +412,25 @@ class TestXiEstimate:
         with pytest.raises(ValueError, match="no valid xi sample"):
             xi_estimate(g, n_samples=5)
 
+    def test_no_three_node_component_fails_before_any_draw(self, monkeypatch):
+        calls, default_rng = [], np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def choice(self, *args, **kwargs):
+                calls.append(1)
+                return self.rng.choice(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        with pytest.raises(ValueError, match="no valid xi sample"):
+            xi_estimate(build_graph("r", [(0, 1), (2, 3), (4, 5)]), n_samples=10_000)
+        assert calls == []
+        with pytest.raises(ValueError, match="no valid xi sample"):
+            xi_estimate(build_graph("r", [(0, 1), (1, 2)]), n_samples=5)
+        assert len(calls) == 1000  # the counter sees draws where a 3-node component exists
+
     def test_rejections_are_counted(self):
         g = build_graph("r", random_tree_edges(30, seed=3))
         result = xi_estimate(g, n_samples=50, seed=1)

@@ -708,3 +708,27 @@ class TestTrainLoop:
         # 4 train rows + evals at epochs 2 and 4
         assert len(lines) == 1 + 4 + 2
         assert lines[1].startswith("1,train,")
+
+    def test_metric_log_keeps_rows_of_an_interrupted_run(self, tmp_path, monkeypatch):
+        from hkge.training import MetricLog
+        store = chain_store()
+        cfg = ModelConfig(dim=4, curvature_mode="fixed_one")
+        tcfg = TrainConfig(epochs=4, batch_size=8, neg_samples=2, eval_every=2, seed=5)
+        steps_per_epoch = -(-len(store.train) // tcfg.batch_size)
+        step, calls = training.Adagrad.step, []
+
+        def interrupted(self, model, grads):
+            calls.append(1)
+            if len(calls) > 2 * steps_per_epoch:
+                raise KeyboardInterrupt
+            step(self, model, grads)
+
+        monkeypatch.setattr(training.Adagrad, "step", interrupted)
+        m = KGEModel.init(cfg, store.n_entities, store.n_relations, seed=5)
+        path = tmp_path / "metrics.csv"
+        with pytest.raises(KeyboardInterrupt):
+            train(m, store, tcfg, log=MetricLog(path))
+        lines = path.read_text().split("\n")
+        assert lines[0] == METRIC_LOG_HEADER and lines[-1] == ""
+        assert [line.split(",")[:2] for line in lines[1:-1]] == [
+            ["1", "train"], ["2", "train"], ["2", "valid"]]
