@@ -38,10 +38,12 @@ class CheckpointError(ValueError):
 
 
 def round_trip_f32(model):
-    """The model as a checkpoint would store it (float32 precision).
+    """The model as ``load`` returns it after ``save``: every group rounded
+    to float32 and held in float64, so it scores in float64 arithmetic.
 
     Validation metrics are always computed on this view so the logged
-    numbers describe exactly the model that gets saved.
+    numbers describe exactly the model that gets saved.  For a float32
+    model, the dtype training runs in, it is a float64 copy.
     """
     params = {k: v.astype(STORED).astype(np.float64) for k, v in model.params.items()}
     return KGEModel(model.config, model.n_entities, model.n_relations, params)

@@ -217,7 +217,7 @@ def cmd_train(cfg):
         saved = (f"the best validated parameters, from epoch {result.best_epoch}"
                  if result.best_epoch is not None else
                  f"the parameters at divergence, in epoch {result.last_epoch}")
-        print(f"training aborted on a non-finite number; saved {saved}", file=sys.stderr)
+        print(f"training aborted: {result.error}; saved {saved}", file=sys.stderr)
         return 2
     if result.best_mrr is not None:
         print(f"best validation MRR {result.best_mrr:.4f} at epoch {result.best_epoch}")

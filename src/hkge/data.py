@@ -157,7 +157,8 @@ def _parse(files):
     wheres, raws = [], []
     for where, raw in files:
         try:
-            raw.decode("utf-8")
+            if not raw.isascii():  # ASCII is UTF-8: only the rest is decoded to check it
+                raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DatasetError(f"{where}: not valid UTF-8 ({exc})") from None
         if b"\r" in raw:  # universal newlines: CRLF and a lone CR end a line too

@@ -27,6 +27,11 @@ pair (l, t) enters only through ||l||^2, ||t||^2 and <l, t>.  Its VJP
 reads the forward's cache; a forward that no backward follows keeps
 none and reuses its own buffers.  ``hyp_distance`` composes the public
 functions and is kept as the kernel's independent reference.
+
+Cores, VJPs and the ratio helpers keep the dtype of their arguments,
+so a float32 model trains in float32 arithmetic.  The public functions
+validate into float64 (``_as_float``, ``_as_curvature``): they are the
+references that tests and the benchmark oracle compare against.
 """
 
 import threading
@@ -85,7 +90,7 @@ def _norm(x):
 
 def tanh_ratio(z):
     """tanh(z)/z, stable at z = 0 (limit 1)."""
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z)
     big = z > TAU_SMALL
     out = np.tanh(z, out=np.empty_like(z))
     np.divide(out, z, out=out, where=big)
@@ -97,7 +102,7 @@ def tanh_ratio(z):
 
 def artanh_ratio(g):
     """arctanh(g)/g for 0 <= g < 1, stable at g = 0 (limit 1)."""
-    g = np.asarray(g, dtype=np.float64)
+    g = np.asarray(g)
     gs = np.where(g > TAU_SMALL, g, 0.5)  # placeholder keeps arctanh finite
     return np.where(g > TAU_SMALL, np.arctanh(gs) / gs, 1.0 + g * g / 3.0)
 
@@ -109,7 +114,7 @@ def tanh_ratio_prime_over_z(z):
     (sech^2(z) - tanh(z)/z) / z^2 cancels catastrophically for small z,
     so below 0.05 a series expansion takes over.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z)
     small = z < 0.05
     zs = np.where(small, 1.0, z)
     t = np.tanh(zs)
@@ -183,12 +188,17 @@ def _mobius_terms(x, y, c):
     return dot, nx2, ny2, A, B, D
 
 
+class DenominatorError(ValueError):
+    """A Mobius denominator within DEN_EPS of zero: the points are antipodal
+    at the boundary, and their sum is not representable."""
+
+
 def _check_denominator(D, query=None):
-    """Raise ValueError where |D| < DEN_EPS; ``query(b)`` names row b."""
+    """Raise DenominatorError where |D| < DEN_EPS; ``query(b)`` names row b."""
     bad = np.abs(D) < DEN_EPS
     if np.any(bad):
         where = "" if query is None else f" for {query(int(np.argwhere(bad)[0][0]))}"
-        raise ValueError(f"degenerate mobius denominator{where}")
+        raise DenominatorError(f"degenerate mobius denominator{where}")
 
 
 def _mobius_add(x, y, c, query=None):
@@ -404,7 +414,8 @@ def block_rotate(x, theta):
 def _turn(x, cos, sin):
     """Rotate coordinate pair i of x by the angle with cosine cos_i and sine sin_i."""
     xp = _pairs(x)
-    out = np.empty(np.broadcast_shapes(xp[..., 0].shape, cos.shape) + (2,))
+    out = np.empty(np.broadcast_shapes(xp[..., 0].shape, cos.shape) + (2,),
+                   dtype=np.result_type(x, cos))
     out[..., 0] = xp[..., 0] * cos - xp[..., 1] * sin
     out[..., 1] = xp[..., 0] * sin + xp[..., 1] * cos
     return out.reshape(out.shape[:-2] + (out.shape[-2] * 2,))

@@ -16,15 +16,18 @@ geometry and ``geometry._gram_sqdist`` on the ball.  So only the tail
 embeddings are (B, M, d), and the gradient of each tail is
 alpha*lhs + beta*t, which ``_gather`` sums with one sparse product.
 
-Training (``_forward``, gathered tails) and ``score_against_all``
-(the whole embedding table, in place) share both stages, so a
-number scored during evaluation is bitwise the number scored during
-training.  That rests on one rule: every reduction over the embedding
-axis is done row by row (``np.sum(u * v, axis=-1)`` on the head side,
-``np.vecdot`` on the tails), so a row's result does not depend on how
-many rows there are or where they live.  A BLAS matrix product such as
-``lhs @ ent_emb.T`` blocks over rows, depends on the shape and would
-break it.
+Every stage keeps the dtype of the parameter arrays (``dtype``):
+``init`` makes float32 tables, so training runs in float32, and
+``checkpoint.load`` makes float64 ones, so evaluation scores the stored
+float32 weights in float64 arithmetic.  Training (``_forward``,
+gathered tails) and ``score_against_all`` (the whole embedding table,
+in place) share both stages, so for a model of either dtype a number
+scored by one is bitwise the number scored by the other.  That rests
+on one rule: every reduction over the embedding axis is done row by
+row (``np.sum(u * v, axis=-1)`` on the head side, ``np.vecdot`` on the
+tails), so a row's result does not depend on how many rows there are
+or where they live.  A BLAS matrix product such as ``lhs @ ent_emb.T``
+blocks over rows, depends on the shape and would break it.
 
 ||t||^2 is an input of ``_tails``: ``_forward`` computes it for its
 gathered tails, and ``scoring_table`` computes it and its square root
@@ -76,7 +79,7 @@ def softplus(x):
 
 
 def sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -194,10 +197,12 @@ class ScoringTable:
 
 def _segment_sum(values, index, n_segments):
     """Sum `values` rows into `n_segments` buckets given by `index`."""
-    if values.ndim == 1:
-        return np.bincount(index, weights=values, minlength=n_segments)
+    if values.ndim == 1:  # bincount sums in float64
+        return np.bincount(index, weights=values,
+                           minlength=n_segments).astype(values.dtype, copy=False)
     n = index.shape[0]
-    summer = sparse.csr_matrix((np.ones(n), (index, np.arange(n))), shape=(n_segments, n))
+    summer = sparse.csr_matrix((np.ones(n, dtype=values.dtype), (index, np.arange(n))),
+                               shape=(n_segments, n))
     return summer @ values
 
 
@@ -215,10 +220,12 @@ class KGEModel:
 
     @classmethod
     def init(cls, config, n_entities, n_relations, seed=0):
-        """Fresh parameters: Gaussian embeddings, identity transforms.
+        """Fresh float32 parameters: Gaussian embeddings, identity transforms.
 
-        All groups are drawn in one order and the unread ones dropped, so
-        a seed gives a group the same values in every configuration."""
+        All groups are drawn in float64, in one order, and the unread ones
+        dropped, so a seed gives a group the same values in every
+        configuration; then each is rounded to float32, the dtype the
+        model trains in."""
         shapes = param_shapes(config, n_entities, n_relations)
         rng = np.random.default_rng(seed)
         d = config.dim
@@ -234,7 +241,13 @@ class KGEModel:
             "attn_p": rng.normal(0.0, 1.0, d) * s,
             "curv_raw": np.full(shapes.get("curv_raw", ()), SOFTPLUS_UNIT),
         }
-        return cls(config, n_entities, n_relations, params)
+        return cls(config, n_entities, n_relations,
+                   {k: v.astype(np.float32) for k, v in params.items()})
+
+    @property
+    def dtype(self):
+        """The parameters' dtype, which every kernel's arithmetic keeps."""
+        return self.params["ent_emb"].dtype
 
     def copy(self):
         params = {k: np.array(v, copy=True) for k, v in self.params.items()}
@@ -259,7 +272,7 @@ class KGEModel:
         mode = self.config.curvature_mode
         B = he.shape[0]
         if mode == "fixed_one":
-            return np.ones(B), {}
+            return np.ones(B, dtype=self.dtype), {}
         if mode in ("global", "per_relation"):
             raw = self.params["curv_raw"]
             c, dcdraw = _floored_softplus(np.full(B, raw) if raw.ndim == 0 else raw[r_ids])
@@ -501,14 +514,17 @@ class KGEModel:
         K = ent_rows.shape[0]
         # one sparse product adds the head rows and every alpha*lhs term
         cols = np.concatenate([np.arange(B), B + np.repeat(np.arange(B), M)])
-        weights = np.concatenate([np.ones(B), alpha.ravel()])
+        weights = np.concatenate([np.ones(B, dtype=self.dtype), alpha.ravel()])
         summer = sparse.csr_matrix((weights, (ent_inv, cols)), shape=(K, 2 * B))
         q["ent_emb"] = summer @ np.concatenate([q["ent_emb"], lhs])
         tail = self.params["ent_emb"].take(ent_rows, axis=0)
-        tail *= np.bincount(ent_inv[B:], weights=beta.ravel(), minlength=K)[:, None]
+        # bincount sums in float64; its sums are rounded to the model's dtype
+        tail *= np.bincount(ent_inv[B:], weights=beta.ravel(),
+                            minlength=K).astype(self.dtype, copy=False)[:, None]
         q["ent_emb"] += tail
         q["ent_bias"] = np.bincount(
-            ent_inv, weights=np.concatenate([np.sum(sbar, axis=-1), sbar.ravel()]), minlength=K)
+            ent_inv, weights=np.concatenate([np.sum(sbar, axis=-1), sbar.ravel()]),
+            minlength=K).astype(self.dtype, copy=False)
 
         # the 2-D relation groups in one segment sum; its columns add independently
         rel_rows, rel_inv = np.unique(r_ids, return_inverse=True)

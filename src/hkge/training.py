@@ -2,8 +2,12 @@
 
 Gradients come from ``KGEModel.backward`` (hand-accumulated reverse
 mode); this module only adds the loss head on top and owns the
-parameter-update bookkeeping.  Everything is float64 and deterministic
-for a given seed in single-threaded mode.
+parameter-update bookkeeping.  The arithmetic keeps the parameters'
+dtype (float32 for a model from ``KGEModel.init``): the loss terms,
+every gradient and the optimizer state.  A run is bitwise
+deterministic for a given seed.  Validation scores the float64 view of
+the float32-rounded weights (``round_trip_f32``), exactly as evaluating
+the saved checkpoint does.
 """
 
 from dataclasses import dataclass, field
@@ -59,12 +63,13 @@ def sample_negatives(rng, n_entities, n):
     return rng.integers(0, n_entities, size=n)
 
 
-def _assemble_tails(positives, negatives):
+def _assemble_tails(positives, negatives, dtype):
+    """The (B, 1 + n_neg) tail ids and their labels y, as ``dtype``."""
     t_true = positives[:, 2:3]
     if negatives is None:
-        return t_true, -np.ones_like(t_true, dtype=np.float64)
+        return t_true, -np.ones(t_true.shape, dtype=dtype)
     tails = np.concatenate([t_true, negatives], axis=1)
-    y = np.ones(tails.shape, dtype=np.float64)
+    y = np.ones(tails.shape, dtype=dtype)
     y[:, 0] = -1.0
     return tails, y
 
@@ -85,7 +90,7 @@ def loss(model, positives, negatives=None):
     y = -1 for the true triple, +1 for each corrupted tail.
     """
     positives = np.asarray(positives)
-    tails, y = _assemble_tails(positives, negatives)
+    tails, y = _assemble_tails(positives, negatives, model.dtype)
     scores = model._forward(positives[:, 0], positives[:, 1], tails)
     _check_finite_scores(scores, positives, tails)
     return float(np.mean(softplus(y * scores)))
@@ -93,7 +98,7 @@ def loss(model, positives, negatives=None):
 
 def loss_and_grads(model, positives, negatives=None):
     positives = np.asarray(positives)
-    tails, y = _assemble_tails(positives, negatives)
+    tails, y = _assemble_tails(positives, negatives, model.dtype)
     scores, cache = model._forward(
         positives[:, 0], positives[:, 1], tails, need_cache=True
     )
@@ -201,6 +206,7 @@ class TrainResult:
     best_epoch: int | None = None
     best_mrr: float | None = None
     diverged: bool = False
+    error: str | None = None  # what ended a diverged run: it names the query or group
     stopped_early: bool = False
     last_epoch: int = 0  # the epoch the run ended in
 
@@ -212,9 +218,10 @@ def train(model, store, config, filters=None, log=None):
     from the store when omitted).  Returns the model with the best
     validation MRR (float32-rounded, i.e. exactly what a checkpoint
     holds), or the final parameters untouched if validation never ran.
-    A non-finite number in training or validation ends the run as
-    diverged, and it returns the same way.  Each history row goes to
-    `log` (a MetricLog) as soon as it is made.
+    A non-finite number or a degenerate Mobius denominator in training
+    or validation ends the run as diverged, and it returns the same way,
+    with the error's message in `error`.  Each history row goes to `log`
+    (a MetricLog) as soon as it is made.
     """
     config.validate()
     if filters is None and len(store.valid):
@@ -277,8 +284,9 @@ def train(model, store, config, filters=None, log=None):
                     if bad_rounds >= config.patience:
                         result.stopped_early = True
                         break
-    except NumericError:
+    except (NumericError, geometry.DenominatorError) as exc:
         result.diverged = True
+        result.error = str(exc)
     return result
 
 

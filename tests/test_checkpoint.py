@@ -40,6 +40,21 @@ def test_round_trip_all_configurations(tmp_path, mode, geometry, inter, intra):
         assert np.all(val != m.params[key])  # the rounding did happen
 
 
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_round_trip_f32_is_what_load_returns(tmp_path, dtype):
+    # a float32 model (as training holds it) and a float64 one both come
+    # back from a file as float64 arrays of their float32 values
+    m = make_model()
+    m.params = {k: v.astype(dtype) for k, v in m.params.items()}
+    save(m, tmp_path / "model.bin")
+    back, snap = load(tmp_path / "model.bin"), round_trip_f32(m)
+    assert list(snap.params) == list(back.params)
+    for key, val in snap.params.items():
+        assert val.dtype == back.params[key].dtype == np.float64, key
+        assert val.tobytes() == back.params[key].tobytes(), key
+        np.testing.assert_array_equal(val.astype(np.float32), m.params[key].astype(np.float32))
+
+
 def test_round_trip_preserves_flags(tmp_path):
     for inter, intra in ((True, True), (False, True), (True, False), (False, False)):
         m = make_model(inter=inter, intra=intra)

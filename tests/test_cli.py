@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,37 @@ class TestTrain:
             message = f"saved the parameters at divergence, in epoch {fail_from}"
         assert message in capsys.readouterr().err
         assert (out / "checkpoint.bin").exists()
+
+    def test_degenerate_denominator_saves_the_best_and_names_the_query(
+            self, tree_dir, tmp_path, capsys, monkeypatch):
+        # after the epoch-2 step every head and translation sits saturated
+        # at opposite points of the boundary, so epoch 2's validation meets
+        # a zero Mobius denominator; the epoch-1 snapshot is saved
+        flags = ("--curvature-mode", "fixed", "--eval-every", "1", "--batch-size", "100000")
+        ref = tmp_path / "ref"
+        assert run_train(tree_dir, ref, *flags, "--epochs", "1") == 0
+        step, calls = training.Adagrad.step, []
+
+        def saturating(self, model, grads):
+            step(self, model, grads)
+            calls.append(1)
+            if len(calls) == 2:  # one batch per epoch
+                P = model.params
+                for name, value in (("ent_emb", 100.0), ("rel_trans", -100.0)):
+                    P[name][:] = 0.0
+                    P[name][:, 0] = value
+                P["rel_scale"][:], P["rel_theta"][:] = 1.0, 0.0
+
+        monkeypatch.setattr(training.Adagrad, "step", saturating)
+        out = tmp_path / "run"
+        assert run_train(tree_dir, out, *flags) == 2
+        assert re.search(r"^training aborted: degenerate mobius denominator for query "
+                         r"\(h=\d+, r=\d+\); saved the best validated parameters, "
+                         r"from epoch 1$", capsys.readouterr().err, re.M)
+        rows = (out / "metrics.csv").read_text().split("\n")[1:-1]
+        assert [row.split(",")[:2] for row in rows] == [["1", "train"], ["1", "valid"],
+                                                        ["2", "train"]]
+        assert (out / "checkpoint.bin").read_bytes() == (ref / "checkpoint.bin").read_bytes()
 
     def test_mode_flag_mapping(self, tree_dir, tmp_path):
         out = tmp_path / "run"

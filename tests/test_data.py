@@ -164,6 +164,16 @@ class TestLoadSplit:
         with pytest.raises(DatasetError, match=r"train.txt: not valid UTF-8 \("):
             load_split(path)
 
+    def test_non_ascii_file_is_checked_as_utf8(self, tmp_path):
+        # only a file with a byte >= 0x80 is decoded: a valid one loads, and a
+        # multi-byte character cut short is still an error
+        path = tmp_path / "train.txt"
+        path.write_text("Zürich\tin\t中国\n", encoding="utf-8")
+        assert split_names(load_split(path)) == [("Zürich", "in", "中国")]
+        path.write_bytes("Zürich\tin\t中国\n".encode()[:-2] + b"\n")
+        with pytest.raises(DatasetError, match=r"train.txt: not valid UTF-8 \("):
+            load_split(path)
+
     def test_symbols_may_contain_spaces(self, tmp_path):
         path = tmp_path / "train.txt"
         path.write_text("New York\tpart of\tUnited States\n")

@@ -17,6 +17,7 @@ from hkge.evaluation import (
     write_global_csv,
     write_per_relation_csv,
 )
+from hkge.checkpoint import round_trip_f32
 from hkge.model import CURVATURE_MODES, GEOMETRIES, KGEModel, ModelConfig
 from hkge.training import NumericError
 
@@ -283,9 +284,11 @@ def use_cpus(monkeypatch, n):
 
 def boundary_model():
     """Attention model whose points crowd the ball's boundary, so that
-    ranking clamps; 24 queries over 40 entities and 2 relations."""
-    m = KGEModel.init(ModelConfig(dim=4, curvature_mode="attention", init_scale=3.0),
-                      40, 2, seed=3)
+    ranking clamps; 24 queries over 40 entities and 2 relations.
+
+    It ranks in float64, as every ranking does after ``checkpoint.load``."""
+    m = round_trip_f32(KGEModel.init(
+        ModelConfig(dim=4, curvature_mode="attention", init_scale=3.0), 40, 2, seed=3))
     rng = np.random.default_rng(0)
     triples = np.stack([rng.integers(0, 40, 24), rng.integers(0, 2, 24),
                         rng.integers(0, 40, 24)], axis=1)

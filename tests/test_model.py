@@ -16,19 +16,25 @@ from hkge.model import (
 )
 
 
-def blank_model(cfg, n_entities, n_relations):
-    """Model with zero embeddings/biases and identity transforms."""
+def blank_model(cfg, n_entities, n_relations, dtype=np.float32):
+    """Model with zero embeddings/biases and identity transforms, in ``dtype``
+    (float32 is what ``KGEModel.init`` makes)."""
     m = KGEModel.init(cfg, n_entities, n_relations, seed=0)
     for key, val in m.params.items():
         if key == "rel_scale":
-            m.params[key] = np.ones_like(val)
+            m.params[key] = np.ones_like(val, dtype=dtype)
         elif key != "curv_raw":
-            m.params[key] = np.zeros_like(val)
+            m.params[key] = np.zeros_like(val, dtype=dtype)
+        else:
+            m.params[key] = val.astype(dtype)
     return m
 
 
-def random_model(cfg, n_entities, n_relations, seed):
-    """Moderate random parameters that keep every point well inside the ball."""
+def random_model(cfg, n_entities, n_relations, seed, dtype=np.float64):
+    """Moderate random parameters that keep every point well inside the ball.
+
+    They are drawn in float64 and held in ``dtype``: float64 unless given,
+    because most checks here compare with plain float64 formulas."""
     m = KGEModel.init(cfg, n_entities, n_relations, seed=seed)
     rng = np.random.default_rng(seed + 1000)
     d = cfg.dim
@@ -45,7 +51,7 @@ def random_model(cfg, n_entities, n_relations, seed):
     }
     if "curv_raw" in m.params:
         drawn["curv_raw"] = rng.uniform(0.2, 1.2, m.params["curv_raw"].shape)
-    m.params.update((k, v) for k, v in drawn.items() if k in m.params)
+    m.params.update((k, v.astype(dtype)) for k, v in drawn.items() if k in m.params)
     return m
 
 
@@ -191,6 +197,15 @@ class TestInit:
         m = KGEModel.init(ModelConfig(dim=4, curvature_mode="per_relation"), 2, 2)
         np.testing.assert_allclose(m.curvature(1, 1), 1.0, rtol=1e-12)
 
+    def test_float32_tables_hold_the_float64_draws_rounded(self):
+        # a seed draws the values it always drew; each group is rounded once
+        m = KGEModel.init(ModelConfig(dim=4, curvature_mode="global"), 5, 3, seed=2)
+        assert m.dtype == np.float32
+        assert {v.dtype for v in m.params.values()} == {np.dtype(np.float32)}
+        draw = np.random.default_rng(2).normal(0.0, 1.0, (5, 4)) * 1e-3
+        np.testing.assert_array_equal(m.params["ent_emb"], draw.astype(np.float32))
+        assert m.params["curv_raw"] == np.float32(SOFTPLUS_UNIT)
+
     def test_zero_init_scale_scores_exactly_zero(self):
         cfg = ModelConfig(dim=4, curvature_mode="attention", init_scale=0.0)
         m = KGEModel.init(cfg, 3, 2, seed=1)
@@ -238,7 +253,7 @@ class TestParamShapes:
     def test_a_seed_gives_each_group_the_same_values_everywhere(self, cfg):
         # the default configuration has every group but curv_raw
         full = {**KGEModel.init(ModelConfig(dim=4), 6, 3, seed=5).params,
-                "curv_raw": SOFTPLUS_UNIT}
+                "curv_raw": np.float32(SOFTPLUS_UNIT)}
         for name, value in KGEModel.init(cfg, 6, 3, seed=5).params.items():
             np.testing.assert_array_equal(value, full[name], strict=False)
 
@@ -255,8 +270,9 @@ class TestCurvature:
         assert m.curvature(0, 0) == 1.0
 
     def test_per_relation_softplus(self):
-        m = blank_model(ModelConfig(dim=4, curvature_mode="per_relation"), 2, 3)
-        m.params["curv_raw"] = np.array([0.0, 2.0, -1.0])
+        m = blank_model(ModelConfig(dim=4, curvature_mode="per_relation"), 2, 3,
+                        dtype=np.float64)
+        m.params["curv_raw"][:] = [0.0, 2.0, -1.0]
         # softplus: log(2), log(1+e^2), log(1+e^-1)
         np.testing.assert_allclose(m.curvature(0, 0), 0.6931471805599453, rtol=1e-12)
         np.testing.assert_allclose(m.curvature(0, 1), 2.1269280110429727, rtol=1e-12)
@@ -266,7 +282,7 @@ class TestCurvature:
         # he = e_x, re = 0, a = e_x: the gate is sigmoid(1), and with
         # p = (2/sigmoid(1)) e_x the pre-activation is exactly 2, so
         # c = softplus(2).
-        m = blank_model(ModelConfig(dim=2, curvature_mode="attention"), 1, 1)
+        m = blank_model(ModelConfig(dim=2, curvature_mode="attention"), 1, 1, dtype=np.float64)
         m.params["ent_emb"][0] = [1.0, 0.0]
         m.params["attn_a"][:] = [1.0, 0.0]
         m.params["attn_p"][:] = [2.7357588823428847, 0.0]
@@ -274,14 +290,15 @@ class TestCurvature:
 
     def test_attention_balanced_gate(self):
         # a = 0 gives alpha = 1/2, so v = (he + re) / 2
-        m = blank_model(ModelConfig(dim=2, curvature_mode="attention"), 1, 1)
+        m = blank_model(ModelConfig(dim=2, curvature_mode="attention"), 1, 1, dtype=np.float64)
         m.params["ent_emb"][0] = [2.0, 0.0]
         m.params["rel_emb"][0] = [0.0, 2.0]
         m.params["attn_p"][:] = [1.0, 1.0]
         np.testing.assert_allclose(m.curvature(0, 0), 2.1269280110429727, rtol=1e-12)
 
     def test_floor_keeps_curvature_positive(self):
-        m = blank_model(ModelConfig(dim=4, curvature_mode="per_relation"), 2, 1)
+        m = blank_model(ModelConfig(dim=4, curvature_mode="per_relation"), 2, 1,
+                        dtype=np.float64)
         m.params["curv_raw"][:] = -60.0
         assert m.curvature(0, 0) == CURV_FLOOR
         assert np.isfinite(m.score(0, 0, 1))
@@ -302,7 +319,7 @@ class TestTransformHead:
     def test_scale_exp_rotate_chain(self):
         # he=(.3,-.2) scaled by 1.5 -> exp0 at c=1 -> rotation by 0.7
         cfg = ModelConfig(dim=2, curvature_mode="fixed_one")
-        m = blank_model(cfg, 1, 1)
+        m = blank_model(cfg, 1, 1, dtype=np.float64)
         m.params["ent_emb"][0] = [0.3, -0.2]
         m.params["rel_scale"][0] = [1.5]
         m.params["rel_theta"][0] = [0.7]
@@ -324,7 +341,7 @@ class TestTransformHead:
         np.testing.assert_allclose(rotated, base, rtol=1e-12)
 
     def test_identity_transforms_give_plain_exp0(self):
-        m = blank_model(ModelConfig(dim=4, curvature_mode="fixed_one"), 1, 1)
+        m = blank_model(ModelConfig(dim=4, curvature_mode="fixed_one"), 1, 1, dtype=np.float64)
         m.params["ent_emb"][0] = [0.2, -0.1, 0.4, 0.05]
         expected = _exp0(m.params["ent_emb"][0], 1.0)
         np.testing.assert_allclose(m.transform_head(0, 0), expected, rtol=1e-12)
@@ -336,18 +353,24 @@ class TestTransformHead:
 
 
 class TestScore:
-    def test_frozen_example(self):
+    @pytest.mark.parametrize("dtype, want, rtol", (
+        (np.float64, -3.6863604126812994, 1e-12),
+        # float32 parameters and arithmetic; a float32 ulp here is 6.5e-8
+        # relative, and float32 tanh/arctanh may differ by one between builds
+        (np.float32, -3.686361074447632, 1e-6),
+    ), ids=("float64", "float32"))
+    def test_frozen_example(self, dtype, want, rtol):
         # dim 2, c = 1: head (.3,-.2) scaled 1.5, rotated 0.7, translated
         # by exp0((.1,.25)), against tail exp0((-.2,.4)); biases .05/-.15.
         cfg = ModelConfig(dim=2, curvature_mode="fixed_one")
-        m = blank_model(cfg, 2, 1)
+        m = blank_model(cfg, 2, 1, dtype=dtype)
         m.params["ent_emb"][0] = [0.3, -0.2]
         m.params["ent_emb"][1] = [-0.2, 0.4]
         m.params["rel_scale"][0] = [1.5]
         m.params["rel_theta"][0] = [0.7]
         m.params["rel_trans"][0] = [0.1, 0.25]
         m.params["ent_bias"][:] = [0.05, -0.15]
-        np.testing.assert_allclose(m.score(0, 0, 1), -3.6863604126812994, rtol=1e-12)
+        np.testing.assert_allclose(m.score(0, 0, 1), want, rtol=rtol)
 
     @pytest.mark.parametrize("cfg", ALL_CONFIGS,
                              ids=lambda c: f"{c.curvature_mode}-{c.geometry}"
@@ -531,15 +554,19 @@ class TestScoreAgainstAll:
 class TestOneKernel:
     """Training, score() and score_against_all() share one tail kernel."""
 
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("mode", CURVATURE_MODES)
-    def test_training_forward_bitwise_equal_to_scoring(self, mode):
-        m = random_model(ModelConfig(dim=8, curvature_mode=mode), 30, 5, seed=21)
+    def test_training_forward_bitwise_equal_to_scoring(self, mode, geometry, dtype):
+        m = random_model(ModelConfig(dim=8, curvature_mode=mode, geometry=geometry), 30, 5,
+                         seed=21, dtype=dtype)
         rng = np.random.default_rng(22)
         h = rng.integers(0, 30, 12)
         r = rng.integers(0, 5, 12)
         t = rng.integers(0, 30, (12, 9))
         t[:, 4] = t[0, 4]  # one tail in every query
         scores, _ = m._forward(h, r, t, need_cache=True)
+        assert scores.dtype == dtype
         for b in range(12):
             full = m.score_against_all(int(h[b]), int(r[b]))
             for j in range(9):

@@ -32,18 +32,20 @@ from hkge.training import (
 )
 
 
-def bias_only_model(biases):
-    """All-zero embeddings: the score of any triple is b_h + b_t."""
+def bias_only_model(biases, dtype=np.float32):
+    """All-zero embeddings in ``dtype``: the score of any triple is b_h + b_t."""
     m = KGEModel.init(ModelConfig(dim=2, curvature_mode="fixed_one"),
                       len(biases), 1, seed=0)
     for key, val in m.params.items():
-        m.params[key] = np.ones_like(val) if key == "rel_scale" else np.zeros_like(val)
+        m.params[key] = (np.ones_like if key == "rel_scale" else np.zeros_like)(val, dtype=dtype)
     m.params["ent_bias"][:] = biases
     return m
 
 
-def random_model(cfg, n_entities, n_relations, seed):
-    """Every group is drawn, in one order, and only the model's are kept."""
+def random_model(cfg, n_entities, n_relations, seed, dtype=np.float64):
+    """Every group is drawn, in one order, and only the model's are kept.
+
+    The draws are float64 and held in ``dtype``: float64 unless given."""
     m = KGEModel.init(cfg, n_entities, n_relations, seed=seed)
     rng = np.random.default_rng(seed + 500)
     d = cfg.dim
@@ -59,7 +61,7 @@ def random_model(cfg, n_entities, n_relations, seed):
     }
     if "curv_raw" in m.params:
         drawn["curv_raw"] = rng.uniform(0.2, 1.2, m.params["curv_raw"].shape)
-    m.params.update((k, v) for k, v in drawn.items() if k in m.params)
+    m.params.update((k, v.astype(dtype)) for k, v in drawn.items() if k in m.params)
     return m
 
 
@@ -100,7 +102,7 @@ class TestSampleNegatives:
 class TestLoss:
     def test_zero_model_gives_log2(self):
         # every score is 0, so every term is softplus(0) = ln 2
-        m = bias_only_model([0.0, 0.0, 0.0])
+        m = bias_only_model([0.0, 0.0, 0.0], dtype=np.float64)
         pos = np.asarray([[0, 0, 1], [1, 0, 2]])
         np.testing.assert_allclose(loss(m, pos), 0.6931471805599453, rtol=1e-12)
         neg = np.asarray([[2, 0], [0, 1]])
@@ -109,7 +111,7 @@ class TestLoss:
     def test_bias_only_example(self):
         # s(0,r,1) = 2 and s(0,r,2) = -1: the mean of softplus(-2) and
         # softplus(-1) over the two terms
-        m = bias_only_model([0.0, 2.0, -1.0])
+        m = bias_only_model([0.0, 2.0, -1.0], dtype=np.float64)
         pos = np.asarray([[0, 0, 1]])
         np.testing.assert_allclose(loss(m, pos), 0.1269280110429725, rtol=1e-12)
         np.testing.assert_allclose(loss(m, pos, np.asarray([[2]])),
@@ -118,7 +120,7 @@ class TestLoss:
     def test_asymptotics(self):
         # a strongly violated positive costs ~|s|, a strongly satisfied
         # one ~0 (and vice versa for negatives)
-        m = bias_only_model([0.0, -30.0, 30.0])
+        m = bias_only_model([0.0, -30.0, 30.0], dtype=np.float64)
         pos = np.asarray([[0, 0, 1]])
         np.testing.assert_allclose(loss(m, pos), 30.0, rtol=1e-6)
         pos_good = np.asarray([[0, 0, 2]])
@@ -135,7 +137,7 @@ class TestLoss:
     def test_accidental_hits_are_kept(self):
         # a "negative" equal to the true tail contributes softplus(+s),
         # not zero: the sampler does not filter
-        m = bias_only_model([0.0, 2.0, -1.0])
+        m = bias_only_model([0.0, 2.0, -1.0], dtype=np.float64)
         pos = np.asarray([[0, 0, 1]])
         hit = loss(m, pos, np.asarray([[1]]))
         # mean of softplus(-2) and softplus(+2)
@@ -174,17 +176,19 @@ def assert_matches_central_differences(m, pos, neg):
 
 def gather_oracle(model, h_ids, r_ids, t_ids, q, lhs, alpha, beta, sbar):
     """Dense gradients as ``KGEModel._gather`` summed them with ``np.unique``
-    and one segment sum per relation group."""
+    and one segment sum per relation group, in the model's dtype (the
+    bincount sums, which are float64, rounded to it)."""
     B, M = t_ids.shape
+    dt = model.dtype
     ent_rows, ent_inv = np.unique(np.concatenate([h_ids, t_ids.ravel()]), return_inverse=True)
     K = ent_rows.shape[0]
     cols = np.concatenate([np.arange(B), B + np.repeat(np.arange(B), M)])
-    summer = sparse.csr_matrix((np.concatenate([np.ones(B), alpha.ravel()]), (ent_inv, cols)),
-                               shape=(K, 2 * B))
+    summer = sparse.csr_matrix((np.concatenate([np.ones(B, dtype=dt), alpha.ravel()]),
+                                (ent_inv, cols)), shape=(K, 2 * B))
     dense = {name: np.zeros_like(p) for name, p in model.params.items()}
     dense["ent_emb"][ent_rows] = (
         summer @ np.concatenate([q["ent_emb"], lhs])
-        + np.bincount(ent_inv[B:], weights=beta.ravel(), minlength=K)[:, None]
+        + np.bincount(ent_inv[B:], weights=beta.ravel(), minlength=K).astype(dt)[:, None]
         * model.params["ent_emb"][ent_rows])
     dense["ent_bias"][ent_rows] = np.bincount(
         ent_inv, weights=np.concatenate([np.sum(sbar, axis=-1), sbar.ravel()]), minlength=K)
@@ -201,7 +205,7 @@ class TestGradients:
     @pytest.mark.parametrize("mode", CURVATURE_MODES)
     def test_matches_central_differences(self, mode):
         cfg = ModelConfig(dim=4, curvature_mode=mode)
-        m = random_model(cfg, 3, 2, seed=3)
+        m = random_model(cfg, 3, 2, seed=3, dtype=np.float64)
         pos = np.asarray([[0, 0, 1], [2, 1, 0]])
         neg = np.asarray([[1, 2], [0, 1]])
         assert_matches_central_differences(m, pos, neg)
@@ -209,7 +213,7 @@ class TestGradients:
     @pytest.mark.parametrize("mode", CURVATURE_MODES)
     def test_repeated_tails_match_central_differences(self, mode):
         # tail 1 recurs within queries and across all of them, and is a head too
-        m = random_model(ModelConfig(dim=4, curvature_mode=mode), 4, 2, seed=8)
+        m = random_model(ModelConfig(dim=4, curvature_mode=mode), 4, 2, seed=8, dtype=np.float64)
         pos = np.asarray([[0, 0, 1], [2, 1, 1], [1, 0, 3], [2, 1, 1]])
         neg = np.asarray([[1, 1, 2], [1, 3, 1], [1, 0, 1], [3, 1, 0]])
         assert_matches_central_differences(m, pos, neg)
@@ -218,7 +222,7 @@ class TestGradients:
     def test_md_projection_matches_central_differences(self, mode, monkeypatch):
         # tail 1 sits near the boundary opposite the head of query (0, 0),
         # so (-lhs) (+) t leaves the clamp radius and is projected
-        m = random_model(ModelConfig(dim=4, curvature_mode=mode), 3, 2, seed=3)
+        m = random_model(ModelConfig(dim=4, curvature_mode=mode), 3, 2, seed=3, dtype=np.float64)
         c = m.curvature(0, 0)
         lhs = geometry.mobius_add(m.transform_head(0, 0),
                                   geometry.exp0(m.params["rel_trans"][0], c), c)
@@ -234,7 +238,7 @@ class TestGradients:
 
     def test_euclidean_matches_central_differences(self):
         cfg = ModelConfig(dim=4, geometry="euclidean")
-        m = random_model(cfg, 3, 2, seed=4)
+        m = random_model(cfg, 3, 2, seed=4, dtype=np.float64)
         pos = np.asarray([[0, 0, 1], [2, 1, 0]])
         neg = np.asarray([[1, 2], [0, 1]])
         _, grads = loss_and_grads(m, pos, neg)
@@ -296,11 +300,12 @@ class TestGradients:
         for name, (rows, _) in grads.items():
             np.testing.assert_array_equal(rows, [0, 1, 3] if name.startswith("ent_") else [2])
 
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
     @pytest.mark.parametrize("mode", CURVATURE_MODES)
-    def test_gather_matches_unique_and_per_table_sums(self, mode, monkeypatch):
+    def test_gather_matches_unique_and_per_table_sums(self, mode, dtype, monkeypatch):
         # entity 1 is a tail twice in query 0 and a head in query 2, and
         # entity 0 is both the head and a tail of query 0
-        m = random_model(ModelConfig(dim=4, curvature_mode=mode), 6, 3, seed=12)
+        m = random_model(ModelConfig(dim=4, curvature_mode=mode), 6, 3, seed=12, dtype=dtype)
         pos = np.asarray([[0, 0, 1], [2, 1, 3], [1, 0, 4], [5, 2, 2]])
         neg = np.asarray([[1, 0, 3], [3, 3, 2], [4, 1, 1], [0, 5, 5]])
         seen = {}
@@ -445,6 +450,48 @@ class TestOptimizers:
         assert loss(m, pos) < before
 
 
+DTYPE_CONFIGS = [ModelConfig(dim=4, curvature_mode=mode) for mode in CURVATURE_MODES] + [
+    ModelConfig(dim=4, geometry="euclidean")]
+
+
+class TestDtype:
+    """Training arithmetic keeps the parameters' dtype, float32 or float64."""
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    @pytest.mark.parametrize("cfg", DTYPE_CONFIGS,
+                             ids=lambda c: f"{c.curvature_mode}-{c.geometry}")
+    def test_scores_and_every_gradient_group(self, cfg, dtype, monkeypatch):
+        m = random_model(cfg, 6, 3, seed=14, dtype=dtype)
+        scores = []
+        forward = KGEModel._forward
+
+        def spy(model, *args, **kwargs):
+            out = forward(model, *args, **kwargs)
+            scores.append(out[0])
+            return out
+
+        monkeypatch.setattr(KGEModel, "_forward", spy)
+        _, grads = loss_and_grads(m, np.asarray([[0, 0, 1], [4, 2, 5], [3, 1, 0]]),
+                                  np.asarray([[2, 3], [1, 1], [5, 4]]))
+        assert [s.dtype for s in scores] == [dtype]
+        assert list(grads) == list(m.params)
+        for name, (_, g) in grads.items():
+            assert g.dtype == dtype, name
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    @pytest.mark.parametrize("kind", ("adagrad", "adam"))
+    def test_optimizer_state_and_step(self, kind, dtype):
+        m = random_model(ModelConfig(dim=4, curvature_mode="global"), 6, 3, seed=15, dtype=dtype)
+        opt = training.OPTIMIZERS[kind](m, lr=0.1)
+        for _ in range(2):
+            _, grads = loss_and_grads(m, np.asarray([[0, 0, 1], [4, 2, 5]]),
+                                      np.asarray([[2, 3], [1, 0]]))
+            opt.step(m, grads)
+        states = [opt.accum] if kind == "adagrad" else [opt.m, opt.v]
+        for table in (m.params, *states):
+            assert {name: a.dtype for name, a in table.items()} == dict.fromkeys(m.params, dtype)
+
+
 def toy_store():
     """240 random triples over 60 entities and 3 relations, no valid split."""
     rng = np.random.default_rng(5)
@@ -461,25 +508,31 @@ def param_sha256(model):
     return h.hexdigest()
 
 
-# sha256 of the parameters after two toy epochs, as the per-group optimizer
-# formulas (adagrad_oracle, adam_oracle) and np.unique-based gather gave them
+# sha256 of the parameters after two toy epochs from the float32 init, trained
+# in each dtype, as the per-group optimizer formulas (adagrad_oracle,
+# adam_oracle) and an np.unique-based gather in that dtype gave them
 TOY_TRAJECTORY_SHA256 = {
-    "adagrad": "afecfb97fd8587abc61ca3a01450f6b74d60054bbed13689a3a55f23e2a2e38a",
-    "adam": "108dcc30530d3888f3d9c57bb6b2c82270fbf9c65cc5f379f1320955152e7dfd",
+    ("adagrad", "float32"): "ee8f4925bf6f4e2e85e6c7ee932555f0cb0d8c6d03d4512282e86dd056c3a251",
+    ("adam", "float32"): "8d34a26c2ba23faa0d85afc937e1ca3e4a04997a51883452925fef566bf2f138",
+    ("adagrad", "float64"): "bc331ceca39c27dc4d27fa7e7a5184899249cd4830b4adb0d943a6aa488ff4c1",
+    ("adam", "float64"): "752847c9d019382ab16b9905251bc2e5bcddb6e7bd7393df3cecb0402b9d721b",
 }
 
 
 class TestToyTrajectory:
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
     @pytest.mark.parametrize("optimizer", ("adagrad", "adam"))
-    def test_two_epochs_reproduce_the_pinned_parameters(self, optimizer):
+    def test_two_epochs_reproduce_the_pinned_parameters(self, optimizer, dtype):
         # any change to the arithmetic of the training step changes the digest
         store = toy_store()
         m = KGEModel.init(ModelConfig(dim=8, init_scale=0.1), store.n_entities,
                           store.n_relations, seed=0)
+        m.params = {k: v.astype(dtype) for k, v in m.params.items()}
         result = train(m, store, TrainConfig(epochs=2, batch_size=64, neg_samples=8,
                                              optimizer=optimizer, seed=0))
         assert [row["split"] for row in result.history] == ["train", "train"]
-        assert param_sha256(result.model) == TOY_TRAJECTORY_SHA256[optimizer]
+        assert result.model.dtype == dtype
+        assert param_sha256(result.model) == TOY_TRAJECTORY_SHA256[optimizer, dtype]
 
 
 class TestConfigValidation:
@@ -569,12 +622,14 @@ class TestTrainLoop:
         assert runs[1].history == runs[0].history
         assert param_sha256(runs[1].model) == param_sha256(runs[0].model)
 
-    def test_bitwise_deterministic(self):
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_bitwise_deterministic(self, dtype):
         store = chain_store()
         cfg = ModelConfig(dim=4, curvature_mode="attention")
         runs = []
         for _ in range(2):
             m = KGEModel.init(cfg, store.n_entities, store.n_relations, seed=1)
+            m.params = {k: v.astype(dtype) for k, v in m.params.items()}
             r = train(m, store, TrainConfig(epochs=5, batch_size=3, neg_samples=3,
                                             eval_every=5, seed=7))
             runs.append(r)
@@ -661,6 +716,7 @@ class TestTrainLoop:
         store = chain_store()
         cfg = ModelConfig(dim=4, geometry="euclidean")
         m = KGEModel.init(cfg, store.n_entities, store.n_relations, seed=4)
+        m.params = {k: v.astype(np.float64) for k, v in m.params.items()}
         m.params["ent_emb"][:] = 1e39  # > f32 max, cancels to loss ln(2) in f64
         result = train(m, store, TrainConfig(epochs=2, batch_size=8, neg_samples=2,
                                              eval_every=1))
@@ -692,6 +748,40 @@ class TestTrainLoop:
         assert result.diverged and result.last_epoch == 3
         assert result.best_epoch == 2 and result.model is not m
         assert [row["epoch"] for row in result.history] == [1, 1, 2, 2]
+        for key, value in reference.model.params.items():
+            np.testing.assert_array_equal(result.model.params[key], value)
+
+    def test_degenerate_denominator_diverges_with_the_best_snapshot(self, monkeypatch):
+        # an update in epoch 3 leaves the head of one training query and its
+        # relation's translation saturated at opposite points of the boundary,
+        # where exp0 rounds them onto the unit circle: D = 1 - 2 + 1 = 0 in the
+        # epoch-4 forward.  The run ends as diverged, naming that query, and
+        # returns the best validated (epoch-2) snapshot.
+        store = chain_store()
+        cfg = ModelConfig(dim=2, curvature_mode="fixed_one", init_scale=0.1)
+        tcfg = TrainConfig(epochs=6, batch_size=len(store.train), neg_samples=2,
+                           eval_every=2, seed=0)
+        reference = train(KGEModel.init(cfg, store.n_entities, store.n_relations, seed=0),
+                          store, dataclasses.replace(tcfg, epochs=2))
+        h, r = (int(i) for i in store.train[0, :2])
+        step, calls = training.Adagrad.step, []
+
+        def saturating(self, model, grads):
+            step(self, model, grads)
+            calls.append(1)
+            if len(calls) == 3:  # one batch per epoch
+                P = model.params
+                P["ent_emb"][h], P["rel_trans"][r] = [100.0, 0.0], [-100.0, 0.0]
+                P["rel_scale"][r], P["rel_theta"][r] = 1.0, 0.0
+
+        monkeypatch.setattr(training.Adagrad, "step", saturating)
+        m = KGEModel.init(cfg, store.n_entities, store.n_relations, seed=0)
+        result = train(m, store, tcfg)
+        assert result.diverged and result.last_epoch == 4
+        assert result.error == f"degenerate mobius denominator for query (h={h}, r={r})"
+        assert [(row["epoch"], row["split"]) for row in result.history] == [
+            (1, "train"), (2, "train"), (2, "valid"), (3, "train")]
+        assert result.best_epoch == 2 and result.model is not m
         for key, value in reference.model.params.items():
             np.testing.assert_array_equal(result.model.params[key], value)
 
