@@ -1,9 +1,11 @@
 """Command-line surface: train / eval / ablate / analyze.
 
-Flag precedence: built-in defaults < JSON config file (``--config``) <
-explicit flags.  The merged result is written to ``<out-dir>/config.json``
-before any real work, so a run directory always records exactly what
-produced it.
+Every command takes --dataset-dir, --out-dir, --seed and --config; only
+train and ablate take the model and training settings.  Precedence:
+built-in defaults < JSON config file (``--config``) < explicit flags, and a
+flag or config key that the command does not read is rejected.  The merged
+result is written to ``<out-dir>/config.json`` before any real work, so a
+run directory records exactly the settings its command read.
 """
 
 import argparse
@@ -23,21 +25,21 @@ CLI_MODE_MAP = {
     "attention": "attention",
 }
 
-COMMON_DEFAULTS = {
-    "dataset_dir": None,
-    "out_dir": None,
+RUN_DEFAULTS = {"dataset_dir": None, "out_dir": None, "seed": TrainConfig.seed}
+
+MODEL_DEFAULTS = {
     "dim": 32,
     "no_inter_level": False,
     "no_intra_level": False,
     **{f.name: f.default for f in dataclasses.fields(ModelConfig)
        if f.name in ("curvature_mode", "geometry", "init_scale")},
-    **{f.name: f.default for f in dataclasses.fields(TrainConfig)},
+    **{f.name: f.default for f in dataclasses.fields(TrainConfig) if f.name != "seed"},
 }
 
 COMMAND_DEFAULTS = {
-    "train": {},
+    "train": MODEL_DEFAULTS,
     "eval": {"checkpoint": None, "split": "test", "per_relation": False},
-    "ablate": {"curvature_sweep": False},
+    "ablate": {**MODEL_DEFAULTS, "curvature_sweep": False},
     "analyze": {"relations": None, "samples": hierarchy.DEFAULT_XI_SAMPLES},
 }
 
@@ -64,12 +66,15 @@ def _check_setting_types(file_cfg, defaults):
             raise CliError(f"config file: {key} must be {names}, got {value!r}")
 
 
-def _add_common_flags(p):
+def _add_run_flags(p):
     p.add_argument("--dataset-dir")
     p.add_argument("--out-dir")
     p.add_argument("--config", help="JSON file with defaults for any flag")
-    p.add_argument("--dim", type=int)
     p.add_argument("--seed", type=int)
+
+
+def _add_model_flags(p):
+    p.add_argument("--dim", type=int)
     p.add_argument("--geometry", choices=GEOMETRIES)
     p.add_argument("--curvature-mode", choices=tuple(CLI_MODE_MAP),
                    dest="curvature_mode")
@@ -101,7 +106,9 @@ def build_parser():
     parsers = {}
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        _add_common_flags(p)
+        _add_run_flags(p)
+        if name in ("train", "ablate"):
+            _add_model_flags(p)
         parsers[name] = p
     parsers["eval"].add_argument("--checkpoint", help="path to a saved model")
     parsers["eval"].add_argument("--split", choices=("train", "valid", "test"))
@@ -121,8 +128,7 @@ def build_parser():
 def resolve_config(args):
     provided = {k: v for k, v in vars(args).items() if k != "command"}
     config_path = provided.pop("config", None)
-    merged = dict(COMMON_DEFAULTS)
-    merged.update(COMMAND_DEFAULTS[args.command])
+    merged = {**RUN_DEFAULTS, **COMMAND_DEFAULTS[args.command]}
     if config_path:
         try:
             with open(config_path, encoding="utf-8") as fh:
@@ -138,6 +144,9 @@ def resolve_config(args):
         _check_setting_types(file_cfg, merged)
         merged.update(file_cfg)
     merged.update(provided)
+    for key, low in (("seed", 0), ("samples", 1)):
+        if merged.get(key, low) < low:
+            raise CliError(f"{key} must be >= {low}")
     if merged.get("curvature_mode") in CLI_MODE_MAP:
         merged["curvature_mode"] = CLI_MODE_MAP[merged["curvature_mode"]]
     merged["command"] = args.command

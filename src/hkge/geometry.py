@@ -42,8 +42,9 @@ import numpy as np
 BALL_EPS = 1e-5
 # Below this, tanh(z)/z and friends switch to their series limit.
 TAU_SMALL = 1e-12
-# Mobius denominators smaller than this are treated as degenerate.
-DEN_EPS = 1e-15
+# Mobius denominators within this many machine epsilons of zero (in their
+# own dtype) are treated as degenerate: 1e-15 in float64, 5.4e-7 in float32.
+DEN_ULPS = 1e-15 / np.finfo(np.float64).eps
 
 _clamp_events = 0
 _clamp_lock = threading.Lock()
@@ -168,8 +169,8 @@ def mobius_add(x, y, c):
     """Mobius addition x (+)_c y on the ball of curvature -c.
 
     Output is projected back inside the clamp radius; a denominator
-    within DEN_EPS of zero raises (the points are essentially antipodal
-    at the boundary and the sum is not representable).
+    within DEN_ULPS epsilons of zero raises (the points are essentially
+    antipodal at the boundary and the sum is not representable).
     """
     x = _as_float("x", x)
     y = _as_float("y", y)
@@ -189,13 +190,13 @@ def _mobius_terms(x, y, c):
 
 
 class DenominatorError(ValueError):
-    """A Mobius denominator within DEN_EPS of zero: the points are antipodal
-    at the boundary, and their sum is not representable."""
+    """A Mobius denominator within DEN_ULPS epsilons of zero: the points are
+    antipodal at the boundary, and their sum is not representable."""
 
 
 def _check_denominator(D, query=None):
-    """Raise DenominatorError where |D| < DEN_EPS; ``query(b)`` names row b."""
-    bad = np.abs(D) < DEN_EPS
+    """Raise DenominatorError where |D| < DEN_ULPS * eps; ``query(b)`` names row b."""
+    bad = np.abs(D) < DEN_ULPS * np.finfo(D.dtype).eps
     if np.any(bad):
         where = "" if query is None else f" for {query(int(np.argwhere(bad)[0][0]))}"
         raise DenominatorError(f"degenerate mobius denominator{where}")

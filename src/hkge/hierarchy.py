@@ -246,8 +246,6 @@ class XiResult:
 
 def xi_estimate(graph, n_samples=DEFAULT_XI_SAMPLES, seed=0):
     """Sampled mean and standard error of xi over valid triangles."""
-    if graph.n_nodes < 3:
-        raise ValueError("xi needs at least 3 nodes")
     if np.bincount(graph.component_labels).max() < 3:  # every draw would be rejected
         raise ValueError(f"no valid xi sample on relation {graph.relation!r}: "
                          "no connected component has 3 nodes")

@@ -592,3 +592,107 @@ class TestCsvFiles:
                                "analyze/hierarchy.csv"}
         for name in ("eval/per_relation.csv", "analyze/hierarchy.csv"):
             assert sorted(row[0] for row in tables[name][1:]) == sorted(self.NAMES.values())
+
+
+class ReadRecorder(dict):
+    """A resolved config that records the keys read through [] and get()."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+RUN_FLAGS = ["--dataset-dir", "--out-dir", "--config", "--seed"]
+MODEL_FLAGS = ["--dim", "--geometry", "--curvature-mode", "--no-inter-level",
+               "--no-intra-level", "--init-scale", "--epochs", "--lr", "--batch-size",
+               "--neg-samples", "--eval-every", "--optimizer", "--patience", "--grad-clip"]
+EVAL_KEYS = {"dataset_dir", "out_dir", "seed", "checkpoint", "split", "per_relation"}
+ANALYZE_KEYS = {"dataset_dir", "out_dir", "seed", "relations", "samples"}
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command,flags", (
+        ("train", RUN_FLAGS + MODEL_FLAGS),
+        ("eval", RUN_FLAGS + ["--checkpoint", "--split", "--per-relation"]),
+        ("ablate", RUN_FLAGS + MODEL_FLAGS + ["--curvature-sweep"]),
+        ("analyze", RUN_FLAGS + ["--relations", "--samples"]),
+    ))
+    def test_help_lists_the_flags_the_command_reads(self, capsys, command, flags):
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        assert re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M) == flags
+
+    def test_every_accepted_setting_is_read(self, tree_dir, tmp_path, monkeypatch):
+        resolved, resolve = [], cli.resolve_config
+
+        def recording(args):
+            resolved.append(ReadRecorder(resolve(args)))
+            return resolved[-1]
+
+        monkeypatch.setattr(cli, "resolve_config", recording)
+        small = ["--dim", "4", "--epochs", "1", "--batch-size", "99", "--neg-samples", "4"]
+        runs = {
+            "train": small,
+            "eval": ["--checkpoint", str(tmp_path / "train" / "checkpoint.bin")],
+            "ablate": small,
+            "analyze": ["--samples", "50"],
+        }
+        for command, extra in runs.items():
+            assert main([command, "--dataset-dir", tree_dir,
+                         "--out-dir", str(tmp_path / command), *extra]) == 0
+            cfg = resolved[-1]
+            assert set(cfg) - cfg.read == {"command"}, command
+        for command, keys in (("eval", EVAL_KEYS), ("analyze", ANALYZE_KEYS)):
+            written = json.loads((tmp_path / command / "config.json").read_text())
+            assert set(written) == keys | {"command"}
+
+    @pytest.mark.parametrize("command", ("eval", "analyze"))
+    @pytest.mark.parametrize("source", ("flag", "config"))
+    def test_model_setting_rejected_before_any_work(self, tree_dir, tmp_path, capsys,
+                                                    command, source):
+        out = tmp_path / "never"
+        args = [command, "--dataset-dir", tree_dir, "--out-dir", str(out)]
+        if source == "flag":
+            with pytest.raises(SystemExit) as exc:
+                main([*args, "--dim", "8"])
+            assert exc.value.code == 2
+        else:
+            cfg_path = tmp_path / "model.json"
+            cfg_path.write_text(json.dumps({"dim": 8}))
+            assert main([*args, "--config", str(cfg_path)]) == 1
+            assert "unknown keys in config file: ['dim']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key,value", (
+        ("train", "seed", -1),
+        ("eval", "seed", -1),
+        ("ablate", "seed", -1),
+        ("analyze", "seed", -1),
+        ("analyze", "samples", 0),
+        ("analyze", "samples", -3),
+    ))
+    @pytest.mark.parametrize("source", ("flag", "config"))
+    def test_value_below_minimum_rejected_before_any_work(self, tree_dir, tmp_path, capsys,
+                                                          command, key, value, source):
+        out = tmp_path / "never"
+        args = [command, "--dataset-dir", tree_dir, "--out-dir", str(out)]
+        if command == "eval":
+            args += ["--checkpoint", str(tmp_path / "checkpoint.bin")]
+        if source == "flag":
+            args += [f"--{key}", str(value)]
+        else:
+            cfg_path = tmp_path / "low.json"
+            cfg_path.write_text(json.dumps({key: value}))
+            args += ["--config", str(cfg_path)]
+        assert main(args) == 1
+        minimum = {"seed": 0, "samples": 1}[key]
+        assert capsys.readouterr().err == f"error: {key} must be >= {minimum}\n"
+        assert not out.exists()

@@ -122,6 +122,16 @@ class TestMobius:
         with pytest.raises(ValueError, match="denominator"):
             mobius_add(np.array([0.5, 0.0]), np.array([-2.0, 0.0]), 1.0)
 
+    def test_denominator_threshold_follows_the_dtype(self):
+        # 1e-15 in float64, as before; the same few epsilons in float32
+        geometry._check_denominator(np.array([1e-15]))
+        with pytest.raises(geometry.DenominatorError):
+            geometry._check_denominator(np.array([np.nextafter(1e-15, 0.0)]))
+        eps32 = np.finfo(np.float32).eps
+        geometry._check_denominator(np.array([5 * eps32], dtype=np.float32))
+        with pytest.raises(geometry.DenominatorError):
+            geometry._check_denominator(np.array([-4 * eps32], dtype=np.float32))
+
 
 class TestDistance:
     def test_zero_on_equal_points(self):

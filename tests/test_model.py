@@ -462,6 +462,17 @@ class TestScore:
         with pytest.raises(ValueError, match=r"denominator for query \(h=2, r=1\)"):
             evaluation.compute_ranks(m, [[0, 0, 1], [2, 1, 0], [1, 1, 2]], None)
 
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_degenerate_denominator_raises_in_either_dtype(self, dtype):
+        # the same saturation in the attention model: D rounds to one float32
+        # epsilon and to half a float64 one, both within a few of zero
+        m = KGEModel.init(ModelConfig(dim=2), 3, 2, seed=0)
+        m.params = {k: v.astype(dtype) for k, v in m.params.items()}
+        m.params["ent_emb"][0] = [100.0, 0.0]
+        m.params["rel_trans"][0] = [-100.0, 0.0]
+        with pytest.raises(geometry.DenominatorError, match=r"for query \(h=0, r=0\)"):
+            m.score(0, 0, 1)
+
     def test_bad_ids_raise(self):
         m = blank_model(ModelConfig(dim=4), 3, 2)
         with pytest.raises(IndexError):
