@@ -36,11 +36,17 @@ MODEL_DEFAULTS = {
     **{f.name: f.default for f in dataclasses.fields(TrainConfig) if f.name != "seed"},
 }
 
+# the commands that take MODEL_DEFAULTS, as settings and as flags
+MODEL_COMMANDS = ("train", "ablate")
+
 COMMAND_DEFAULTS = {
-    "train": MODEL_DEFAULTS,
-    "eval": {"checkpoint": None, "split": "test", "per_relation": False},
-    "ablate": {**MODEL_DEFAULTS, "curvature_sweep": False},
-    "analyze": {"relations": None, "samples": hierarchy.DEFAULT_XI_SAMPLES},
+    name: {**RUN_DEFAULTS, **(MODEL_DEFAULTS if name in MODEL_COMMANDS else {}), **own}
+    for name, own in {
+        "train": {},
+        "eval": {"checkpoint": None, "split": "test", "per_relation": False},
+        "ablate": {"curvature_sweep": False},
+        "analyze": {"relations": None, "samples": hierarchy.DEFAULT_XI_SAMPLES},
+    }.items()
 }
 
 
@@ -107,7 +113,7 @@ def build_parser():
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         _add_run_flags(p)
-        if name in ("train", "ablate"):
+        if name in MODEL_COMMANDS:
             _add_model_flags(p)
         parsers[name] = p
     parsers["eval"].add_argument("--checkpoint", help="path to a saved model")
@@ -128,7 +134,7 @@ def build_parser():
 def resolve_config(args):
     provided = {k: v for k, v in vars(args).items() if k != "command"}
     config_path = provided.pop("config", None)
-    merged = {**RUN_DEFAULTS, **COMMAND_DEFAULTS[args.command]}
+    merged = dict(COMMAND_DEFAULTS[args.command])
     if config_path:
         try:
             with open(config_path, encoding="utf-8") as fh:

@@ -42,9 +42,11 @@ import numpy as np
 BALL_EPS = 1e-5
 # Below this, tanh(z)/z and friends switch to their series limit.
 TAU_SMALL = 1e-12
-# Mobius denominators within this many machine epsilons of zero (in their
-# own dtype) are treated as degenerate: 1e-15 in float64, 5.4e-7 in float32.
-DEN_ULPS = 1e-15 / np.finfo(np.float64).eps
+# Mobius denominators smaller than this are treated as degenerate.
+DEN_EPS = 1e-15
+# ``mobius_add`` treats a denominator within this many epsilons of its
+# dtype as degenerate: DEN_EPS in float64, 5.4e-7 in float32.
+DEN_ULPS = DEN_EPS / np.finfo(np.float64).eps
 
 _clamp_events = 0
 _clamp_lock = threading.Lock()
@@ -170,7 +172,8 @@ def mobius_add(x, y, c):
 
     Output is projected back inside the clamp radius; a denominator
     within DEN_ULPS epsilons of zero raises (the points are essentially
-    antipodal at the boundary and the sum is not representable).
+    antipodal at the boundary, and at that size the denominator is the
+    rounding of its terms, so the sum is not representable).
     """
     x = _as_float("x", x)
     y = _as_float("y", y)
@@ -190,13 +193,13 @@ def _mobius_terms(x, y, c):
 
 
 class DenominatorError(ValueError):
-    """A Mobius denominator within DEN_ULPS epsilons of zero: the points are
-    antipodal at the boundary, and their sum is not representable."""
+    """A degenerate Mobius denominator: the points are antipodal at the
+    boundary, and their sum is not representable."""
 
 
-def _check_denominator(D, query=None):
-    """Raise DenominatorError where |D| < DEN_ULPS * eps; ``query(b)`` names row b."""
-    bad = np.abs(D) < DEN_ULPS * np.finfo(D.dtype).eps
+def _check_denominator(D, query=None, floor=DEN_EPS):
+    """Raise DenominatorError where |D| < floor; ``query(b)`` names row b."""
+    bad = np.abs(D) < floor
     if np.any(bad):
         where = "" if query is None else f" for {query(int(np.argwhere(bad)[0][0]))}"
         raise DenominatorError(f"degenerate mobius denominator{where}")
@@ -205,7 +208,7 @@ def _check_denominator(D, query=None):
 def _mobius_add(x, y, c, query=None):
     """x (+)_c y before projection; the denominator is checked first."""
     _, _, _, A, B, D = _mobius_terms(x, y, c)
-    _check_denominator(D, query)
+    _check_denominator(D, query, DEN_ULPS * np.finfo(D.dtype).eps)
     return (A * x + B * y) / D
 
 
@@ -272,6 +275,9 @@ def _gram_sqdist(a, n, x, c, query=None, rn=None, need_cache=True):
     B2 = 1.0 - c * a
     D2 = c * c * a * b
     D2 += e
+    # DEN_EPS, not DEN_ULPS: a query fitted onto a saturated tail leaves D2
+    # at the rounding of its Gram terms in float32, and the clamps below
+    # bound the distance it gives
     _check_denominator(D2, query)
     N2 = np.multiply(A2, A2, out=spare(e))
     N2 *= a

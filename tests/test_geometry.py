@@ -122,16 +122,26 @@ class TestMobius:
         with pytest.raises(ValueError, match="denominator"):
             mobius_add(np.array([0.5, 0.0]), np.array([-2.0, 0.0]), 1.0)
 
-    def test_denominator_threshold_follows_the_dtype(self):
-        # 1e-15 in float64, as before; the same few epsilons in float32
-        geometry._check_denominator(np.array([1e-15]))
-        with pytest.raises(geometry.DenominatorError):
-            geometry._check_denominator(np.array([np.nextafter(1e-15, 0.0)]))
-        eps32 = np.finfo(np.float32).eps
-        geometry._check_denominator(np.array([5 * eps32], dtype=np.float32))
-        with pytest.raises(geometry.DenominatorError):
-            geometry._check_denominator(np.array([-4 * eps32], dtype=np.float32))
+    def test_sum_denominator_threshold_follows_the_dtype(self):
+        # x (+) y with x = [1, 0], y = [-(1 - d), 0] at c = 1 has D = d^2, which
+        # float32 gives exactly for d = 2^-11 and 2^-10
+        assert geometry.DEN_ULPS * np.finfo(np.float64).eps == geometry.DEN_EPS
+        c = np.ones((1, 1), dtype=np.float32)
 
+        def pair(d, dtype):
+            return np.array([[1.0, 0.0]], dtype), np.array([[d - 1.0, 0.0]], dtype)
+
+        with pytest.raises(geometry.DenominatorError):
+            geometry._mobius_add(*pair(2.0 ** -11, np.float32), c)
+        assert np.all(np.isfinite(geometry._mobius_add(*pair(2.0 ** -10, np.float32), c)))
+        assert np.all(np.isfinite(geometry._mobius_add(*pair(2.0 ** -11, np.float64), 1.0)))
+
+    def test_distance_denominator_keeps_den_eps_in_float32(self):
+        # the tail kernel's D2 reaches a few float32 epsilons when a query is
+        # fitted onto a saturated tail; only DEN_EPS raises there
+        geometry._check_denominator(np.array([-np.finfo(np.float32).eps], np.float32))
+        with pytest.raises(geometry.DenominatorError):
+            geometry._check_denominator(np.array([0.0], np.float32))
 
 class TestDistance:
     def test_zero_on_equal_points(self):
