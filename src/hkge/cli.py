@@ -40,13 +40,10 @@ MODEL_DEFAULTS = {
 MODEL_COMMANDS = ("train", "ablate")
 
 COMMAND_DEFAULTS = {
-    name: {**RUN_DEFAULTS, **(MODEL_DEFAULTS if name in MODEL_COMMANDS else {}), **own}
-    for name, own in {
-        "train": {},
-        "eval": {"checkpoint": None, "split": "test", "per_relation": False},
-        "ablate": {"curvature_sweep": False},
-        "analyze": {"relations": None, "samples": hierarchy.DEFAULT_XI_SAMPLES},
-    }.items()
+    "train": {},
+    "eval": {"checkpoint": None, "split": "test", "per_relation": False},
+    "ablate": {"curvature_sweep": False},
+    "analyze": {"relations": None, "samples": hierarchy.DEFAULT_XI_SAMPLES},
 }
 
 
@@ -134,7 +131,8 @@ def build_parser():
 def resolve_config(args):
     provided = {k: v for k, v in vars(args).items() if k != "command"}
     config_path = provided.pop("config", None)
-    merged = dict(COMMAND_DEFAULTS[args.command])
+    merged = {**RUN_DEFAULTS, **(MODEL_DEFAULTS if args.command in MODEL_COMMANDS else {}),
+              **COMMAND_DEFAULTS[args.command]}
     if config_path:
         try:
             with open(config_path, encoding="utf-8") as fh:

@@ -172,8 +172,7 @@ def mobius_add(x, y, c):
 
     Output is projected back inside the clamp radius; a denominator
     within DEN_ULPS epsilons of zero raises (the points are essentially
-    antipodal at the boundary, and at that size the denominator is the
-    rounding of its terms, so the sum is not representable).
+    antipodal at the boundary and the sum is not representable).
     """
     x = _as_float("x", x)
     y = _as_float("y", y)
