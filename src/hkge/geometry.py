@@ -7,8 +7,10 @@ of curvature -c (c > 0) with ``exp0``.  Points x satisfy c * ||x||^2 < 1.
 Curvature ``c`` may be a python float or an ndarray matching the batch
 shape of the point arguments (one curvature per row).
 
-Near-boundary arguments to arctanh are clamped to 1 - BALL_EPS instead
-of overflowing; every clamped element increments a module-level counter
+Values that would reach the boundary are held at the clamp radius
+1 - BALL_EPS (in units of 1/sqrt(c)): the arctanh arguments of ``log0``
+and ``hyp_distance``, the projection, and tanh(sqrt(c)||t||) in the
+tail kernel.  Every clamped element increments a module-level counter
 so callers can watch for saturation (see ``clamp_events``).  A lock
 guards the add, because ranking threads share the counter.
 
@@ -21,12 +23,14 @@ raising here, and take ``c`` shaped by ``_as_curvature``.  A VJP takes
 the upstream gradient and the step's forward inputs, recomputes what it
 needs, and returns the inputs' gradients; the curvature's is per row.
 
-``_gram_sqdist``, the model's tail kernel, is tail exp0, (-l) (+)_c
-exp0(t), its projection and the squared gyrodistance in Gram form: a
-pair (l, t) enters only through ||l||^2, ||t||^2 and <l, t>.  Its VJP
-reads the forward's cache; a forward that no backward follows keeps
-none and reuses its own buffers.  ``hyp_distance`` composes the public
-functions and is kept as the kernel's independent reference.
+``_gram_sqdist``, the model's tail kernel, is tail exp0 and the squared
+distance d(l, exp0(t))^2 in its closed form arcosh(1 + u)^2/c, with u
+built from ||l - exp0(t)||^2 and the two points' conformal factors, so
+no Mobius sum is formed.  A pair (l, t) enters only through ||l||^2,
+||t||^2 and <l, t>.  Its VJP reads the forward's cache; a forward that
+no backward follows keeps none and reuses its own buffers.
+``hyp_distance`` composes the public functions (the gyrodistance of
+(-x) (+)_c y) and is kept as the kernel's independent reference.
 
 Cores, VJPs and the ratio helpers keep the dtype of their arguments,
 so a float32 model trains in float32 arithmetic.  The public functions
@@ -42,11 +46,9 @@ import numpy as np
 BALL_EPS = 1e-5
 # Below this, tanh(z)/z and friends switch to their series limit.
 TAU_SMALL = 1e-12
-# Mobius denominators smaller than this are treated as degenerate.
-DEN_EPS = 1e-15
-# ``mobius_add`` treats a denominator within this many epsilons of its
-# dtype as degenerate: DEN_EPS in float64, 5.4e-7 in float32.
-DEN_ULPS = DEN_EPS / np.finfo(np.float64).eps
+# A Mobius denominator within this many epsilons of its dtype is treated
+# as degenerate: 1e-15 in float64, 5.4e-7 in float32.
+DEN_ULPS = 4.5
 
 _clamp_events = 0
 _clamp_lock = threading.Lock()
@@ -110,20 +112,36 @@ def artanh_ratio(g):
     return np.where(g > TAU_SMALL, np.arctanh(gs) / gs, 1.0 + g * g / 3.0)
 
 
+def arcosh_ratio(u):
+    """arcosh(1 + u)/sqrt(u(u + 2)) for u >= 0, stable at u = 0 (limit 1).
+
+    arcosh(1 + u) is taken as log1p(u + sqrt(u(u + 2))), which keeps its
+    relative precision as u -> 0, where 1 + u would round it away.
+    """
+    u = np.asarray(u)
+    big = u > TAU_SMALL
+    us = np.where(big, u, 1.0)
+    r = np.sqrt(us * (us + 2.0))
+    return np.where(big, np.log1p(us + r) / r, 1.0 - u / 3.0)
+
+
 def tanh_ratio_prime_over_z(z):
     """(d/dz)[tanh(z)/z] divided by z; smooth, limit -2/3 at z = 0.
 
     Needed by backward passes through exp0.  The direct expression
     (sech^2(z) - tanh(z)/z) / z^2 cancels catastrophically for small z,
-    so below 0.05 a series expansion takes over.
+    so a series takes over below 0.05 in float64, and below 0.3 in
+    float32, whose direct form keeps less, with one more term.
     """
     z = np.asarray(z)
-    small = z < 0.05
+    f32 = z.dtype == np.float32
+    small = z < (0.3 if f32 else 0.05)
     zs = np.where(small, 1.0, z)
     t = np.tanh(zs)
     direct = ((1.0 - t * t) - t / zs) / (zs * zs)
     z2 = z * z
-    series = -2.0 / 3.0 + z2 * (8.0 / 15.0 + z2 * (-34.0 / 105.0 + z2 * (496.0 / 2835.0)))
+    tail = z2 * (496.0 / 2835.0 + z2 * (-13820.0 / 155925.0)) if f32 else z2 * (496.0 / 2835.0)
+    series = -2.0 / 3.0 + z2 * (8.0 / 15.0 + z2 * (-34.0 / 105.0 + tail))
     return np.where(small, series, direct)
 
 
@@ -196,9 +214,10 @@ class DenominatorError(ValueError):
     boundary, and their sum is not representable."""
 
 
-def _check_denominator(D, query=None, floor=DEN_EPS):
-    """Raise DenominatorError where |D| < floor; ``query(b)`` names row b."""
-    bad = np.abs(D) < floor
+def _check_denominator(D, query=None):
+    """Raise DenominatorError where |D| < DEN_ULPS epsilons of D's dtype;
+    ``query(b)`` names row b."""
+    bad = np.abs(D) < DEN_ULPS * np.finfo(D.dtype).eps
     if np.any(bad):
         where = "" if query is None else f" for {query(int(np.argwhere(bad)[0][0]))}"
         raise DenominatorError(f"degenerate mobius denominator{where}")
@@ -207,7 +226,7 @@ def _check_denominator(D, query=None, floor=DEN_EPS):
 def _mobius_add(x, y, c, query=None):
     """x (+)_c y before projection; the denominator is checked first."""
     _, _, _, A, B, D = _mobius_terms(x, y, c)
-    _check_denominator(D, query, DEN_ULPS * np.finfo(D.dtype).eps)
+    _check_denominator(D, query)
     return (A * x + B * y) / D
 
 
@@ -243,13 +262,16 @@ def hyp_distance(x, y, c):
     return np.squeeze(d, axis=-1)
 
 
-def _gram_sqdist(a, n, x, c, query=None, rn=None, need_cache=True):
+def _gram_sqdist(a, n, x, c, rn=None, need_cache=True):
     """hyp_distance(l, exp0(t), c)**2 from a = ||l||^2, n = ||t||^2 and x = <l, t>,
     and the cache (inputs and intermediates) ``_gram_sqdist_backward`` reads.
 
+    The closed form d = arcosh(1 + u)/sqrt(c) with
+    u = 2c||l - tH||^2 / ((1 - c||l||^2)(1 - c||tH||^2)), tH = exp0(t).
     Arguments broadcast: (B, 1) query columns against (B, M) pairs, or
     (1,) query values against (M,) tails.  ``rn`` is sqrt(n) where the
-    caller holds it.  ``query(b)`` names row b of a degenerate denominator.
+    caller holds it.  l must lie inside the clamp radius, as ``_head``
+    projects it, so 1 - c||l||^2 > 0.
     Without ``need_cache`` no backward follows: the cache is None, and
     each step writes into the buffer of an intermediate nothing reads
     any more (``x`` among them) instead of a fresh array.  Either way
@@ -259,90 +281,68 @@ def _gram_sqdist(a, n, x, c, query=None, rn=None, need_cache=True):
     def spare(buf):
         return None if need_cache else buf
 
-    sc = np.sqrt(c)
-    zt = sc * (np.sqrt(n) if rn is None else rn)
-    ft = tanh_ratio(zt)
-
-    # md = (-l) (+)_c tH with tH = ft*t: p = <-l, tH>, b = ||tH||^2
-    p = np.multiply(np.negative(ft, out=spare(zt)), x, out=spare(x))
-    b = np.multiply(ft, ft, out=spare(zt))
-    b *= n
-    e = np.multiply(2.0 * c, p, out=spare(ft))  # 1 + 2c*p, shared by A2 and D2
-    e += 1.0
-    A2 = c * b
-    A2 += e
-    B2 = 1.0 - c * a
-    D2 = c * c * a * b
-    D2 += e
-    # DEN_EPS, not DEN_ULPS: a query fitted onto a saturated tail leaves D2
-    # at the rounding of its Gram terms in float32, and the clamps below
-    # bound the distance it gives
-    _check_denominator(D2, query)
-    N2 = np.multiply(A2, A2, out=spare(e))
-    N2 *= a
-    term = np.multiply(2.0, A2, out=spare(A2))
-    term *= B2
-    term *= p
-    N2 += term
-    N2 += np.multiply(B2 * B2, b, out=spare(p))
-    # ||md||^2 = N2/D2^2 cancels to rounding noise when l ~ tH
-    nm = np.multiply(D2, D2, out=spare(D2))
-    np.divide(N2, nm, out=nm)
-    np.maximum(nm, 0.0, out=nm)
-    np.sqrt(nm, out=nm)
-
-    # md projected inside the clamp radius, then the gyrodistance
-    limit = (1.0 - BALL_EPS) / sc
-    over = nm > limit
+    # T = sqrt(c)*||tH|| = tanh(z), held at the clamp radius; ft = T/z
+    zt = np.sqrt(c) * (np.sqrt(n) if rn is None else rn)
+    T = np.tanh(zt)
+    over = T > 1.0 - BALL_EPS
     _count_clamps(over)
-    np.minimum(nm, limit, out=nm)
-    g = np.multiply(sc, nm, out=spare(nm))
-    gmask = g > 1.0 - BALL_EPS
-    _count_clamps(gmask)
-    gcl = np.minimum(g, 1.0 - BALL_EPS, out=g)
-    atg = np.arctanh(gcl, out=spare(gcl))
-    dist = np.multiply(2.0, atg, out=spare(atg))
-    dist /= sc
-    sq = np.multiply(dist, dist, out=spare(dist))
+    if over.any():
+        np.minimum(T, 1.0 - BALL_EPS, out=T)
+    zero = zt == 0.0
+    with np.errstate(invalid="ignore"):
+        ft = np.divide(T, zt, out=spare(zt))
+    if zero.any():
+        ft[zero] = 1.0  # the limit of tanh(z)/z
+
+    # w = ||l - tH||^2 = a - 2 ft x + T^2/c; the clamp catches rounding when l ~ tH
+    tx = np.multiply(ft, x, out=spare(x))
+    tx *= 2.0
+    w = np.multiply(T, T, out=spare(ft))
+    w /= c
+    w -= tx
+    w += a
+    np.maximum(w, 0.0, out=w)
+    # s = 1 - c||tH||^2 and k = 1 - c a
+    s = np.subtract(1.0, T, out=spare(tx))
+    s *= np.add(1.0, T, out=spare(T))
+    k = 1.0 - c * a
+    u = np.multiply(w, 2.0 * c / k, out=spare(w))
+    u /= s
+    A = np.add(1.0, u, out=spare(u))
+    np.arccosh(A, out=A)
+    sq = np.multiply(A, A, out=spare(A))
+    sq /= c
     if not need_cache:
         return sq, None
-    return sq, {"a": a, "n": n, "x": x, "c": c, "sc": sc, "zt": zt, "ft": ft,
-                "p": p, "b": b, "A2": A2, "B2": B2, "D2": D2, "N2": N2, "nm": nm,
-                "live": ~(over | gmask), "gcl": gcl, "atg": atg, "dist": dist}
+    return sq, {"a": a, "n": n, "x": x, "c": c, "zt": zt, "T": T, "over": over, "ft": ft,
+                "s": s, "k": k, "u": u, "sq": sq}
 
 
-def _gram_sqdist_backward(sq_bar, T):
-    """VJP of ``_gram_sqdist`` through a, n, x and c, from its cache ``T``.
+def _gram_sqdist_backward(sq_bar, cache):
+    """VJP of ``_gram_sqdist`` through a, n, x and c, from its ``cache``.
 
     Each gradient has the pairs' shape; the caller sums a query's tails.
     """
-    a, n, x, c, sc = T["a"], T["n"], T["x"], T["c"], T["sc"]
-    live = T["live"]            # neither the md projection nor arctanh clamped
-    one_m_g2 = 1.0 - T["gcl"] * T["gcl"]
-    dist_bar = 2.0 * T["dist"] * sq_bar
-    # c enters dist directly: d(dist)/dc = -atg/c^{3/2} + nm/(c(1-g^2)) (2nd term 0 if clamped)
-    c_bar = dist_bar * (-T["atg"] / (c * sc) + np.where(live, T["nm"] / (c * one_m_g2), 0.0))
-    # d(sq)/d(||md||^2) = 4 artanh_ratio(g)/(1-g^2), free of 1/||md||
-    m2_bar = np.where(live, 4.0 * artanh_ratio(T["gcl"]) * sq_bar / one_m_g2, 0.0)
-
-    # ||md||^2 = N2/D2^2, N2 = A2^2 a + 2 A2 B2 p + B2^2 b
-    p, b, A2, B2, D2 = T["p"], T["b"], T["A2"], T["B2"], T["D2"]
-    N_bar = m2_bar / (D2 * D2)
-    D_bar = -2.0 * N_bar * T["N2"] / D2
-    A_bar = 2.0 * N_bar * (A2 * a + B2 * p)
-    B_bar = 2.0 * N_bar * (A2 * p + B2 * b)
-    a_bar = N_bar * A2 * A2 - c * B_bar + D_bar * c * c * b
-    p_bar = 2.0 * N_bar * A2 * B2 + 2.0 * c * (A_bar + D_bar)
-    b_bar = N_bar * B2 * B2 + c * A_bar + D_bar * c * c * a
-    c_bar += A_bar * (2.0 * p + b) - B_bar * a + D_bar * (2.0 * p + 2.0 * c * a * b)
-
-    # p = -ft*x, b = ft^2*n, ft = tanh_ratio(sqrt(c*n))
-    ft = T["ft"]
-    rt = tanh_ratio_prime_over_z(T["zt"])
-    ft_bar = -x * p_bar + 2.0 * ft * n * b_bar
-    n_bar = ft * ft * b_bar + ft_bar * rt * c / 2.0
-    c_bar += ft_bar * rt * n / 2.0
-    return a_bar, n_bar, -ft * p_bar, c_bar
+    a, n, x, c = cache["a"], cache["n"], cache["x"], cache["c"]
+    zt, T, ft, s, k, u = (cache[key] for key in ("zt", "T", "ft", "s", "k", "u"))
+    # sq = arcosh(1 + u)^2/c, u = 2c w/(k s)
+    u_bar = (2.0 / c) * arcosh_ratio(u) * sq_bar
+    uu = u_bar * u
+    w_bar = u_bar * (2.0 * c / k) / s
+    a_bar = w_bar + c * uu / k
+    x_bar = -2.0 * ft * w_bar
+    # w and s read T = tanh(z) and ft = T/z, z = sqrt(c n): T_bar = T*tau, and
+    # zq is d(sq)/dz divided by z.  Where T is clamped, only ft moves with z
+    ft_bar = -2.0 * x * w_bar
+    tau = 2.0 * w_bar / c + 2.0 * uu / s
+    zq = ft * s * tau + tanh_ratio_prime_over_z(zt) * ft_bar
+    over = cache["over"]
+    if over.any():
+        zq = np.where(over, -ft * ft_bar / np.where(over, zt * zt, 1.0), zq)
+    # dz/dn = c/(2z) and dz/dc = n/(2z)
+    n_bar = (c / 2.0) * zq
+    c_bar = (uu / k - cache["sq"] * sq_bar - T * T * w_bar / c) / c + (n / 2.0) * zq
+    return a_bar, n_bar, x_bar, c_bar
 
 
 def project_to_ball(x, c):

@@ -12,9 +12,11 @@ each query (h, r) to its transformed head ``lhs``, a = ||lhs||^2 and,
 on the ball, its curvature c.  ``_tails`` scores tails t: a pair enters
 only through a, n = ||t||^2 and x = <lhs, t>, and the score is the two
 biases minus the squared distance, 4*max(a - 2x + n, 0) in euclidean
-geometry and ``geometry._gram_sqdist`` on the ball.  So only the tail
-embeddings are (B, M, d), and the gradient of each tail is
-alpha*lhs + beta*t, which ``_gather`` sums with one sparse product.
+geometry and, on the ball, the closed-form distance to exp0(t) of
+``geometry._gram_sqdist``, which needs no Mobius sum and so has no
+denominator to check.  So only the tail embeddings are (B, M, d), and
+the gradient of each tail is alpha*lhs + beta*t, which ``_gather`` sums
+with one sparse product.
 
 Every stage keeps the dtype of the parameter arrays (``dtype``):
 ``init`` makes float32 tables, so training runs in float32, and
@@ -190,9 +192,7 @@ class ScoringTable:
         i = self.rows.get((h, r))
         if i is None:
             raise KeyError(f"{_query_name(h, r)} is not in the scoring table")
-        head = {k: v[i, ...] for k, v in self.head.items()}
-        head["query"] = lambda b: _query_name(h, r)
-        return head
+        return {k: v[i, ...] for k, v in self.head.items()}
 
 
 def _segment_sum(values, index, n_segments):
@@ -431,8 +431,8 @@ class KGEModel:
             # (2||lhs - t||)^2; the clamp catches rounding when lhs ~ t
             sq, cache = 4.0 * np.maximum(a - 2.0 * x + n, 0.0), None
         else:
-            sq, cache = geometry._gram_sqdist(a, n, x, head["c"][..., None], head["query"],
-                                              rn=rn, need_cache=need_cache)
+            sq, cache = geometry._gram_sqdist(a, n, x, head["c"][..., None], rn=rn,
+                                              need_cache=need_cache)
         scores = head["bias"][..., None] + t_bias
         scores -= sq
         return (scores, cache) if need_cache else scores

@@ -5,6 +5,7 @@ from hkge import geometry
 from hkge.geometry import (
     BALL_EPS,
     TAU_SMALL,
+    arcosh_ratio,
     artanh_ratio,
     block_rotate,
     block_scale,
@@ -125,7 +126,7 @@ class TestMobius:
     def test_sum_denominator_threshold_follows_the_dtype(self):
         # x (+) y with x = [1, 0], y = [-(1 - d), 0] at c = 1 has D = d^2, which
         # float32 gives exactly for d = 2^-11 and 2^-10
-        assert geometry.DEN_ULPS * np.finfo(np.float64).eps == geometry.DEN_EPS
+        assert geometry.DEN_ULPS * np.finfo(np.float64).eps == pytest.approx(1e-15, rel=1e-3)
         c = np.ones((1, 1), dtype=np.float32)
 
         def pair(d, dtype):
@@ -136,12 +137,13 @@ class TestMobius:
         assert np.all(np.isfinite(geometry._mobius_add(*pair(2.0 ** -10, np.float32), c)))
         assert np.all(np.isfinite(geometry._mobius_add(*pair(2.0 ** -11, np.float64), 1.0)))
 
-    def test_distance_denominator_keeps_den_eps_in_float32(self):
-        # the tail kernel's D2 reaches a few float32 epsilons when a query is
-        # fitted onto a saturated tail; only DEN_EPS raises there
-        geometry._check_denominator(np.array([-np.finfo(np.float32).eps], np.float32))
-        with pytest.raises(geometry.DenominatorError):
-            geometry._check_denominator(np.array([0.0], np.float32))
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_denominator_floor_follows_the_dtype(self, dtype):
+        floor = geometry.DEN_ULPS * np.finfo(dtype).eps
+        geometry._check_denominator(np.array([floor, -floor], dtype))
+        for below in (0.0, floor / 2, -floor / 2):
+            with pytest.raises(geometry.DenominatorError):
+                geometry._check_denominator(np.array([1.0, below], dtype))
 
 class TestDistance:
     def test_zero_on_equal_points(self):
@@ -351,6 +353,35 @@ class TestSeriesHelpers:
             tanh_ratio_prime_over_z(np.array([0.0])), [-2.0 / 3.0], rtol=1e-12
         )
 
+    def test_prime_over_z_float32_tracks_float64(self):
+        z = np.linspace(0.0, 3.0, 30001)
+        want = tanh_ratio_prime_over_z(z)
+        got = tanh_ratio_prime_over_z(z.astype(np.float32))
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got / want - 1.0)) <= 3e-6
+
+    def test_prime_over_z_float64_keeps_its_values(self):
+        # the float64 switch stays at 0.05, with the series to z^6
+        z = np.linspace(0.0, 3.0, 30001)
+        zs = np.where(z < 0.05, 1.0, z)
+        t = np.tanh(zs)
+        z2 = z * z
+        want = np.where(z < 0.05,
+                        -2.0 / 3.0 + z2 * (8.0 / 15.0 + z2 * (-34.0 / 105.0 + z2 * (496.0 / 2835.0))),
+                        ((1.0 - t * t) - t / zs) / (zs * zs))
+        assert tanh_ratio_prime_over_z(z).tobytes() == want.tobytes()
+
+    def test_arcosh_ratio(self):
+        u = np.array([0.0, 1e-300, 1e-13, 1e-8, 1e-3, 0.5, 3.0, 1e6])
+        got = arcosh_ratio(u)
+        assert got[0] == 1.0 and got[1] == 1.0
+        # arcosh(1 + u) = 2 arsinh(sqrt(u/2)) keeps its precision as u -> 0
+        want = 2.0 * np.arcsinh(np.sqrt(u[2:] / 2.0)) / np.sqrt(u[2:] * (u[2:] + 2.0))
+        np.testing.assert_allclose(got[2:], want, rtol=1e-14)
+        # continuous where the series 1 - u/3 takes over
+        near = np.array([0.99e-12, 1.01e-12])
+        np.testing.assert_allclose(arcosh_ratio(near), 1.0 - near / 3.0, rtol=1e-15)
+
 
 # -- VJPs of the geometric steps -------------------------------------------
 
@@ -383,8 +414,9 @@ def _steps():
 
     Five rows of dimension 4, with one curvature per row, shaped as the
     cores take it (a column).  Three of the projection's input rows lie
-    outside the clamp radius, so the projection fires on those only;
-    the Gram-form distance projects md for pair (0, 0) only.
+    outside the clamp radius, so the projection fires on those only.
+    The distance's tail (0, 0) lies where exp0 is held at the clamp
+    radius, and tail (1, 0) is zero.
     """
     rng = np.random.default_rng(61)
     c = rng.uniform(0.3, 2.0, (5, 1))
@@ -405,7 +437,8 @@ def _steps():
                     (at(np.array([[2.0], [1.5], [0.5], [0.9], [3.0]])), c)),
     }
     lhs, t = _gram_pairs(rng, c)
-    t[0, 0] *= 40.0 / np.linalg.norm(t[0, 0])  # exp0(t) and md round onto the boundary
+    t[0, 0] *= 8.0 / np.sqrt(c[0, 0]) / np.linalg.norm(t[0, 0])  # tanh(8) > 1 - BALL_EPS
+    t[1, 0] = 0.0
     steps["gram_sqdist"] = (_gram_sqdist, _gram_sqdist_backward, (*_gram_args(lhs, t), c))
     return steps
 
@@ -421,11 +454,16 @@ class TestVJPs:
         for i, (arg, got) in enumerate(zip(args, grads)):
             fd = np.zeros_like(arg)
             for idx in np.ndindex(arg.shape):
-                up, down = arg.copy(), arg.copy()
-                up[idx] += h
-                down[idx] -= h
-                fd[idx] = (np.sum(y_bar * forward(*args[:i], up, *args[i + 1:]))
-                           - np.sum(y_bar * forward(*args[:i], down, *args[i + 1:]))) / (2.0 * h)
+                def at(shift):
+                    moved = arg.copy()
+                    moved[idx] += shift
+                    return np.sum(y_bar * forward(*args[:i], moved, *args[i + 1:]))
+
+                if step == "gram_sqdist" and i == 1 and arg[idx] == 0.0:
+                    # n = ||t||^2 cannot go below 0: a second-order one-sided difference
+                    fd[idx] = (4.0 * at(h) - at(2.0 * h) - 3.0 * at(0.0)) / (2.0 * h)
+                else:
+                    fd[idx] = (at(h) - at(-h)) / (2.0 * h)
             # the curvature gradient comes back per row; c goes in as a column
             np.testing.assert_allclose(np.reshape(got, arg.shape), fd, rtol=1e-6, atol=1e-8,
                                        err_msg=f"{step} input {i}")
@@ -437,6 +475,19 @@ class TestVJPs:
 
 
 class TestGramSqdist:
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_query_on_the_boundary_against_a_saturated_tail(self, dtype):
+        # l and exp0(t) both near the boundary on one axis: the Gram terms of
+        # ||l - tH||^2 cancel, which float32 cannot resolve, but nothing raises
+        lhs = np.array([[0.99999, 0.0, 0.0, 0.0]], dtype)
+        t = np.array([[[5.0, 0.0, 0.0, 0.0]]], dtype)
+        c = np.ones((1, 1), dtype)
+        sq, _ = geometry._gram_sqdist(*_gram_args(lhs, t), c)
+        assert sq.dtype == dtype and np.all(np.isfinite(sq))
+        if dtype == np.float64:
+            want = hyp_distance(lhs[0], exp0(t[0, 0], 1.0), 1.0) ** 2
+            np.testing.assert_allclose(sq[0, 0], want, rtol=1e-6)
+
     def test_matches_hyp_distance(self):
         rng = np.random.default_rng(63)
         c = rng.uniform(0.3, 2.0, (6, 1))
@@ -446,8 +497,8 @@ class TestGramSqdist:
             want = hyp_distance(lhs, exp0(t[:, m], c[:, 0]), c[:, 0]) ** 2
             np.testing.assert_allclose(sq[:, m], want, rtol=1e-12, atol=0.0)
 
-    def test_md_projection_fires_on_first_pair_only(self):
+    def test_tail_clamp_fires_on_first_pair_only(self):
         _, _, args = _steps()["gram_sqdist"]
         _, cache = geometry._gram_sqdist(*args)
-        clamped = cache["nm"] == (1.0 - BALL_EPS) / np.sqrt(args[-1])
-        np.testing.assert_array_equal(np.argwhere(clamped), [[0, 0]])
+        np.testing.assert_array_equal(np.argwhere(cache["over"]), [[0, 0]])
+        np.testing.assert_array_equal(np.argwhere(cache["T"] == 1.0 - BALL_EPS), [[0, 0]])

@@ -608,37 +608,30 @@ class TestOneKernel:
             assert all(np.all(np.isfinite(g)) for g in grads.to_dense(m).values())
 
     def test_clamp_sites_counted_separately(self, monkeypatch):
-        # lhs projection, md projection and arctanh clamp each report their
-        # own count, in that order; at c = 0.6 a projected md rounds to
-        # sqrt(c)*||md|| just above 1 - BALL_EPS, so the arctanh clamp fires too
+        # the lhs projection and the tails' exp0 clamp each report their own
+        # count, in that order
         m = random_model(ModelConfig(dim=4, curvature_mode="global"), 6, 2, seed=30)
         m.params["curv_raw"] = np.asarray(np.log(np.expm1(0.6)))
         m.params["rel_trans"][1] *= 40.0              # relation 1: lhs leaves the ball
-        m.params["ent_emb"][5] *= 40.0                # tail 5: near the boundary
+        m.params["ent_emb"][5] *= 40.0                # tail 5: exp0 rounds past the clamp radius
         h, r = np.asarray([0, 1, 2]), np.asarray([0, 1, 0])
         t = np.asarray([[5, 1, 5], [5, 2, 3], [4, 5, 1]])
         P = m.params
         c = m.curvature(0, 0)
         sc = math.sqrt(c)
         limit = (1.0 - geometry.BALL_EPS) / sc
-        want = [0, 0, 0]
+        want = [0, 0]
         for b in range(3):
             x = (P["ent_emb"][h[b]].reshape(-1, 2) * P["rel_scale"][r[b]][:, None]).ravel()
             x = geometry.block_rotate(_exp0(x, c), P["rel_theta"][r[b]])
-            lhs = _mobius(x, _exp0(P["rel_trans"][r[b]], c), c)
-            if np.linalg.norm(lhs) > limit:
-                want[0] += 1
-                lhs = lhs * limit / np.linalg.norm(lhs)
+            want[0] += np.linalg.norm(_mobius(x, _exp0(P["rel_trans"][r[b]], c), c)) > limit
             for j in t[b]:
-                nm = np.linalg.norm(_mobius(-lhs, _exp0(P["ent_emb"][j], c), c))
-                want[1] += nm > limit
-                want[2] += sc * min(nm, limit) > 1.0 - geometry.BALL_EPS
+                want[1] += math.tanh(sc * np.linalg.norm(P["ent_emb"][j])) > 1.0 - geometry.BALL_EPS
         counts = []
         monkeypatch.setattr(geometry, "_count_clamps",
                             lambda mask: counts.append(int(np.count_nonzero(mask))))
         m._forward(h, r, t)
-        assert counts == want
-        assert want[0] == 1 and want[1] >= 3 and want[2] == want[1]
+        assert counts == want == [1, 4]
         # the score-only pass over all entities counts each site as the
         # training forward does over the same tails
         every = np.arange(m.n_entities)[None]
@@ -649,7 +642,7 @@ class TestOneKernel:
             counts.clear()
             m._forward(h[b:b + 1], r[b:b + 1], every)
             assert alone == counts, b
-            assert alone[1] >= 1 and alone[2] == alone[1], b
+            assert alone[1] == 1, b
 
 
 class TestCopy:

@@ -219,9 +219,9 @@ class TestGradients:
         assert_matches_central_differences(m, pos, neg)
 
     @pytest.mark.parametrize("mode", CURVATURE_MODES)
-    def test_md_projection_matches_central_differences(self, mode, monkeypatch):
+    def test_tail_clamp_matches_central_differences(self, mode, monkeypatch):
         # tail 1 sits near the boundary opposite the head of query (0, 0),
-        # so (-lhs) (+) t leaves the clamp radius and is projected
+        # where exp0 rounds past the clamp radius and is held there
         m = random_model(ModelConfig(dim=4, curvature_mode=mode), 3, 2, seed=3, dtype=np.float64)
         c = m.curvature(0, 0)
         lhs = geometry.mobius_add(m.transform_head(0, 0),
@@ -233,7 +233,7 @@ class TestGradients:
         monkeypatch.setattr(geometry, "_count_clamps",
                             lambda mask: counts.append(int(np.count_nonzero(mask))))
         loss(m, pos, neg)
-        assert counts[1] == 3  # the md projection site fired, on every (h, r, 1) pair
+        assert counts[1] == 3  # the tail clamp fired, on every (h, r, 1) pair
         assert_matches_central_differences(m, pos, neg)
 
     def test_euclidean_matches_central_differences(self):
@@ -512,10 +512,10 @@ def param_sha256(model):
 # in each dtype, as the per-group optimizer formulas (adagrad_oracle,
 # adam_oracle) and an np.unique-based gather in that dtype gave them
 TOY_TRAJECTORY_SHA256 = {
-    ("adagrad", "float32"): "ee8f4925bf6f4e2e85e6c7ee932555f0cb0d8c6d03d4512282e86dd056c3a251",
-    ("adam", "float32"): "8d34a26c2ba23faa0d85afc937e1ca3e4a04997a51883452925fef566bf2f138",
-    ("adagrad", "float64"): "bc331ceca39c27dc4d27fa7e7a5184899249cd4830b4adb0d943a6aa488ff4c1",
-    ("adam", "float64"): "752847c9d019382ab16b9905251bc2e5bcddb6e7bd7393df3cecb0402b9d721b",
+    ("adagrad", "float32"): "6ce539f1909d850f717962d85dd82d2921ab9227297e29c5b9682c589d6e269a",
+    ("adam", "float32"): "63e3e6d6ded164ad65caa9d375daab314a35fac8f455e0886fe61abd9246b994",
+    ("adagrad", "float64"): "56605d023c630cd53ff82e8fdb733d25ff64f653a1c9ae8ed486409f06719b80",
+    ("adam", "float64"): "41fb7d5029994159c32567ee0ec89c78ece2374ac0712aa7e0e18961b5c75e92",
 }
 
 
