@@ -6,19 +6,14 @@ tag, transform flags), then one block of little-endian float32 per
 parameter group, in ``PARAM_ORDER``.  Writes go through a temp file
 and an atomic rename.
 
-Version 2 stores exactly the groups ``model.param_shapes`` lists for
-the header's configuration.  Version 1 files still load: they hold a
-block for every group of the attention model with both transforms on,
-whatever the configuration reads, plus ``curv_raw`` by curvature mode
-alone (also in euclidean geometry); ``load`` drops the blocks the
-model does not hold, whatever they contain.
+Version 2, the only one read, stores exactly the groups
+``model.param_shapes`` lists for the header's configuration.
 """
 
 import math
 import os
 import struct
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 
@@ -47,16 +42,6 @@ def round_trip_f32(model):
     """
     params = {k: v.astype(STORED).astype(np.float64) for k, v in model.params.items()}
     return KGEModel(model.config, model.n_entities, model.n_relations, params)
-
-
-def _stored_shapes(version, config, n_entities, n_relations):
-    """The blocks of a file, name -> shape, in file order."""
-    if version == VERSION:
-        return param_shapes(config, n_entities, n_relations)
-    hyp = replace(config, geometry="hyperbolic")
-    full = replace(hyp, curvature_mode="attention", use_inter_level=True, use_intra_level=True)
-    return {**param_shapes(full, n_entities, n_relations),
-            **param_shapes(hyp, n_entities, n_relations)}
 
 
 def save(model, path):
@@ -99,7 +84,7 @@ def load(path):
     version, dim, n_entities, n_relations, mode_tag, geo_tag, flags = _HEADER.unpack(
         blob[4:4 + _HEADER.size]
     )
-    if version not in (1, VERSION):
+    if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     if mode_tag >= len(CURVATURE_MODES) or geo_tag >= len(GEOMETRIES):
         raise CheckpointError(f"{path}: unknown mode/geometry tag")
@@ -111,7 +96,7 @@ def load(path):
         use_intra_level=bool(flags & FLAG_INTRA),
     )
     try:
-        shapes = _stored_shapes(version, config, n_entities, n_relations)
+        shapes = param_shapes(config, n_entities, n_relations)
     except ValueError as exc:  # the header does not describe a model
         raise CheckpointError(f"{path}: {exc}") from None
     params = {}

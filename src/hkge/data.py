@@ -2,8 +2,8 @@
 
 Benchmark layout: a directory with `train.txt`, `valid.txt`, `test.txt`,
 one `head<TAB>relation<TAB>tail` triple per line.  A file is read as
-bytes: it must be UTF-8; LF, CRLF and a lone CR each end a line;
-whitespace-only lines are skipped; every other line has exactly three
+bytes: it must be UTF-8; LF, CRLF and a lone CR each end a line; lines
+`str.strip` leaves empty are skipped; every other line has exactly three
 non-empty tab-separated fields, and names are compared as exact bytes.
 Separators are found and names numbered with NumPy, so one Python str
 is made per distinct name and none per line or field.  Vocabularies
@@ -90,13 +90,11 @@ class TripleStore:
 SPLITS = ("train", "valid", "test")
 FIELDS = ("head", "relation", "tail")
 
-# Every character str.isspace() accepts: a line made only of these is
-# blank (`str.strip` would leave it empty) and is skipped.
-WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
-              "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
-# their UTF-8 encodings as integers (first byte highest), by byte width
-_SPACE_CODES = {w: np.array([int.from_bytes(c.encode(), "big") for c in WHITESPACE
-                             if len(c.encode()) == w]) for w in (1, 2, 3)}
+# [x, y] is True when a line whose first two bytes are x, y may begin with
+# a `str.isspace` character (none is past U+3000)
+_SPACE_STARTS = np.zeros((256, 256), dtype=bool)
+for _code in (c.encode() for c in map(chr, range(0x3001)) if c.isspace()):
+    _SPACE_STARTS[_code[0], _code[1] if len(_code) > 1 else slice(None)] = True
 
 
 @dataclass(frozen=True)
@@ -115,43 +113,22 @@ class Split:
     sizes: tuple
 
 
-def _space_width(b, pos):
-    """Byte width of the whitespace character starting at each of `pos` in b, 0 if none."""
-    c0, c1, c2 = (b.take(pos + k, mode="clip").astype(np.int64) for k in range(3))
-    width = np.zeros(len(pos), dtype=np.int64)
-    width[np.isin(c0, _SPACE_CODES[1])] = 1
-    width[np.isin(c0 << 8 | c1, _SPACE_CODES[2])] = 2
-    width[np.isin(c0 << 16 | c1 << 8 | c2, _SPACE_CODES[3])] = 3
-    return width
-
-
 def _blank(b, starts, ends):
-    """Which of the lines b[starts:ends] hold only whitespace (b must be valid UTF-8).
-
-    Only a line whose first character is whitespace can be blank, so only
-    those lines' bytes are read.
-    """
-    first = b[starts]
-    maybe = np.flatnonzero((first <= 32) | (first >= 0x80))
-    cand = maybe[_space_width(b, starts[maybe]) > 0]
-    size = ends[cand] - starts[cand]
-    offset = np.cumsum(size) - size
-    pos = np.repeat(starts[cand] - offset, size) + np.arange(size.sum())
-    width = _space_width(b, pos)
-    covered = np.zeros(len(pos) + 2, dtype=bool)
-    for k in range(3):  # a character never spans two lines in valid UTF-8
-        covered[np.flatnonzero(width > k) + k] = True
-    solid = np.bincount(np.repeat(np.arange(len(cand)), size)[~covered[:len(pos)]],
-                        minlength=len(cand))
+    """Which of the lines b[starts:ends] are blank: `str.strip` leaves nothing
+    (b must be valid UTF-8).  Only a line whose first two bytes can begin a
+    whitespace character is decoded."""
+    cand = np.flatnonzero(_SPACE_STARTS[b[starts], b.take(starts + 1, mode="clip")])
     blank = np.zeros(len(starts), dtype=bool)
-    blank[cand[solid == 0]] = True
+    text = b.data
+    blank[cand] = [not str(text[s:e], "utf-8").strip()
+                   for s, e in zip(starts[cand].tolist(), ends[cand].tolist())]
     return blank
 
 
 def _parse(files):
     """Parse (where, bytes) triple files, in order, into one `Split`; errors name `where`.
 
-    UTF-8; LF, CRLF or CR line ends; lines of only whitespace skipped;
+    UTF-8; LF, CRLF or CR line ends; blank lines (see `_blank`) skipped;
     every other line exactly three non-empty tab-separated fields.
     """
     wheres, raws = [], []

@@ -121,12 +121,10 @@ def khs(graph):
     """Fraction of directed edges lacking a reciprocal edge."""
     if not graph.n_edges:
         raise ValueError("hierarchy score undefined on a graph with no edges")
-    n = graph.n_nodes
+    # `csgraph` has 2 entries per node pair joined either way and no self-loop:
+    # one more than the pair's directed edges if it is joined one way only
     i, j = graph.directed_edges.T
-    keys = i * n + j  # sorted, as `directed_edges` is
-    reverse = j * n + i
-    found = keys[np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)]
-    one_way = int(np.count_nonzero(found != reverse))
+    one_way = graph.csgraph.nnz - int(np.count_nonzero(i != j))
     return one_way / graph.n_edges
 
 

@@ -85,14 +85,17 @@ def test_bad_magic(tmp_path):
         load(path)
 
 
-def test_unsupported_version(tmp_path):
+@pytest.mark.parametrize("version", (1, 99))
+def test_unsupported_version(tmp_path, version):
+    # version 1 files (which held blocks the configuration does not read)
+    # are refused like any unknown version
     m = make_model()
     path = tmp_path / "model.bin"
     save(m, path)
     blob = bytearray(path.read_bytes())
-    blob[4:8] = (99).to_bytes(4, "little")
+    blob[4:8] = version.to_bytes(4, "little")
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="version"):
+    with pytest.raises(CheckpointError, match=f"unsupported format version {version}$"):
         load(path)
 
 
@@ -161,39 +164,6 @@ def test_file_length_is_the_v2_layout(tmp_path, mode, geometry, inter, intra):
     path = tmp_path / "model.bin"
     save(m, path)
     assert os.path.getsize(path) == 32 + 4 * sum(v.size for v in m.params.values())
-
-
-def v1_bytes(m, unread):
-    """A version-1 file of `m`, built by hand; `unread(name, count)` fills
-    the blocks of groups the model does not hold (v1 writers wrote zeros)."""
-    cfg, E, R, d = m.config, m.n_entities, m.n_relations, m.config.dim
-    blocks = [("ent_emb", E * d), ("ent_bias", E), ("rel_emb", R * d), ("rel_scale", R * d // 2),
-              ("rel_theta", R * d // 2), ("rel_trans", R * d), ("attn_a", d), ("attn_p", d)]
-    # curv_raw by curvature mode alone, in euclidean geometry too
-    blocks += {"global": [("curv_raw", 1)], "per_relation": [("curv_raw", R)]}.get(
-        cfg.curvature_mode, [])
-    flags = checkpoint.FLAG_INTER * cfg.use_inter_level + checkpoint.FLAG_INTRA * cfg.use_intra_level
-    out = [b"HKGE", np.array([1, d, E, R, CURVATURE_MODES.index(cfg.curvature_mode),
-                              GEOMETRIES.index(cfg.geometry), flags], dtype="<u4").tobytes()]
-    for name, count in blocks:
-        values = m.params[name] if name in m.params else unread(name, count)
-        out.append(np.asarray(values, dtype="<f4").tobytes())
-    return b"".join(out)
-
-
-@pytest.mark.parametrize("mode, geometry, inter, intra", ALL_CONFIGS)
-def test_unread_blocks_are_ignored(tmp_path, mode, geometry, inter, intra):
-    # a version-1 file still loads; a block the configuration does not read
-    # may hold anything, and loading drops it
-    m = make_model(mode=mode, geometry=geometry, inter=inter, intra=intra)
-    rng = np.random.default_rng(11)
-    path = tmp_path / "v1.bin"
-    path.write_bytes(v1_bytes(m, lambda name, count: rng.normal(3.0, 1.0, count)))
-    back = load(path)
-    assert back.config == m.config
-    assert list(back.params) == list(m.params)
-    for key, val in round_trip_f32(m).params.items():
-        np.testing.assert_array_equal(back.params[key], val)
 
 
 @pytest.mark.parametrize("slot, value, match", (

@@ -124,8 +124,24 @@ class TestLoadSplit:
         path.write_text(f"a\tr\tb\n{blank}\n{blank}\nc\tr\td\n", encoding="utf-8")
         assert split_names(load_split(path)) == [("a", "r", "b"), ("c", "r", "d")]
 
-    def test_whitespace_set_is_str_isspace(self):
-        assert set(data.WHITESPACE) == {c for c in map(chr, range(0x110000)) if c.isspace()}
+    def test_space_starts_are_str_isspace(self):
+        # [x, y] holds exactly when some whitespace character's UTF-8 bytes
+        # start with x, y (or are x alone)
+        spaces = [c for c in map(chr, range(0x110000)) if c.isspace()]
+        assert max(map(ord, spaces)) <= 0x3000
+        prefixes = {c.encode()[:2] for c in spaces}
+        expected = [[bytes([x]) in prefixes or bytes([x, y]) in prefixes for y in range(256)]
+                    for x in range(256)]
+        np.testing.assert_array_equal(data._SPACE_STARTS, expected)
+
+    @pytest.mark.parametrize("line", ["\u2010", "\u3042", "\u3000\u3042", "\xa0x\u2003", "\u205f-"])
+    def test_line_led_like_whitespace_is_not_blank(self, tmp_path, line):
+        # each shares its first byte, or first two, with a whitespace character
+        path = tmp_path / "train.txt"
+        path.write_text(f"a\tr\tb\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(DatasetError,
+                           match=r"train.txt:3: expected 3 tab-separated fields, got 1$"):
+            load_split(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="missing split file"):

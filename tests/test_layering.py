@@ -47,3 +47,18 @@ def test_import_graph_is_acyclic():
     # raises graphlib.CycleError, naming the cycle, if there is one
     order = list(graphlib.TopologicalSorter(graph).static_order())
     assert order.index("checkpoint") < order.index("training") < order.index("cli")
+
+
+def test_every_top_level_import_is_used():
+    # a name imported at a module's top is read in that module, or exported
+    unused = set()
+    for path, tree in _trees():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                 for elt in node.value.elts}
+        unused |= {f"{path.name}:{node.lineno} {alias.asname or alias.name.split('.')[0]}"
+                   for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for alias in node.names
+                   if (alias.asname or alias.name.split(".")[0]) not in read}
+    assert sorted(unused) == []

@@ -12,6 +12,7 @@ from hkge.model import (
     KGEModel,
     ModelConfig,
     param_shapes,
+    sigmoid,
     softplus,
 )
 
@@ -302,6 +303,24 @@ class TestCurvature:
         m.params["curv_raw"][:] = -60.0
         assert m.curvature(0, 0) == CURV_FLOOR
         assert np.isfinite(m.score(0, 0, 1))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_sigmoid_is_the_two_branch_form(self, dtype):
+        # bit for bit: 1 / (1 + e^-x) where x >= 0, e^x / (1 + e^x) elsewhere;
+        # a NaN stays NaN, though its sign bit may not
+        x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 100.0, -100.0],
+                            np.random.default_rng(0).normal(0.0, 30.0, 2000)]).astype(dtype)
+        pos = x >= 0
+        expected = np.empty_like(x)
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        got = sigmoid(x)
+        nan = np.isnan(expected)
+        assert got.dtype == dtype
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
 
     def test_rejected_for_euclidean(self):
         m = blank_model(ModelConfig(dim=4, geometry="euclidean"), 1, 1)
