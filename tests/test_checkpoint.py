@@ -166,6 +166,26 @@ def test_file_length_is_the_v2_layout(tmp_path, mode, geometry, inter, intra):
     assert os.path.getsize(path) == 32 + 4 * sum(v.size for v in m.params.values())
 
 
+@pytest.mark.parametrize("mode, geometry, inter, intra", ALL_CONFIGS)
+def test_blocks_are_read_in_order_and_exactly(tmp_path, mode, geometry, inter, intra):
+    # the header alone fixes the blocks: a file cut one float short of a
+    # block's end names that block, and one float past the last is left over
+    m = make_model(mode=mode, geometry=geometry, inter=inter, intra=intra)
+    path = tmp_path / "model.bin"
+    save(m, path)
+    blob = path.read_bytes()
+    end = 32
+    for name, value in m.params.items():
+        end += 4 * value.size
+        path.write_bytes(blob[:end - 4])
+        with pytest.raises(CheckpointError, match=f"truncated in array {name}$"):
+            load(path)
+    assert end == len(blob)
+    path.write_bytes(blob + b"\x00" * 4)
+    with pytest.raises(CheckpointError, match=r": 4 trailing bytes$"):
+        load(path)
+
+
 @pytest.mark.parametrize("slot, value, match", (
     (1, 3, "even"), (1, 0, "even"), (2, 0, "entity"), (3, 0, "relation"),
 ))
