@@ -15,24 +15,14 @@ import os
 import sys
 
 from . import checkpoint, data, evaluation, hierarchy
-from .model import GEOMETRIES, KGEModel, ModelConfig
+from .model import CURVATURE_MODES, GEOMETRIES, KGEModel, ModelConfig
 from .training import OPTIMIZERS, MetricLog, NumericError, TrainConfig, train
-
-CLI_MODE_MAP = {
-    "fixed": "fixed_one",
-    "global": "global",
-    "relation": "per_relation",
-    "attention": "attention",
-}
 
 RUN_DEFAULTS = {"dataset_dir": None, "out_dir": None, "seed": TrainConfig.seed}
 
 MODEL_DEFAULTS = {
-    "dim": 32,
-    "no_inter_level": False,
-    "no_intra_level": False,
-    **{f.name: f.default for f in dataclasses.fields(ModelConfig)
-       if f.name in ("curvature_mode", "geometry", "init_scale")},
+    **{f.name: f.default for f in dataclasses.fields(ModelConfig)},
+    "dim": 32,  # ModelConfig.dim has no default
     **{f.name: f.default for f in dataclasses.fields(TrainConfig) if f.name != "seed"},
 }
 
@@ -79,10 +69,9 @@ def _add_run_flags(p):
 def _add_model_flags(p):
     p.add_argument("--dim", type=int)
     p.add_argument("--geometry", choices=GEOMETRIES)
-    p.add_argument("--curvature-mode", choices=tuple(CLI_MODE_MAP),
-                   dest="curvature_mode")
-    p.add_argument("--no-inter-level", action="store_true", dest="no_inter_level")
-    p.add_argument("--no-intra-level", action="store_true", dest="no_intra_level")
+    p.add_argument("--curvature-mode", choices=CURVATURE_MODES, dest="curvature_mode")
+    p.add_argument("--no-inter-level", action="store_false", dest="use_inter_level")
+    p.add_argument("--no-intra-level", action="store_false", dest="use_intra_level")
     p.add_argument("--init-scale", type=float, dest="init_scale")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
@@ -151,21 +140,12 @@ def resolve_config(args):
     for key, low in (("seed", 0), ("samples", 1)):
         if merged.get(key, low) < low:
             raise CliError(f"{key} must be >= {low}")
-    if merged.get("curvature_mode") in CLI_MODE_MAP:
-        merged["curvature_mode"] = CLI_MODE_MAP[merged["curvature_mode"]]
     merged["command"] = args.command
     return merged
 
 
 def model_config_from(cfg):
-    return ModelConfig(
-        dim=cfg["dim"],
-        curvature_mode=cfg["curvature_mode"],
-        geometry=cfg["geometry"],
-        use_inter_level=not cfg["no_inter_level"],
-        use_intra_level=not cfg["no_intra_level"],
-        init_scale=cfg["init_scale"],
-    ).validate()
+    return ModelConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(ModelConfig)}).validate()
 
 
 def train_config_from(cfg):
@@ -208,7 +188,7 @@ def _check_ablate(cfg):
     """Reject options that the ablation runs would ignore."""
     if cfg["curvature_mode"] != "attention":
         raise CliError("--curvature-mode is set by each ablation run")
-    if not cfg["curvature_sweep"] and (cfg["no_inter_level"] or cfg["no_intra_level"]):
+    if not (cfg["curvature_sweep"] or (cfg["use_inter_level"] and cfg["use_intra_level"])):
         raise CliError("--no-inter-level and --no-intra-level are set by each grid run; "
                        "they apply with --curvature-sweep")
 
@@ -277,12 +257,7 @@ ABLATION_GRID = (
     ("fixed_curvature_no_transforms", "fixed_one", False, False),
 )
 
-CURVATURE_SWEEP = (
-    ("c_fixed_one", "fixed_one"),
-    ("c_global", "global"),
-    ("c_per_relation", "per_relation"),
-    ("c_attention", "attention"),
-)
+CURVATURE_SWEEP = tuple((f"c_{mode}", mode) for mode in CURVATURE_MODES)
 
 
 def cmd_ablate(cfg):
@@ -295,7 +270,7 @@ def cmd_ablate(cfg):
     astore = _load_augmented(cfg)
     filters = data.build_filter_index(astore)
     if cfg["curvature_sweep"]:
-        runs = [(label, mode, not cfg["no_inter_level"], not cfg["no_intra_level"])
+        runs = [(label, mode, cfg["use_inter_level"], cfg["use_intra_level"])
                 for label, mode in CURVATURE_SWEEP]
     else:
         euclidean = cfg["geometry"] == "euclidean"  # where curvature modes are all the same

@@ -18,9 +18,10 @@ call per graph suffices: from a virtual root joined to every tree, the
 predecessors are each node's parent, and a source's reader starts out
 knowing the distances to the source's ancestors.  Distances are exact
 small integers in float64 either way, so xi results are the same as
-from an unweighted Dijkstra.  A sampled triangle whose nodes lie in
-different components is rejected before any distance is read, by
-component labels computed once per graph.
+from an unweighted Dijkstra.  A triangle is drawn inside one connected
+component, picked with weight n_k(n_k - 1)(n_k - 2): every ordered triple
+of distinct nodes in one component is equally likely, so a relation made
+of many small components yields samples as readily as a connected one.
 """
 
 from dataclasses import dataclass
@@ -56,6 +57,17 @@ class RelationGraph:
         """Connected-component label of every node, worked out on first use
         (as is `forest_pred`), so `csgraph` must not change after it."""
         return connected_components(self.csgraph, directed=False)[1]
+
+    @cached_property
+    def components(self):
+        """The nodes ordered by component label (by index within each),
+        each component's start in that order followed by the end, and the
+        cumulative n_k(n_k - 1)(n_k - 2): how many ordered triples of
+        distinct nodes lie in one of components 0..k."""
+        labels = self.component_labels
+        sizes = np.bincount(labels)
+        triples = np.cumsum(sizes * (sizes - 1) * (sizes - 2))
+        return np.argsort(labels, kind="stable"), np.append(0, np.cumsum(sizes)), triples
 
     @cached_property
     def forest_pred(self):
@@ -212,14 +224,10 @@ def _midpoint(graph, dist_b, b, c):
 def xi_triangle(graph, a, b, c):
     """xi for one sampled triangle, or None if the sample is rejected.
 
-    Rejections: the three nodes not all in one component, checked
-    before any distance is read; b-c at odd distance; midpoint
-    coincides with `a`.  Every distance read after the first check is
-    finite.
+    The three nodes must lie in one component, so that every distance
+    read is finite.  Rejections: b-c at odd distance; midpoint coincides
+    with `a`.
     """
-    labels = graph.component_labels
-    if not labels[a] == labels[b] == labels[c]:
-        return None
     dist_b = _distances(graph, b)
     d_bc = dist_b[c]
     if int(d_bc) % 2 == 1:
@@ -243,19 +251,31 @@ class XiResult:
 
 
 def xi_estimate(graph, n_samples=DEFAULT_XI_SAMPLES, seed=0):
-    """Sampled mean and standard error of xi over valid triangles."""
-    if np.bincount(graph.component_labels).max() < 3:  # every draw would be rejected
+    """Sampled mean and standard error of xi over valid triangles.
+
+    Each draw is an ordered triple of distinct nodes of one component,
+    uniform over all such triples.  The component is drawn by one
+    `searchsorted` on a uniform integer below the number of triples, and
+    only when two or more components hold a triple; a connected graph thus
+    gives the stream of `rng.choice(n, 3)`.
+    """
+    order, bounds, cum = graph.components
+    if not cum[-1]:  # every component has fewer than 3 nodes
         raise ValueError(f"no valid xi sample on relation {graph.relation!r}: "
                          "no connected component has 3 nodes")
+    k = int(np.searchsorted(cum, 0, side="right"))  # the first component with a triple
+    several = cum[k] < cum[-1]
     max_attempts = max(20 * n_samples, 1000)
     rng = np.random.default_rng(seed)
     values = []
     rejected = 0
     attempts = 0
-    n = graph.n_nodes
     while len(values) < n_samples and attempts < max_attempts:
         attempts += 1
-        a, b, c = (int(x) for x in rng.choice(n, size=3, replace=False))
+        if several:
+            k = int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
+        start = bounds[k]
+        a, b, c = order[start + rng.choice(bounds[k + 1] - start, size=3, replace=False)].tolist()
         xi = xi_triangle(graph, a, b, c)
         if xi is None:
             rejected += 1

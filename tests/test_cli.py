@@ -9,7 +9,7 @@ import pytest
 
 from hkge import checkpoint, cli, data, evaluation, training
 from hkge.cli import main
-from hkge.model import KGEModel, ModelConfig
+from hkge.model import CURVATURE_MODES, KGEModel, ModelConfig
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ class TestTrain:
             args += ["--curvature-mode", "global"]
         else:
             cfg_path = tmp_path / "base.json"
-            cfg_path.write_text(json.dumps({"curvature_mode": "fixed"}))
+            cfg_path.write_text(json.dumps({"curvature_mode": "fixed_one"}))
             args += ["--config", str(cfg_path)]
         assert main(args) == 1
         err = capsys.readouterr().err
@@ -158,7 +158,7 @@ class TestTrain:
         # after the epoch-2 step every head and translation sits saturated
         # at opposite points of the boundary, so epoch 2's validation meets
         # a zero Mobius denominator; the epoch-1 snapshot is saved
-        flags = ("--curvature-mode", "fixed", "--eval-every", "1", "--batch-size", "100000")
+        flags = ("--curvature-mode", "fixed_one", "--eval-every", "1", "--batch-size", "100000")
         ref = tmp_path / "ref"
         assert run_train(tree_dir, ref, *flags, "--epochs", "1") == 0
         step, calls = training.Adagrad.step, []
@@ -184,11 +184,38 @@ class TestTrain:
                                                         ["2", "train"]]
         assert (out / "checkpoint.bin").read_bytes() == (ref / "checkpoint.bin").read_bytes()
 
-    def test_mode_flag_mapping(self, tree_dir, tmp_path):
+    def test_flags_take_the_model_config_names(self, tree_dir, tmp_path):
         out = tmp_path / "run"
-        run_train(tree_dir, out, "--curvature-mode", "relation")
+        assert run_train(tree_dir, out, "--curvature-mode", "per_relation",
+                         "--no-intra-level") == 0
         cfg = json.loads((out / "config.json").read_text())
-        assert cfg["curvature_mode"] == "per_relation"
+        assert (cfg["curvature_mode"], cfg["use_inter_level"], cfg["use_intra_level"]) == \
+            ("per_relation", True, False)
+        assert not {"no_inter_level", "no_intra_level"} & set(cfg)
+        model = checkpoint.load(str(out / "checkpoint.bin"))
+        assert model.config == cli.model_config_from(cfg)
+
+    def test_retired_mode_flag_rejected_by_argparse(self, tree_dir, tmp_path, capsys):
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            run_train(tree_dir, out, "--curvature-mode", "fixed")
+        assert exc.value.code == 2
+        assert "invalid choice: 'fixed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg,message", (
+        ({"curvature_mode": "relation"}, "error: unknown curvature_mode 'relation'\n"),
+        ({"no_inter_level": True}, "error: unknown keys in config file: ['no_inter_level']\n"),
+        ({"no_intra_level": False}, "error: unknown keys in config file: ['no_intra_level']\n"),
+    ))
+    def test_retired_config_spelling_rejected_before_any_work(self, tree_dir, tmp_path,
+                                                               capsys, cfg, message):
+        out = tmp_path / "never"
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_train(tree_dir, out, "--config", str(cfg_path)) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_config_file_precedence(self, tree_dir, tmp_path):
         cfg_path = tmp_path / "base.json"
@@ -213,7 +240,7 @@ class TestTrain:
         assert "unknown keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,key,value", (
-        ("train", "no_inter_level", "yes"),
+        ("train", "use_inter_level", "yes"),
         ("train", "dim", 8.0),
         ("train", "seed", 1.5),
         ("train", "batch_size", 99.0),
@@ -221,7 +248,7 @@ class TestTrain:
         ("train", "grad_clip", "0.5"),
         ("train", "dim", True),
         ("train", "lr", True),
-        ("train", "no_intra_level", 1),
+        ("train", "use_intra_level", 1),
         ("train", "optimizer", None),
         ("train", "out_dir", 3),
         ("eval", "per_relation", "no"),
@@ -246,10 +273,11 @@ class TestTrain:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"dataset_dir": tree_dir, "out_dir": str(out),
                                         "dim": 4, "epochs": 1, "lr": 1, "init_scale": 0,
-                                        "grad_clip": None, "no_inter_level": True}))
+                                        "grad_clip": None, "use_inter_level": False}))
         assert main(["train", "--config", str(cfg_path)]) == 0
         resolved = json.loads((out / "config.json").read_text())
-        assert (resolved["lr"], resolved["grad_clip"], resolved["no_inter_level"]) == (1, None, True)
+        assert (resolved["lr"], resolved["grad_clip"], resolved["use_inter_level"]) == \
+            (1, None, False)
 
     @pytest.mark.parametrize("content", ("[1, 2]", '["dim"]', "3", '"dim"', "null"))
     def test_config_file_must_hold_an_object(self, tree_dir, tmp_path, capsys, content):
@@ -432,23 +460,23 @@ class TestAblate:
             args += ["--curvature-mode", "global"]
         else:
             cfg_path = tmp_path / "base.json"
-            cfg_path.write_text(json.dumps({"curvature_mode": "relation"}))
+            cfg_path.write_text(json.dumps({"curvature_mode": "per_relation"}))
             args += ["--config", str(cfg_path)]
         assert main(args) == 1
         assert capsys.readouterr().err == "error: --curvature-mode is set by each ablation run\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ("no_inter_level", "no_intra_level"))
+    @pytest.mark.parametrize("key", ("use_inter_level", "use_intra_level"))
     @pytest.mark.parametrize("source", ("flag", "config"))
     def test_grid_rejects_transform_flags_before_any_work(self, tree_dir, tmp_path, capsys,
                                                           key, source):
         out = tmp_path / "never"
         args = ["ablate", "--dataset-dir", tree_dir, "--out-dir", str(out)]
         if source == "flag":
-            args += ["--" + key.replace("_", "-")]
+            args += ["--" + key.replace("use_", "no-").replace("_", "-")]
         else:
             cfg_path = tmp_path / "base.json"
-            cfg_path.write_text(json.dumps({key: True}))
+            cfg_path.write_text(json.dumps({key: False}))
             args += ["--config", str(cfg_path)]
         assert main(args) == 1
         err = capsys.readouterr().err
@@ -618,7 +646,27 @@ EVAL_KEYS = {"dataset_dir", "out_dir", "seed", "checkpoint", "split", "per_relat
 ANALYZE_KEYS = {"dataset_dir", "out_dir", "seed", "relations", "samples"}
 
 
+def subparser_actions(command):
+    """The options of one command's parser, by dest, without -h."""
+    (sub,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    return {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
+
+
 class TestSettings:
+    @pytest.mark.parametrize("command", cli.MODEL_COMMANDS)
+    def test_model_flags_are_named_after_config_fields(self, command):
+        # one spelling per setting: the flag's dest, the --config key and the
+        # config.json key are all the ModelConfig or TrainConfig field name
+        own = {"config", *cli.RUN_DEFAULTS, *cli.COMMAND_DEFAULTS[command]}
+        dests = set(subparser_actions(command)) - own
+        assert dests == set(cli.MODEL_DEFAULTS)
+        fields = {f.name for cls in (ModelConfig, training.TrainConfig)
+                  for f in dataclasses.fields(cls)}
+        assert dests <= fields
+
+    @pytest.mark.parametrize("command", cli.MODEL_COMMANDS)
+    def test_curvature_mode_choices_are_the_model_modes(self, command):
+        assert tuple(subparser_actions(command)["curvature_mode"].choices) == CURVATURE_MODES
     @pytest.mark.parametrize("command,flags", (
         ("train", RUN_FLAGS + MODEL_FLAGS),
         ("eval", RUN_FLAGS + ["--checkpoint", "--split", "--per-relation"]),

@@ -1,5 +1,9 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
@@ -112,16 +116,36 @@ def count_bfs_calls(monkeypatch):
     return calls
 
 
+def reference_triangle_draws(g, rng):
+    """xi_estimate's draws written out on their own: the components with 3
+    or more nodes as index lists in label order, one picked by a linear
+    scan over n(n - 1)(n - 2) weights when there are several, then three
+    distinct positions in it."""
+    _, labels = connected_components(g.csgraph, directed=False)
+    members = [np.flatnonzero(labels == k).tolist() for k in range(labels.max() + 1)]
+    members = [nodes for nodes in members if len(nodes) >= 3]
+    weights = [len(nodes) * (len(nodes) - 1) * (len(nodes) - 2) for nodes in members]
+    while True:
+        nodes = members[0]
+        if len(members) > 1:
+            r = int(rng.integers(sum(weights)))
+            for nodes, w in zip(members, weights):
+                if r < w:
+                    break
+                r -= w
+        yield tuple(nodes[int(i)] for i in rng.choice(len(nodes), size=3, replace=False))
+
+
 def reference_xi_estimate(g, n_samples, seed):
     """xi_estimate written out over an all-pairs Dijkstra matrix: the same
     sample stream, rejection rules and min-index midpoint walk."""
     D = dijkstra(g.csgraph, directed=False, unweighted=True)
     indptr, indices = g.csgraph.indptr, g.csgraph.indices
-    rng = np.random.default_rng(seed)
+    draws = reference_triangle_draws(g, np.random.default_rng(seed))
     values, rejected, attempts = [], 0, 0
     while len(values) < n_samples and attempts < max(20 * n_samples, 1000):
         attempts += 1
-        a, b, c = (int(x) for x in rng.choice(g.n_nodes, size=3, replace=False))
+        a, b, c = next(draws)
         d_bc = D[b, c]
         m = c
         if np.isfinite(d_bc) and d_bc % 2 == 0:
@@ -307,8 +331,18 @@ class TestForestReader:
             pytest.approx(reference_xi_estimate(g, 200, 0), rel=1e-12)
 
 
+def stars(rng, n_stars, n_pairs):
+    """Stars of 2-4 leaves (3-5 nodes) and disjoint pairs, over shuffled ids."""
+    edges, ids = [], iter(rng.permutation(10 * (n_stars + n_pairs)).tolist())
+    for _ in range(n_stars):
+        hub = next(ids)
+        edges += [(hub, next(ids)) for _ in range(int(rng.integers(2, 5)))]
+    edges += [(next(ids), next(ids)) for _ in range(n_pairs)]
+    return edges
+
+
 class TestComponents:
-    """A triangle across components is rejected before any BFS."""
+    """A triangle is drawn inside one component, uniform over all of them."""
 
     def two_rings(self):
         # two rings of 60 with chords: cyclic, so every read runs a BFS
@@ -322,21 +356,63 @@ class TestComponents:
         assert g.component_labels.max() == 1
         return g
 
-    def test_cross_component_triangle_reads_nothing(self, monkeypatch):
-        g = self.two_rings()
-        calls = count_bfs_calls(monkeypatch)
-        for a, b, c in [(0, 1, 70), (70, 1, 2), (0, 61, 62), (61, 0, 1)]:
-            assert xi_triangle(g, a, b, c) is None
-        assert calls == []
+    def test_draw_frequencies_match_enumeration(self, monkeypatch):
+        # components of 3, 4, 5, 2 and 1 nodes: the 6 + 24 + 60 ordered
+        # triples of distinct nodes inside one component, each drawn with
+        # chance 1/90, and no other triple
+        g = build_graph("r", [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6),
+                              (7, 8), (7, 9), (7, 10), (7, 11), (12, 13), (14, 14)])
+        _, labels = connected_components(g.csgraph, directed=False)
+        exact = [(a, b, c) for a in range(g.n_nodes) for b in range(g.n_nodes)
+                 for c in range(g.n_nodes)
+                 if len({a, b, c}) == 3 and labels[a] == labels[b] == labels[c]]
+        assert len(exact) == 90
+        # every draw is rejected, so xi_estimate spends its 20 x 1,350 attempts
+        drawn = []
+        monkeypatch.setattr(hierarchy, "xi_triangle", lambda graph, *abc: drawn.append(abc))
+        with pytest.raises(ValueError, match="no valid xi sample in 27000 attempts"):
+            xi_estimate(g, n_samples=1350, seed=0)
+        counts = collections.Counter(drawn)
+        assert sorted(counts) == exact
+        chi2 = sum((k - 300) ** 2 / 300 for k in counts.values())
+        assert chi2 < stats.chi2.ppf(0.999, 89)
+        assert drawn == list(itertools.islice(
+            reference_triangle_draws(g, np.random.default_rng(0)), len(drawn)))
 
-    def test_fewer_bfs_calls_and_same_estimate(self, monkeypatch):
+    def test_one_bfs_per_source_read_and_same_estimate(self, monkeypatch):
         g = self.two_rings()
         calls = count_bfs_calls(monkeypatch)
         result = xi_estimate(g, n_samples=150, seed=0)
-        # without the component check each attempt reads from b at least
-        assert len(calls) < result.accepted + result.rejected
+        # every attempt reads from b, and an accepted one from a too
+        assert len(calls) == 2 * result.accepted + result.rejected
         assert (result.mean, result.stderr, result.accepted, result.rejected) == \
             pytest.approx(reference_xi_estimate(g, 150, 0), rel=1e-12)
+
+    def test_fragmented_cyclic_graph_matches_reference(self):
+        # rings of 4-12 nodes, some with a chord, beside stars and pairs
+        rng = np.random.default_rng(12)
+        edges = stars(rng, 30, 20)
+        for base in range(1000, 3000, 100):
+            size = int(rng.integers(4, 13))
+            edges += [(base + i, base + (i + 1) % size) for i in range(size)]
+            edges += [(base, base + size // 2)] if rng.random() < 0.5 else []
+        g = build_graph("r", edges)
+        assert g.forest_pred is None
+        result = xi_estimate(g, n_samples=300, seed=3)
+        assert result.accepted == 300
+        assert (result.mean, result.stderr, result.accepted, result.rejected) == \
+            pytest.approx(reference_xi_estimate(g, 300, 3), rel=1e-12)
+
+    def test_many_small_components_yield_samples(self):
+        # a uniform draw over all nodes lands inside one component with
+        # chance below 1e-5 here, so nearly every attempt of the budget
+        # would be spent on triangles across components
+        g = build_graph("r", stars(np.random.default_rng(13), 400, 300))
+        n, sizes = g.n_nodes, np.bincount(connected_components(g.csgraph)[1])
+        assert (sizes * (sizes - 1) * (sizes - 2)).sum() / (n * (n - 1) * (n - 2)) < 1e-5
+        result = xi_estimate(g, n_samples=500, seed=0)
+        # leaves meet at their hub: a star of 3 or more leaves gives -1
+        assert (result.mean, result.stderr, result.accepted) == (-1.0, 0.0, 500)
 
 
 class TestXiTriangle:
@@ -364,13 +440,6 @@ class TestXiTriangle:
     def test_midpoint_equal_to_a_rejected(self):
         g = build_graph("r", [(0, 1), (1, 2)])
         assert xi_triangle(g, 1, 0, 2) is None
-
-    def test_disconnected_pair_rejected(self):
-        g = build_graph("r", [(0, 1), (1, 2), (3, 4), (4, 5)])
-        assert xi_triangle(g, 0, 1, 4) is None
-        # b, c connected but a in the other component
-        g2 = build_graph("r", [(0, 1), (1, 2), (3, 4)])
-        assert xi_triangle(g2, 3, 0, 2) is None
 
     def test_matches_tree_oracle(self):
         for seed in range(4):
@@ -501,12 +570,12 @@ class TestForestPinned:
         return data.build_vocab({"train": tree + back + second, "valid": [], "test": []})
 
     @pytest.mark.parametrize("seed, expected", [
-        (0, (-1.5533786676286676, 0.07632828647071783, 300, 1299)),
-        (1, (-1.5507194194694196, 0.07449790696272085, 300, 1187)),
+        (0, (-1.7440091020091022, 0.08916688527348234, 300, 320)),
+        (1, (-1.7385328282828285, 0.08271718758281203, 300, 283)),
     ])
     def test_pinned_output(self, seed, expected, monkeypatch):
-        # expected values were recorded with one BFS per sampled source,
-        # before forests got their own reader
+        # expected values equal reference_xi_estimate's, from the Dijkstra
+        # distances and the same draw inside one component
         calls = count_bfs_calls(monkeypatch)
         row = analyze_relation(self.store(), "r", n_samples=300, seed=seed)
         assert len(calls) == 1
