@@ -167,11 +167,8 @@ def _prepare_out_dir(cfg):
     return out_dir
 
 
-def _load_augmented(cfg):
-    store = data.load_dataset(
-        cfg["dataset_dir"], report=lambda msg: print(msg, file=sys.stderr)
-    )
-    return data.augment_reciprocal(store)
+def _load_store(cfg):
+    return data.load_dataset(cfg["dataset_dir"], report=lambda msg: print(msg, file=sys.stderr))
 
 
 def _check_geometry(cfg):
@@ -199,7 +196,7 @@ def cmd_train(cfg):
     _check_geometry(cfg)
     tcfg = train_config_from(cfg)
     out_dir = _prepare_out_dir(cfg)
-    astore = _load_augmented(cfg)
+    astore = data.augment_reciprocal(_load_store(cfg))
     filters = data.build_filter_index(astore)
     model = KGEModel.init(mcfg, astore.n_entities, astore.n_relations, seed=cfg["seed"])
     result = train(model, astore, tcfg, filters,
@@ -222,7 +219,7 @@ def cmd_eval(cfg):
     _require(cfg, "dataset_dir", "out_dir", "checkpoint")
     out_dir = _prepare_out_dir(cfg)
     model = checkpoint.load(cfg["checkpoint"])
-    astore = _load_augmented(cfg)
+    astore = data.augment_reciprocal(_load_store(cfg))
     if (model.n_entities, model.n_relations) != (astore.n_entities, astore.n_relations):
         raise CliError(
             f"checkpoint was trained on {model.n_entities} entities / "
@@ -267,7 +264,7 @@ def cmd_ablate(cfg):
     base = model_config_from(cfg)
     tcfg = train_config_from(cfg)
     out_dir = _prepare_out_dir(cfg)
-    astore = _load_augmented(cfg)
+    astore = data.augment_reciprocal(_load_store(cfg))
     filters = data.build_filter_index(astore)
     if cfg["curvature_sweep"]:
         runs = [(label, mode, cfg["use_inter_level"], cfg["use_intra_level"])
@@ -289,7 +286,7 @@ def cmd_ablate(cfg):
             "use_inter_level": inter, "use_intra_level": intra,
             "dim": cfg["dim"], "seed": cfg["seed"], "epochs": tcfg.epochs,
             "best_epoch": result.best_epoch,
-            **{k: best.get(k) for k in ("mrr", "h1", "h3", "h10")},
+            **{k: best.get(k) for k in evaluation.METRIC_COLUMNS},
         })
         print(f"{label}: valid mrr={result.best_mrr}")
     path = os.path.join(out_dir, "ablation.csv")
@@ -301,27 +298,9 @@ def cmd_ablate(cfg):
 def cmd_analyze(cfg):
     _require(cfg, "dataset_dir", "out_dir")
     out_dir = _prepare_out_dir(cfg)
-    store = data.load_dataset(
-        cfg["dataset_dir"], report=lambda msg: print(msg, file=sys.stderr)
-    )
-    explicit = bool(cfg["relations"])
-    names = cfg["relations"] if explicit else list(store.relations)
-    rows = []
-    exit_code = 0
-    for name in names:
-        try:
-            rows.append(hierarchy.analyze_relation(
-                store, name, n_samples=cfg["samples"], seed=cfg["seed"]
-            ))
-        except KeyError:
-            rows.append({"relation": name, "error": "unknown-relation"})
-            exit_code = 1
-        except ValueError as exc:
-            label = "no-edges" if "no edges" in str(exc) else "no-valid-samples"
-            rows.append({"relation": name, "error": label})
-            if explicit:
-                exit_code = 1
-            print(f"{name}: {exc}", file=sys.stderr)
+    store = _load_store(cfg)
+    rows = [hierarchy.analyze_relation(store, name, n_samples=cfg["samples"], seed=cfg["seed"])
+            for name in cfg["relations"] or store.relations]
     hierarchy.write_hierarchy_csv(os.path.join(out_dir, "hierarchy.csv"), rows)
     for row in rows:
         if row.get("error"):
@@ -330,7 +309,8 @@ def cmd_analyze(cfg):
             print(f"{row['relation']}: khs={row['khs']:.4f} "
                   f"xi={row['xi_mean']:.4f}±{row['xi_stderr']:.4f} "
                   f"(n={row['samples_accepted']}, rejected={row['samples_rejected']})")
-    return exit_code
+    # a relation named by --relations must get its value; a run over all reports those without
+    return 1 if cfg["relations"] and any("error" in row for row in rows) else 0
 
 
 COMMANDS = {

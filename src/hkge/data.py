@@ -58,7 +58,6 @@ class TripleStore:
     name: str | None = None
     augmented: bool = False
     n_base_relations: int = 0
-    ent_index: dict = field(default_factory=dict)
     rel_index: dict = field(default_factory=dict)
 
     @property
@@ -74,17 +73,6 @@ class TripleStore:
             return {"train": self.train, "valid": self.valid, "test": self.test}[name]
         except KeyError:
             raise DatasetError(f"unknown split {name!r}") from None
-
-    def decode(self, triple):
-        h, r, t = (int(x) for x in triple)
-        return self.entities[h], self.relations[r], self.entities[t]
-
-    def encode(self, names):
-        h, r, t = names
-        try:
-            return self.ent_index[h], self.rel_index[r], self.ent_index[t]
-        except KeyError as exc:
-            raise DatasetError(f"symbol not in vocabulary: {exc.args[0]!r}") from None
 
 
 SPLITS = ("train", "valid", "test")
@@ -270,7 +258,6 @@ def build_vocab(splits):
     return TripleStore(
         entities=entities, relations=relations, train=train, valid=valid, test=test,
         n_base_relations=len(relations),
-        ent_index=dict(zip(entities, range(len(entities)))),
         rel_index=dict(zip(relations, range(len(relations)))),
     )
 
@@ -349,7 +336,7 @@ def augment_reciprocal(store):
         entities=store.entities, relations=relations,
         train=aug(store.train), valid=aug(store.valid), test=aug(store.test),
         name=store.name, augmented=True, n_base_relations=n_base,
-        ent_index=store.ent_index, rel_index=rel_index,
+        rel_index=rel_index,
     )
 
 

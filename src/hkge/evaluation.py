@@ -17,6 +17,7 @@ from .data import sorted_unique, write_csv
 from .model import NumericError
 
 KS = (1, 3, 10)  # the Hits@K cutoffs: every metrics table has h1, h3, h10
+METRIC_COLUMNS = ("mrr", *(f"h{k}" for k in KS))  # as MetricReport.row() names them
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -156,8 +157,8 @@ def per_relation_report(ranks, triples, relation_names, n_base_relations):
 
 
 def write_global_csv(path, report, split):
-    write_csv(path, ["split", "n", "mrr", "h1", "h3", "h10"], [{"split": split, **report.row()}])
+    write_csv(path, ["split", "n", *METRIC_COLUMNS], [{"split": split, **report.row()}])
 
 
 def write_per_relation_csv(path, rows):
-    write_csv(path, ["relation", "n", "mrr", "h1", "h3", "h10"], rows)
+    write_csv(path, ["relation", "n", *METRIC_COLUMNS], rows)

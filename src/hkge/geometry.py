@@ -177,11 +177,8 @@ def log0(x, c):
     g = np.sqrt(c) * _norm(x)
     over = g > 1.0 - BALL_EPS
     _count_clamps(over)
-    if np.any(over):
-        coef = np.where(over, np.arctanh(1.0 - BALL_EPS) / np.where(over, g, 1.0),
-                        artanh_ratio(np.minimum(g, 1.0 - BALL_EPS)))
-    else:
-        coef = artanh_ratio(g)
+    coef = np.where(over, np.arctanh(1.0 - BALL_EPS) / np.where(over, g, 1.0),
+                    artanh_ratio(np.minimum(g, 1.0 - BALL_EPS)))
     return coef * x
 
 

@@ -19,9 +19,12 @@ predecessors are each node's parent, and a source's reader starts out
 knowing the distances to the source's ancestors.  Distances are exact
 small integers in float64 either way, so xi results are the same as
 from an unweighted Dijkstra.  A triangle is drawn inside one connected
-component, picked with weight n_k(n_k - 1)(n_k - 2): every ordered triple
-of distinct nodes in one component is equally likely, so a relation made
-of many small components yields samples as readily as a connected one.
+component of 4 or more nodes, picked with weight n_k(n_k - 1)(n_k - 2):
+every ordered triple of distinct nodes in one such component is equally
+likely, so a relation made of many small components yields samples as
+readily as a connected one.  No triangle in a component of 3 nodes is
+valid (a path's one even-distance pair has the third node as midpoint; a
+triangle has none), so such components get no weight.
 """
 
 from dataclasses import dataclass
@@ -35,6 +38,23 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from .data import sorted_unique, write_csv
 
 DEFAULT_XI_SAMPLES = 10_000
+
+
+class RelationError(Exception):
+    """A relation has no hierarchy row; `label` names why in hierarchy.csv."""
+    label = None
+
+
+class UnknownRelation(RelationError, KeyError):
+    label = "unknown-relation"
+
+
+class NoEdges(RelationError, ValueError):
+    label = "no-edges"
+
+
+class NoXiSample(RelationError, ValueError):
+    label = "no-valid-samples"
 
 
 @dataclass
@@ -62,11 +82,12 @@ class RelationGraph:
     def components(self):
         """The nodes ordered by component label (by index within each),
         each component's start in that order followed by the end, and the
-        cumulative n_k(n_k - 1)(n_k - 2): how many ordered triples of
-        distinct nodes lie in one of components 0..k."""
+        cumulative n_k(n_k - 1)(n_k - 2) over components of 4 or more nodes:
+        how many ordered triples of distinct nodes lie in one of those among
+        components 0..k."""
         labels = self.component_labels
         sizes = np.bincount(labels)
-        triples = np.cumsum(sizes * (sizes - 1) * (sizes - 2))
+        triples = np.cumsum(np.where(sizes >= 4, sizes * (sizes - 1) * (sizes - 2), 0))
         return np.argsort(labels, kind="stable"), np.append(0, np.cumsum(sizes)), triples
 
     @cached_property
@@ -101,7 +122,7 @@ def build_graph(relation, edge_list):
     """RelationGraph from directed (head_id, tail_id) pairs."""
     edges = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
     if not len(edges):
-        raise ValueError(f"relation {relation!r} has no edges")
+        raise NoEdges(f"relation {relation!r} has no edges")
     node_ids, compact = np.unique(edges, return_inverse=True)
     compact = compact.reshape(-1, 2)
     n = len(node_ids)
@@ -120,10 +141,10 @@ def build_graph(relation, edge_list):
 def relation_subgraph(store, relation_name):
     """Subgraph of the train split restricted to one base relation."""
     if relation_name not in store.rel_index:
-        raise KeyError(f"unknown relation: {relation_name}")
+        raise UnknownRelation(f"unknown relation: {relation_name}")
     rel_id = store.rel_index[relation_name]
     if rel_id >= store.n_base_relations:
-        raise KeyError(f"{relation_name!r} is a reciprocal relation, not a base one")
+        raise UnknownRelation(f"{relation_name!r} is a reciprocal relation, not a base one")
     train = np.asarray(store.train)
     mask = train[:, 1] == rel_id
     return build_graph(relation_name, train[mask][:, [0, 2]])
@@ -253,17 +274,19 @@ class XiResult:
 def xi_estimate(graph, n_samples=DEFAULT_XI_SAMPLES, seed=0):
     """Sampled mean and standard error of xi over valid triangles.
 
-    Each draw is an ordered triple of distinct nodes of one component,
-    uniform over all such triples.  The component is drawn by one
-    `searchsorted` on a uniform integer below the number of triples, and
-    only when two or more components hold a triple; a connected graph thus
-    gives the stream of `rng.choice(n, 3)`.
+    Each draw is an ordered triple of distinct nodes of one component of
+    4 or more nodes, uniform over all such triples.  The component is
+    drawn by one `searchsorted` on a uniform integer below the number of
+    triples, and only when two or more components have 4 nodes; a
+    connected graph thus gives the stream of `rng.choice(n, 3)`.  Raises
+    `NoXiSample` before any draw if no component has 4 nodes, and after
+    the last attempt if every one was rejected.
     """
     order, bounds, cum = graph.components
-    if not cum[-1]:  # every component has fewer than 3 nodes
-        raise ValueError(f"no valid xi sample on relation {graph.relation!r}: "
-                         "no connected component has 3 nodes")
-    k = int(np.searchsorted(cum, 0, side="right"))  # the first component with a triple
+    if not cum[-1]:
+        raise NoXiSample(f"no valid xi sample on relation {graph.relation!r}: "
+                         "no connected component has more than 3 nodes")
+    k = int(np.searchsorted(cum, 0, side="right"))  # the first component with weight
     several = cum[k] < cum[-1]
     max_attempts = max(20 * n_samples, 1000)
     rng = np.random.default_rng(seed)
@@ -282,7 +305,7 @@ def xi_estimate(graph, n_samples=DEFAULT_XI_SAMPLES, seed=0):
         else:
             values.append(xi)
     if not values:
-        raise ValueError(
+        raise NoXiSample(
             f"no valid xi sample in {attempts} attempts on relation {graph.relation!r}"
         )
     arr = np.asarray(values)
@@ -295,12 +318,14 @@ HIERARCHY_HEADER = "relation,nodes,edges,khs,xi_mean,xi_stderr,samples_accepted,
 
 
 def analyze_relation(store, relation_name, n_samples=DEFAULT_XI_SAMPLES, seed=0):
-    graph = relation_subgraph(store, relation_name)
-    score = khs(graph)
-    if graph.n_nodes >= 3:
+    """The hierarchy.csv row of one relation, or, where a `RelationError`
+    says it has none, its name and the error's `label` as `error`."""
+    try:
+        graph = relation_subgraph(store, relation_name)
+        score = khs(graph)
         xi = xi_estimate(graph, n_samples=n_samples, seed=seed)
-    else:
-        xi = XiResult(mean=float("nan"), stderr=float("nan"), accepted=0, rejected=0)
+    except RelationError as exc:
+        return {"relation": relation_name, "error": exc.label}
     return {
         "relation": relation_name, "nodes": graph.n_nodes, "edges": graph.n_edges,
         "khs": score, "xi_mean": xi.mean, "xi_stderr": xi.stderr,

@@ -18,7 +18,7 @@ from . import data, evaluation, geometry
 from .checkpoint import round_trip_f32
 from .model import KGEModel, NumericError, sigmoid, softplus
 
-METRIC_LOG_HEADER = "epoch,split,loss,mrr,h1,h3,h10,clamp_events"
+METRIC_LOG_HEADER = ",".join(["epoch", "split", "loss", *evaluation.METRIC_COLUMNS, "clamp_events"])
 
 
 @dataclass

@@ -7,9 +7,10 @@ import re
 import numpy as np
 import pytest
 
-from hkge import checkpoint, cli, data, evaluation, training
+from hkge import checkpoint, cli, data, evaluation, hierarchy, training
 from hkge.cli import main
 from hkge.model import CURVATURE_MODES, KGEModel, ModelConfig
+from test_hierarchy import count_bfs_calls
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +290,20 @@ class TestTrain:
         assert "must hold a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", (None, "{", "{'dim': 4}"))
+    def test_unreadable_config_file(self, tree_dir, tmp_path, capsys, content):
+        # None: a directory stands where the file should be; else text that is no JSON
+        cfg_path = tmp_path / "bad.json"
+        if content is None:
+            cfg_path.mkdir()
+        else:
+            cfg_path.write_text(content)
+        out = tmp_path / "never"
+        assert main(["analyze", "--dataset-dir", tree_dir, "--out-dir", str(out),
+                     "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {cfg_path}: ")
+        assert not out.exists()
+
 
 class TestEval:
     def test_reproduces_final_training_metrics(self, tree_dir, tmp_path):
@@ -523,6 +538,30 @@ class TestAblate:
             assert row["epochs"] == "2"
 
 
+@pytest.fixture(scope="module")
+def shapes_dir(tmp_path_factory):
+    """One relation per analyze outcome: `star` (a hub and 3 leaves) has xi;
+    `pair` has 2 nodes, `trio` a 3-node path and a triangle, and `clique` 4
+    nodes all joined, so none has a valid xi sample; `held` is only in valid."""
+    root = tmp_path_factory.mktemp("datasets") / "shapes"
+    root.mkdir()
+    train = [("h", "star", f"l{i}") for i in range(3)] + [("p0", "pair", "p1")]
+    train += [("t0", "trio", "t1"), ("t1", "trio", "t2")]
+    train += [(f"u{i}", "trio", f"u{(i + 1) % 3}") for i in range(3)]
+    train += [(f"k{i}", "clique", f"k{j}") for i in range(4) for j in range(i + 1, 4)]
+    for name, rows in (("train", train), ("valid", [("p1", "held", "p0")]), ("test", [])):
+        (root / f"{name}.txt").write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows))
+    return str(root)
+
+
+NO_XI = {name: (f"{name},,,{label},,,,", f"{name}: {label}") for name, label in (
+    ("pair", "error:no-valid-samples"), ("trio", "error:no-valid-samples"),
+    ("clique", "error:no-valid-samples"), ("held", "error:no-edges"),
+    ("nope", "error:unknown-relation"))}
+STAR = (r"star,4,3,1\.000000,-1\.000000,0\.000000,20,\d+",
+        r"star: khs=1\.0000 xi=-1\.0000±0\.0000 \(n=20, rejected=\d+\)")
+
+
 class TestAnalyze:
     def test_tree_hierarchy(self, tree_dir, tmp_path, capsys):
         out = tmp_path / "analyze"
@@ -556,6 +595,50 @@ class TestAnalyze:
         assert "wrong_name,,,error:unknown-relation,,,," in lines
         assert any(line.startswith("parent_of,1") or line.startswith("parent_of,5")
                    for line in lines)
+
+    # every relation gets one row, and an error label where it has no value
+    def run(self, shapes_dir, tmp_path, capsys, *relations):
+        out = tmp_path / "analyze"
+        code = main(["analyze", "--dataset-dir", shapes_dir, "--out-dir", str(out),
+                     "--samples", "20", *(arg for r in relations for arg in ("--relations", r))])
+        lines = (out / "hierarchy.csv").read_text().split("\n")
+        assert lines[0] == hierarchy.HIERARCHY_HEADER and lines[-1] == ""
+        assert not any(cell == "nan" for line in lines for cell in line.split(","))
+        stdout = capsys.readouterr().out
+        assert "nan" not in stdout
+        return code, lines[1:-1], stdout.split("\n")[:-1]
+
+    def test_all_relations(self, shapes_dir, tmp_path, capsys):
+        code, rows, stdout = self.run(shapes_dir, tmp_path, capsys)
+        assert code == 0  # a relation without a value is no error when none was named
+        assert re.fullmatch(STAR[0], rows[0]) and re.fullmatch(STAR[1], stdout[0])
+        names = ("pair", "trio", "clique", "held")
+        assert rows[1:] == [NO_XI[name][0] for name in names]
+        assert stdout[1:] == [NO_XI[name][1] for name in names]
+
+    @pytest.mark.parametrize("name", NO_XI)
+    def test_named_relation_without_a_value_fails(self, shapes_dir, tmp_path, capsys, name):
+        code, rows, stdout = self.run(shapes_dir, tmp_path, capsys, "star", name)
+        assert code == 1
+        assert re.fullmatch(STAR[0], rows[0]) and re.fullmatch(STAR[1], stdout[0])
+        assert (rows[1:], stdout[1:]) == ([NO_XI[name][0]], [NO_XI[name][1]])
+
+    def test_three_node_components_are_not_drawn(self, shapes_dir, tmp_path, capsys,
+                                                 monkeypatch):
+        calls = count_bfs_calls(monkeypatch)
+        assert self.run(shapes_dir, tmp_path, capsys, "trio")[:2] == (1, [NO_XI["trio"][0]])
+        assert calls == []
+
+    def test_other_errors_propagate(self, shapes_dir, tmp_path, capsys, monkeypatch):
+        def boom(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(hierarchy, "xi_triangle", boom)
+        out = tmp_path / "analyze"
+        assert main(["analyze", "--dataset-dir", shapes_dir, "--out-dir", str(out),
+                     "--samples", "20"]) == 1
+        assert capsys.readouterr().err == "error: boom\n"
+        assert not (out / "hierarchy.csv").exists()
 
 
 class TestGeometryFlag:

@@ -65,7 +65,6 @@ def assert_matches_reference(root):
     entities, relations, arrays = reference_load(root)
     assert store.entities == entities
     assert store.relations == relations
-    assert store.ent_index == {e: i for i, e in enumerate(entities)}
     assert store.rel_index == {r: i for i, r in enumerate(relations)}
     assert store.n_base_relations == len(relations)
     for name, want in arrays.items():
@@ -256,16 +255,9 @@ class TestVocab:
         np.testing.assert_array_equal(store.valid, [[2, 0, 0]])
         np.testing.assert_array_equal(store.test, [[3, 1, 0]])
 
-    def test_encode_decode_round_trip(self):
-        store = build_vocab(TOY)
-        for split in TOY:
-            for names in TOY[split]:
-                assert store.decode(store.encode(names)) == names
-
-    def test_encode_unknown_symbol(self):
-        store = build_vocab(TOY)
-        with pytest.raises(DatasetError, match="zzz"):
-            store.encode(("zzz", "likes", "a"))
+    def test_unknown_split_name(self):
+        with pytest.raises(DatasetError, match="unknown split 'dev'"):
+            build_vocab(TOY).split("dev")
 
     def test_empty_valid_is_allowed(self):
         store = build_vocab({"train": TOY["train"], "valid": [], "test": []})
@@ -364,6 +356,20 @@ class TestFilterIndex:
             with pytest.raises(KeyError):
                 filters[key]
 
+    def test_absent_query_between_stored_ones_is_missing(self):
+        # a code inside the stored range that no triple has: the binary
+        # search lands on a neighbour's run, which must not be returned
+        store = augment_reciprocal(build_vocab(TOY))
+        filters = build_filter_index(store)
+        n_r = store.n_relations
+        codes = [h * n_r + r for h, r in filters]
+        absent = [divmod(q, n_r) for q in range(codes[0] + 1, codes[-1]) if q not in codes]
+        assert absent
+        for key in absent:
+            assert key not in filters
+            with pytest.raises(KeyError):
+                filters[key]
+
     def test_numpy_integer_keys(self):
         store = augment_reciprocal(build_vocab(TOY))
         filters = build_filter_index(store)
@@ -402,6 +408,21 @@ class TestReferenceCheck:
         errors, warnings = check_reference("wn18rr", stats)
         assert errors == []
         assert len(warnings) == 2
+
+    def test_deviations_are_sent_to_report(self, tmp_path, monkeypatch):
+        # a directory named like a known benchmark whose entity and valid
+        # counts differ from the published ones loads, and says so
+        root = tmp_path / "Tiny-KG"
+        root.mkdir()
+        write_toy(root)
+        monkeypatch.setitem(data.REFERENCE_STATS, "tinykg", {
+            "entities": 99, "relations": 2, "train": 3, "valid": 98, "test": 1})
+        reported = []
+        load_dataset(root, report=reported.append)
+        assert reported == [
+            "Tiny-KG: entities count 4 deviates from published 99 (reported, not fatal)",
+            "Tiny-KG: valid count 1 deviates from published 98 (reported, not fatal)",
+        ]
 
     def test_unknown_name_skipped(self):
         errors, warnings = check_reference("my_custom_kg", {"entities": 1,
@@ -481,10 +502,13 @@ class TestTreeDataset:
         make_tree_dataset(tmp_path / "tree")
         store = load_dataset(tmp_path / "tree")
         inverse = {"parent_of": "child_of", "child_of": "parent_of"}
-        train_set = {tuple(store.decode(tr)) for tr in store.train}
+        def names(split):
+            return [(store.entities[h], store.relations[r], store.entities[t])
+                    for h, r, t in split.tolist()]
+
+        train_set = set(names(store.train))
         for split in (store.valid, store.test):
-            for tr in split:
-                h, r, t = store.decode(tr)
+            for h, r, t in names(split):
                 assert (t, inverse[r], h) in train_set
 
     def test_no_leakage_between_splits(self, tmp_path):

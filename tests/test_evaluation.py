@@ -419,10 +419,14 @@ class TestEvaluateSplit:
         b = evaluate_split(m, triples[perm], None, seed=3)
         assert a.mrr == b.mrr and a.hits == b.hits
 
-    def test_empty_split_rejected(self):
+    @pytest.mark.parametrize("report", (
+        lambda m, triples: evaluate_split(m, triples, None),
+        lambda m, triples: per_relation_report([], triples, ["r"], 1),
+    ), ids=("evaluate_split", "per_relation_report"))
+    def test_empty_split_rejected(self, report):
         m = scored_model([0.0, 1.0])
-        with pytest.raises(ValueError, match="empty"):
-            evaluate_split(m, np.empty((0, 3), dtype=int), None)
+        with pytest.raises(ValueError, match="empty split"):
+            report(m, np.empty((0, 3), dtype=int))
 
 
 class TestPerRelation:

@@ -117,13 +117,13 @@ def count_bfs_calls(monkeypatch):
 
 
 def reference_triangle_draws(g, rng):
-    """xi_estimate's draws written out on their own: the components with 3
+    """xi_estimate's draws written out on their own: the components with 4
     or more nodes as index lists in label order, one picked by a linear
     scan over n(n - 1)(n - 2) weights when there are several, then three
     distinct positions in it."""
     _, labels = connected_components(g.csgraph, directed=False)
     members = [np.flatnonzero(labels == k).tolist() for k in range(labels.max() + 1)]
-    members = [nodes for nodes in members if len(nodes) >= 3]
+    members = [nodes for nodes in members if len(nodes) >= 4]
     weights = [len(nodes) * (len(nodes) - 1) * (len(nodes) - 2) for nodes in members]
     while True:
         nodes = members[0]
@@ -357,25 +357,25 @@ class TestComponents:
         return g
 
     def test_draw_frequencies_match_enumeration(self, monkeypatch):
-        # components of 3, 4, 5, 2 and 1 nodes: the 6 + 24 + 60 ordered
-        # triples of distinct nodes inside one component, each drawn with
-        # chance 1/90, and no other triple
+        # components of 3, 4, 5, 2 and 1 nodes: the 24 + 60 ordered
+        # triples of distinct nodes inside one component of 4 or more
+        # nodes, each drawn with chance 1/84, and no other triple
         g = build_graph("r", [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6),
                               (7, 8), (7, 9), (7, 10), (7, 11), (12, 13), (14, 14)])
         _, labels = connected_components(g.csgraph, directed=False)
         exact = [(a, b, c) for a in range(g.n_nodes) for b in range(g.n_nodes)
                  for c in range(g.n_nodes)
-                 if len({a, b, c}) == 3 and labels[a] == labels[b] == labels[c]]
-        assert len(exact) == 90
-        # every draw is rejected, so xi_estimate spends its 20 x 1,350 attempts
+                 if len({a, b, c}) == 3 and labels[a] == labels[b] == labels[c] != labels[0]]
+        assert len(exact) == 84
+        # every draw is rejected, so xi_estimate spends its 20 x 1,260 attempts
         drawn = []
         monkeypatch.setattr(hierarchy, "xi_triangle", lambda graph, *abc: drawn.append(abc))
-        with pytest.raises(ValueError, match="no valid xi sample in 27000 attempts"):
-            xi_estimate(g, n_samples=1350, seed=0)
+        with pytest.raises(ValueError, match="no valid xi sample in 25200 attempts"):
+            xi_estimate(g, n_samples=1260, seed=0)
         counts = collections.Counter(drawn)
         assert sorted(counts) == exact
         chi2 = sum((k - 300) ** 2 / 300 for k in counts.values())
-        assert chi2 < stats.chi2.ppf(0.999, 89)
+        assert chi2 < stats.chi2.ppf(0.999, 83)
         assert drawn == list(itertools.islice(
             reference_triangle_draws(g, np.random.default_rng(0)), len(drawn)))
 
@@ -496,9 +496,13 @@ class TestXiEstimate:
         with pytest.raises(ValueError, match="no valid xi sample"):
             xi_estimate(build_graph("r", [(0, 1), (2, 3), (4, 5)]), n_samples=10_000)
         assert calls == []
+        # a 3-node path has no valid triangle, so it gets no draw either
         with pytest.raises(ValueError, match="no valid xi sample"):
             xi_estimate(build_graph("r", [(0, 1), (1, 2)]), n_samples=5)
-        assert len(calls) == 1000  # the counter sees draws where a 3-node component exists
+        assert calls == []
+        with pytest.raises(ValueError, match="no valid xi sample"):
+            xi_estimate(build_graph("r", list(itertools.combinations(range(4), 2))), n_samples=5)
+        assert len(calls) == 1000  # the counter sees draws where a 4-node component exists
 
     def test_rejections_are_counted(self):
         g = build_graph("r", random_tree_edges(30, seed=3))

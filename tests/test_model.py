@@ -161,6 +161,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="geometry"):
             ModelConfig(dim=4, geometry="spherical").validate()
 
+    def test_negative_init_scale_rejected(self):
+        with pytest.raises(ValueError, match="init_scale must be >= 0"):
+            ModelConfig(dim=4, init_scale=-0.1).validate()
+
     def test_validate_chains(self):
         cfg = ModelConfig(dim=4)
         assert cfg.validate() is cfg

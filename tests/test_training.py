@@ -575,6 +575,13 @@ class TestTrainLoop:
         for key in before:
             np.testing.assert_array_equal(m.params[key], before[key])
 
+    def test_empty_training_split_rejected(self):
+        store = chain_store()
+        store.train = store.train[:0]
+        m = KGEModel.init(ModelConfig(dim=4), store.n_entities, store.n_relations, seed=0)
+        with pytest.raises(ValueError, match="empty training split"):
+            train(m, store, TrainConfig(epochs=1, batch_size=8, neg_samples=2))
+
     def test_history_rows_have_exactly_the_metric_log_columns(self):
         store = chain_store()
         cfg = ModelConfig(dim=4, curvature_mode="fixed_one")
