@@ -41,7 +41,7 @@ def round_trip_f32(model):
     model, the dtype training runs in, it is a float64 copy.
     """
     params = {k: v.astype(STORED).astype(np.float64) for k, v in model.params.items()}
-    return KGEModel(model.config, model.n_entities, model.n_relations, params)
+    return KGEModel(model.config, params)
 
 
 def save(model, path):
@@ -110,4 +110,4 @@ def load(path):
         offset += 4 * count
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
-    return KGEModel(config, n_entities, n_relations, params)
+    return KGEModel(config, params)

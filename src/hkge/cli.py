@@ -198,7 +198,8 @@ def cmd_train(cfg):
     out_dir = _prepare_out_dir(cfg)
     astore = data.augment_reciprocal(_load_store(cfg))
     filters = data.build_filter_index(astore)
-    model = KGEModel.init(mcfg, astore.n_entities, astore.n_relations, seed=cfg["seed"])
+    model = KGEModel.init(mcfg, astore.n_entities, astore.n_relations, seed=cfg["seed"],
+                          init_scale=tcfg.init_scale)
     result = train(model, astore, tcfg, filters,
                    log=MetricLog(os.path.join(out_dir, "metrics.csv")))
     checkpoint.save(result.model, os.path.join(out_dir, "checkpoint.bin"))
@@ -277,7 +278,7 @@ def cmd_ablate(cfg):
         mcfg = dataclasses.replace(base, curvature_mode=mode,
                                    use_inter_level=inter, use_intra_level=intra)
         model = KGEModel.init(mcfg, astore.n_entities, astore.n_relations,
-                              seed=cfg["seed"])
+                              seed=cfg["seed"], init_scale=tcfg.init_scale)
         result = train(model, astore, tcfg, filters)
         best = next((r for r in result.history
                      if r["split"] == "valid" and r["epoch"] == result.best_epoch), {})

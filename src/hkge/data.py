@@ -9,15 +9,16 @@ Separators are found and names numbered with NumPy, so one Python str
 is made per distinct name and none per line or field.  Vocabularies
 assign ids in first-appearance order over train, then valid, then test.
 Reciprocal augmentation gives every relation r a companion r + |R|
-(named `<r>^-1`) and doubles every split with (t, r+|R|, h) triples, so
-head prediction is ordinary tail prediction downstream.
+(named `<r>^-1`, a name no base relation may have) and doubles every
+split with (t, r+|R|, h) triples, so head prediction is ordinary tail
+prediction downstream.
 """
 
 import csv
 import operator
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,10 +56,7 @@ class TripleStore:
     train: np.ndarray
     valid: np.ndarray
     test: np.ndarray
-    name: str | None = None
-    augmented: bool = False
-    n_base_relations: int = 0
-    rel_index: dict = field(default_factory=dict)
+    n_base_relations: int  # ids below it are base relations, the rest their companions
 
     @property
     def n_entities(self):
@@ -258,12 +256,11 @@ def build_vocab(splits):
     return TripleStore(
         entities=entities, relations=relations, train=train, valid=valid, test=test,
         n_base_relations=len(relations),
-        rel_index=dict(zip(relations, range(len(relations)))),
     )
 
 
 def dataset_stats(store):
-    if store.augmented:
+    if store.n_relations > store.n_base_relations:
         raise ValueError("stats are defined on the unaugmented store")
     return {
         "entities": store.n_entities,
@@ -307,9 +304,9 @@ def load_dataset(dataset_dir, *, verify_reference=True, report=None):
         raise DatasetError(f"dataset directory not found: {dataset_dir}")
     store = build_vocab(_parse(_read(os.path.join(dataset_dir, f"{split_name}.txt"))
                                for split_name in SPLITS))
-    store.name = os.path.basename(os.path.normpath(dataset_dir))
     if verify_reference:
-        errors, warnings = check_reference(store.name, dataset_stats(store))
+        name = os.path.basename(os.path.normpath(dataset_dir))
+        errors, warnings = check_reference(name, dataset_stats(store))
         if errors:
             raise DatasetError("; ".join(errors))
         if warnings and report is not None:
@@ -319,12 +316,16 @@ def load_dataset(dataset_dir, *, verify_reference=True, report=None):
 
 
 def augment_reciprocal(store):
-    """Append (t, r+|R|, h) for every triple of every split."""
-    if store.augmented:
+    """Append (t, r+|R|, h) for every triple of every split.  Companion r+|R| is
+    named `<r>^-1`, so a base relation of that name is a DatasetError."""
+    if store.n_relations > store.n_base_relations:
         raise ValueError("store is already augmented")
     n_base = store.n_base_relations
+    names = set(store.relations)
+    for r in store.relations:
+        if r.endswith("^-1") and r[:-3] in names:
+            raise DatasetError(f"relation {r!r} is named like the reciprocal of {r[:-3]!r}")
     relations = list(store.relations) + [f"{r}^-1" for r in store.relations]
-    rel_index = {r: i for i, r in enumerate(relations)}
 
     def aug(arr):
         if not len(arr):
@@ -335,8 +336,7 @@ def augment_reciprocal(store):
     return TripleStore(
         entities=store.entities, relations=relations,
         train=aug(store.train), valid=aug(store.valid), test=aug(store.test),
-        name=store.name, augmented=True, n_base_relations=n_base,
-        rel_index=rel_index,
+        n_base_relations=n_base,
     )
 
 

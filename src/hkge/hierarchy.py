@@ -140,9 +140,9 @@ def build_graph(relation, edge_list):
 
 def relation_subgraph(store, relation_name):
     """Subgraph of the train split restricted to one base relation."""
-    if relation_name not in store.rel_index:
+    if relation_name not in store.relations:
         raise UnknownRelation(f"unknown relation: {relation_name}")
-    rel_id = store.rel_index[relation_name]
+    rel_id = store.relations.index(relation_name)
     if rel_id >= store.n_base_relations:
         raise UnknownRelation(f"{relation_name!r} is a reciprocal relation, not a base one")
     train = np.asarray(store.train)

@@ -56,6 +56,7 @@ GEOMETRIES = ("hyperbolic", "euclidean")
 SOFTPLUS_UNIT = float(np.log(np.e - 1.0))
 # curvatures are floored here (softplus can underflow to 0 in f64)
 CURV_FLOOR = 1e-12
+INIT_SCALE = 1e-3  # standard deviation of the Gaussian draws in ``KGEModel.init``
 
 PARAM_ORDER = (
     "ent_emb",
@@ -99,7 +100,6 @@ class ModelConfig:
     geometry: str = "hyperbolic"
     use_inter_level: bool = True   # per-block scaling: moves a point across levels
     use_intra_level: bool = True   # block rotation: moves a point within its level
-    init_scale: float = 1e-3
 
     def validate(self):
         if self.dim < 2 or self.dim % 2:
@@ -108,8 +108,6 @@ class ModelConfig:
             raise ValueError(f"unknown curvature_mode {self.curvature_mode!r}")
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"unknown geometry {self.geometry!r}")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be >= 0")
         return self
 
 
@@ -203,20 +201,20 @@ def _segment_sum(values, index, n_segments):
 
 
 class KGEModel:
-    def __init__(self, config, n_entities, n_relations, params):
-        # params must hold every group in param_shapes, which also validates
-        # the config; other groups are dropped
+    def __init__(self, config, params):
+        # the sizes are the rows of ent_emb and rel_trans; params must hold every
+        # group in param_shapes, which also validates the config; others are dropped
         self.config = config
-        self.n_entities = int(n_entities)
-        self.n_relations = int(n_relations)  # after reciprocal augmentation
+        self.n_entities = len(params["ent_emb"])
+        self.n_relations = len(params["rel_trans"])  # after reciprocal augmentation
         self.params = {name: params[name]
-                       for name in param_shapes(config, n_entities, n_relations)}
+                       for name in param_shapes(config, self.n_entities, self.n_relations)}
 
     # -- construction ------------------------------------------------
 
     @classmethod
-    def init(cls, config, n_entities, n_relations, seed=0):
-        """Fresh float32 parameters: Gaussian embeddings, identity transforms.
+    def init(cls, config, n_entities, n_relations, seed=0, *, init_scale=INIT_SCALE):
+        """Fresh float32 parameters: Gaussian draws of std init_scale, identity transforms.
 
         All groups are drawn in float64, in one order, and the unread ones
         dropped, so a seed gives a group the same values in every
@@ -225,7 +223,7 @@ class KGEModel:
         shapes = param_shapes(config, n_entities, n_relations)
         rng = np.random.default_rng(seed)
         d = config.dim
-        s = config.init_scale
+        s = init_scale
         params = {
             "ent_emb": rng.normal(0.0, 1.0, (n_entities, d)) * s,
             "ent_bias": np.zeros(n_entities),
@@ -237,8 +235,7 @@ class KGEModel:
             "attn_p": rng.normal(0.0, 1.0, d) * s,
             "curv_raw": np.full(shapes.get("curv_raw", ()), SOFTPLUS_UNIT),
         }
-        return cls(config, n_entities, n_relations,
-                   {k: v.astype(np.float32) for k, v in params.items()})
+        return cls(config, {k: v.astype(np.float32) for k, v in params.items()})
 
     @property
     def dtype(self):
@@ -247,7 +244,7 @@ class KGEModel:
 
     def copy(self):
         params = {k: np.array(v, copy=True) for k, v in self.params.items()}
-        return KGEModel(self.config, self.n_entities, self.n_relations, params)
+        return KGEModel(self.config, params)
 
     # -- id hygiene ---------------------------------------------------
 

@@ -10,13 +10,14 @@ the float32-rounded weights (``round_trip_f32``), exactly as evaluating
 the saved checkpoint does.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import data, evaluation, geometry
 from .checkpoint import round_trip_f32
-from .model import KGEModel, NumericError, sigmoid, softplus
+from .model import INIT_SCALE, KGEModel, NumericError, sigmoid, softplus
 
 METRIC_LOG_HEADER = ",".join(["epoch", "split", "loss", *evaluation.METRIC_COLUMNS, "clamp_events"])
 
@@ -32,24 +33,23 @@ class TrainConfig:
     grad_clip: float | None = None
     eval_every: int = 10
     patience: int = 10  # non-improving validation rounds before stopping
+    init_scale: float = INIT_SCALE  # read by the caller's KGEModel.init, not by train
 
     def validate(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.neg_samples < 1:
-            raise ValueError("neg_samples must be >= 1")
+        for key in ("lr", "grad_clip", "init_scale"):  # NaN slips past every range check below
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+        for key, low in (("epochs", 0), ("batch_size", 1), ("neg_samples", 1),
+                         ("eval_every", 1), ("patience", 1), ("init_scale", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ValueError("grad_clip must be > 0")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
         return self
 
 

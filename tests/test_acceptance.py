@@ -228,8 +228,8 @@ def test_criterion_05_ranking_matches_naive_oracle(announce):
         n_ent = int(rng.integers(2, 21))
         n_rel = int(rng.integers(1, 4))
         scale = 0.5 if case % 2 == 0 else 0.0
-        cfg = ModelConfig(dim=4, curvature_mode="attention", init_scale=scale)
-        m = KGEModel.init(cfg, n_ent, n_rel, seed=case)
+        cfg = ModelConfig(dim=4, curvature_mode="attention")
+        m = KGEModel.init(cfg, n_ent, n_rel, seed=case, init_scale=scale)
         if scale == 0.0:
             # integer biases force heavy score ties
             m.params["ent_bias"][:] = rng.integers(-2, 3, n_ent).astype(float)

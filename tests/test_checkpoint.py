@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 
@@ -32,6 +33,10 @@ def test_round_trip_all_configurations(tmp_path, mode, geometry, inter, intra):
     back = load(path)
     assert back.config == m.config
     assert (back.n_entities, back.n_relations) == (5, 4)
+    # the header holds the whole config: a model drawn at another scale comes back equal
+    drawn = KGEModel.init(m.config, 5, 4, seed=3, init_scale=0.1)
+    save(drawn, tmp_path / "drawn.bin")
+    assert load(tmp_path / "drawn.bin").config == drawn.config
     assert list(back.params) == list(m.params)
     # storage is float32: loading returns exactly the rounded values
     for key, val in round_trip_f32(m).params.items():
@@ -211,3 +216,9 @@ def test_header_layout_is_stable(tmp_path):
     assert blob[:4] == b"HKGE"
     header = np.frombuffer(blob[4:32], dtype="<u4")
     np.testing.assert_array_equal(header, [2, 4, 5, 4, 1, 1, checkpoint.FLAG_INTER])
+
+
+def test_model_config_is_the_header():
+    # every ModelConfig field is stored, so nothing a model was made with is lost
+    assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+        "dim", "curvature_mode", "geometry", "use_inter_level", "use_intra_level"]

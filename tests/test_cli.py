@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 
@@ -92,19 +93,23 @@ class TestTrain:
 
     @pytest.mark.parametrize("command", ("train", "ablate"))
     @pytest.mark.parametrize("source", ("flag", "config"))
-    @pytest.mark.parametrize("grad_clip", (0, -1))
-    def test_non_positive_grad_clip_rejected_before_any_work(self, tree_dir, tmp_path, capsys,
-                                                             command, source, grad_clip):
+    @pytest.mark.parametrize("key,value", (
+        ("grad_clip", 0), ("grad_clip", -1), ("grad_clip", math.nan),
+        ("lr", math.nan), ("lr", math.inf), ("init_scale", math.nan), ("init_scale", -math.inf),
+    ))
+    def test_bad_float_setting_rejected_before_any_work(self, tree_dir, tmp_path, capsys,
+                                                        command, source, key, value):
         out = tmp_path / "never"
         args = [command, "--dataset-dir", tree_dir, "--out-dir", str(out)]
         if source == "flag":
-            args += [f"--grad-clip={grad_clip}"]
-        else:
+            args += [f"--{key.replace('_', '-')}={value}"]
+        else:  # json writes NaN and Infinity, and reads them back
             cfg_path = tmp_path / "base.json"
-            cfg_path.write_text(json.dumps({"grad_clip": grad_clip}))
+            cfg_path.write_text(json.dumps({key: value}))
             args += ["--config", str(cfg_path)]
         assert main(args) == 1
-        assert capsys.readouterr().err == "error: grad_clip must be > 0\n"
+        err = f"{key} must be > 0" if math.isfinite(value) else f"{key} must be finite, got {value}"
+        assert capsys.readouterr().err == f"error: {err}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ("train", "ablate"))
@@ -112,7 +117,7 @@ class TestTrain:
                                                  command):
         want = {"epochs": 2, "batch_size": 99, "neg_samples": 3, "lr": 0.02,
                 "optimizer": "adam", "seed": 7, "grad_clip": 0.5, "eval_every": 2,
-                "patience": 2}
+                "patience": 2, "init_scale": 0.01}
         fields = dataclasses.fields(training.TrainConfig)
         assert set(want) == {f.name for f in fields}
         assert all(want[f.name] != f.default for f in fields)
@@ -639,6 +644,43 @@ class TestAnalyze:
                      "--samples", "20"]) == 1
         assert capsys.readouterr().err == "error: boom\n"
         assert not (out / "hierarchy.csv").exists()
+
+
+class TestCompanionNamedRelation:
+    """A base relation `a^-1` next to `a`: reciprocal augmentation would give
+    two relations that name, so train and eval refuse it; analyze never augments."""
+
+    ERR = "error: relation 'a^-1' is named like the reciprocal of 'a'\n"
+
+    @pytest.fixture
+    def clash_dir(self, tmp_path):
+        root = tmp_path / "clash"
+        root.mkdir()
+        rows = {"train": "x\ta\ty\ny\ta^-1\tz\n", "valid": "", "test": ""}
+        for name, text in rows.items():
+            (root / f"{name}.txt").write_text(text)
+        return str(root)
+
+    def test_train_refuses_it(self, clash_dir, tmp_path, capsys):
+        out = tmp_path / "train"
+        assert main(["train", "--dataset-dir", clash_dir, "--out-dir", str(out),
+                     "--dim", "4", "--epochs", "1"]) == 1
+        assert capsys.readouterr().err == self.ERR
+        assert not (out / "checkpoint.bin").exists()
+
+    def test_eval_refuses_it(self, clash_dir, tmp_path, capsys):
+        ckpt = tmp_path / "model.bin"
+        checkpoint.save(KGEModel.init(ModelConfig(dim=4), 3, 4), ckpt)
+        assert main(["eval", "--dataset-dir", clash_dir, "--out-dir", str(tmp_path / "eval"),
+                     "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err == self.ERR
+
+    def test_analyze_gives_each_relation_a_row(self, clash_dir, tmp_path):
+        out = tmp_path / "analyze"
+        assert main(["analyze", "--dataset-dir", clash_dir, "--out-dir", str(out),
+                     "--samples", "5"]) == 0
+        rows = list(csv.reader((out / "hierarchy.csv").read_text().split("\n")[1:-1]))
+        assert [row[0] for row in rows] == ["a", "a^-1"]
 
 
 class TestGeometryFlag:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,6 @@ def assert_matches_reference(root):
     entities, relations, arrays = reference_load(root)
     assert store.entities == entities
     assert store.relations == relations
-    assert store.rel_index == {r: i for i, r in enumerate(relations)}
     assert store.n_base_relations == len(relations)
     for name, want in arrays.items():
         got = store.split(name)
@@ -259,6 +260,11 @@ class TestVocab:
         with pytest.raises(DatasetError, match="unknown split 'dev'"):
             build_vocab(TOY).split("dev")
 
+    def test_store_holds_each_fact_once(self):
+        # no field can disagree with another: no name index, name or augmented flag
+        assert [f.name for f in dataclasses.fields(TripleStore)] == [
+            "entities", "relations", "train", "valid", "test", "n_base_relations"]
+
     def test_empty_valid_is_allowed(self):
         store = build_vocab({"train": TOY["train"], "valid": [], "test": []})
         assert store.valid.shape == (0, 3)
@@ -267,7 +273,6 @@ class TestVocab:
 class TestAugmentation:
     def test_sizes_double(self):
         store = augment_reciprocal(build_vocab(TOY))
-        assert store.augmented
         assert len(store.train) == 6
         assert len(store.valid) == 2
         assert len(store.test) == 2
@@ -280,12 +285,22 @@ class TestAugmentation:
         np.testing.assert_array_equal(store.train[3], [1, 2, 0])
         assert store.relations[2] == "likes^-1"
         assert store.relations[3] == "knows^-1"
-        assert store.rel_index["likes^-1"] == 2
+        assert store.relations.index("likes^-1") == 2
 
     def test_double_augmentation_rejected(self):
         store = augment_reciprocal(build_vocab(TOY))
         with pytest.raises(ValueError, match="already augmented"):
             augment_reciprocal(store)
+
+    def test_relation_named_like_a_companion_rejected(self):
+        store = build_vocab({"train": [("x", "a", "y"), ("y", "a^-1", "z")]})
+        with pytest.raises(DatasetError, match=r"^relation 'a\^-1' is named like the "
+                                               r"reciprocal of 'a'$"):
+            augment_reciprocal(store)
+
+    def test_companion_suffix_without_its_base_is_kept(self):
+        store = augment_reciprocal(build_vocab({"train": [("x", "b^-1", "y")]}))
+        assert store.relations == ["b^-1", "b^-1^-1"]
 
     def test_entities_unchanged(self):
         base = build_vocab(TOY)
@@ -340,7 +355,8 @@ class TestFilterIndex:
 
     def test_empty_store(self):
         empty = np.empty((0, 3), dtype=np.int64)
-        store = TripleStore(entities=[], relations=[], train=empty, valid=empty, test=empty)
+        store = TripleStore(entities=[], relations=[], train=empty, valid=empty, test=empty,
+                            n_base_relations=0)
         assert build_filter_index(store) == {}
 
     def test_out_of_range_keys_are_missing(self):
@@ -449,7 +465,6 @@ class TestLoadDataset:
         root.mkdir()
         write_toy(root)
         store = load_dataset(root)
-        assert store.name == "toy"
         assert store.n_entities == 4
         assert len(store.train) == 3
 

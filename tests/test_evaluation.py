@@ -225,8 +225,8 @@ class TestComputeRanks:
     def test_block_ranks_equal_one_query_at_a_time(self, mode, geometry):
         # one scoring table for the block, with repeated (h, r), against a
         # table per query; the block's table is not kept on the model
-        cfg = ModelConfig(dim=4, curvature_mode=mode, geometry=geometry, init_scale=0.3)
-        m = KGEModel.init(cfg, 13, 3, seed=7)
+        cfg = ModelConfig(dim=4, curvature_mode=mode, geometry=geometry)
+        m = KGEModel.init(cfg, 13, 3, seed=7, init_scale=0.3)
         rng = np.random.default_rng(8)
         m.params["rel_theta"] = rng.uniform(-2.0, 2.0, m.params["rel_theta"].shape)
         m.params["ent_bias"] = rng.normal(0.0, 0.2, 13)
@@ -288,7 +288,7 @@ def boundary_model():
 
     It ranks in float64, as every ranking does after ``checkpoint.load``."""
     m = round_trip_f32(KGEModel.init(
-        ModelConfig(dim=4, curvature_mode="attention", init_scale=3.0), 40, 2, seed=3))
+        ModelConfig(dim=4, curvature_mode="attention"), 40, 2, seed=3, init_scale=3.0))
     rng = np.random.default_rng(0)
     triples = np.stack([rng.integers(0, 40, 24), rng.integers(0, 2, 24),
                         rng.integers(0, 40, 24)], axis=1)

@@ -11,6 +11,7 @@ from hkge import data, hierarchy
 from hkge.hierarchy import (
     HIERARCHY_HEADER,
     RelationGraph,
+    UnknownRelation,
     _distances,
     analyze_relation,
     bfs_distances,
@@ -608,8 +609,17 @@ class TestRelationSubgraph:
 
     def test_reciprocal_names_rejected(self):
         store = data.augment_reciprocal(self.store())
-        with pytest.raises(KeyError, match="reciprocal"):
+        with pytest.raises(UnknownRelation, match="'up\\^-1' is a reciprocal relation"):
             relation_subgraph(store, "up^-1")
+        assert relation_subgraph(store, "up").n_edges == 2
+
+    def test_base_relation_named_like_a_companion(self):
+        # `b^-1` with no `b` is a base relation, before and after augmentation
+        base = data.build_vocab({"train": [("x", "b^-1", "y"), ("y", "b^-1", "z")]})
+        for store in (base, data.augment_reciprocal(base)):
+            assert relation_subgraph(store, "b^-1").n_edges == 2
+        with pytest.raises(UnknownRelation, match="reciprocal"):
+            relation_subgraph(store, "b^-1^-1")
 
     def test_relation_without_train_edges(self):
         with pytest.raises(ValueError, match="no edges"):

@@ -6,7 +6,11 @@ its module headers show, and that graph has no cycle:
     data <- evaluation, hierarchy, training;  hierarchy <- cli
 
 (``training`` and ``cli`` also import ``geometry``, ``model`` and ``data``
-directly.)  An import cycle cannot hide inside a function body."""
+directly.)  An import cycle cannot hide inside a function body.
+
+Two records are built only by the modules that own their rules: a
+``TripleStore`` in ``data`` (which checks relation names), a ``KGEModel``
+in ``model`` and ``checkpoint`` (which make its tables)."""
 
 import ast
 import graphlib
@@ -62,3 +66,17 @@ def test_every_top_level_import_is_used():
                    for alias in node.names
                    if (alias.asname or alias.name.split(".")[0]) not in read}
     assert sorted(unused) == []
+
+
+def test_records_are_built_only_by_their_owners():
+    # a call of TripleStore(...) or KGEModel(...), by name or as a module attribute
+    built = set()
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in ("TripleStore", "KGEModel"):
+                    built.add((name, path.name))
+    assert built == {("TripleStore", "data.py"), ("KGEModel", "model.py"),
+                     ("KGEModel", "checkpoint.py")}

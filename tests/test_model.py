@@ -161,10 +161,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="geometry"):
             ModelConfig(dim=4, geometry="spherical").validate()
 
-    def test_negative_init_scale_rejected(self):
-        with pytest.raises(ValueError, match="init_scale must be >= 0"):
-            ModelConfig(dim=4, init_scale=-0.1).validate()
-
     def test_validate_chains(self):
         cfg = ModelConfig(dim=4)
         assert cfg.validate() is cfg
@@ -212,8 +208,8 @@ class TestInit:
         assert m.params["curv_raw"] == np.float32(SOFTPLUS_UNIT)
 
     def test_zero_init_scale_scores_exactly_zero(self):
-        cfg = ModelConfig(dim=4, curvature_mode="attention", init_scale=0.0)
-        m = KGEModel.init(cfg, 3, 2, seed=1)
+        cfg = ModelConfig(dim=4, curvature_mode="attention")
+        m = KGEModel.init(cfg, 3, 2, seed=1, init_scale=0.0)
         assert m.score(0, 0, 1) == 0.0
 
     def test_default_init_scores_near_zero(self):
@@ -266,7 +262,13 @@ class TestParamShapes:
         m = KGEModel.init(ModelConfig(dim=4), 3, 2)
         del m.params["attn_p"]
         with pytest.raises(KeyError, match="attn_p"):
-            KGEModel(m.config, 3, 2, m.params)
+            KGEModel(m.config, m.params)
+
+    def test_sizes_are_the_table_rows(self):
+        m = KGEModel(ModelConfig(dim=4), KGEModel.init(ModelConfig(dim=4), 5, 3).params)
+        assert (m.n_entities, m.n_relations) == (5, 3)
+        with pytest.raises(IndexError, match="entity id out of range"):
+            m.score(5, 0, 0)
 
 
 class TestCurvature:
@@ -426,7 +428,7 @@ class TestScore:
         m_on.params["rel_theta"][:] = 0.0
         cfg_off = ModelConfig(dim=4, curvature_mode="attention",
                               use_inter_level=False, use_intra_level=False)
-        m_off = KGEModel(cfg_off, 5, 3, m_on.params)
+        m_off = KGEModel(cfg_off, m_on.params)
         for h, r, t in ((0, 0, 1), (4, 2, 3), (2, 1, 2)):
             assert m_on.score(h, r, t) == m_off.score(h, r, t)
 
@@ -454,7 +456,7 @@ class TestScore:
         m = random_model(hyp, 5, 3, seed=9)
         m.params["curv_raw"][:] = np.log(np.expm1(1e-6))
         euc_params = {k: v for k, v in m.params.items() if k != "curv_raw"}
-        me = KGEModel(ModelConfig(dim=4, geometry="euclidean"), 5, 3, euc_params)
+        me = KGEModel(ModelConfig(dim=4, geometry="euclidean"), euc_params)
         for h, r, t in ((0, 0, 1), (4, 2, 3), (1, 1, 1)):
             np.testing.assert_allclose(m.score(h, r, t), me.score(h, r, t),
                                        rtol=1e-3, atol=1e-6)

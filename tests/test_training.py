@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import os
 import types
 import warnings
@@ -525,8 +526,8 @@ class TestToyTrajectory:
     def test_two_epochs_reproduce_the_pinned_parameters(self, optimizer, dtype):
         # any change to the arithmetic of the training step changes the digest
         store = toy_store()
-        m = KGEModel.init(ModelConfig(dim=8, init_scale=0.1), store.n_entities,
-                          store.n_relations, seed=0)
+        m = KGEModel.init(ModelConfig(dim=8), store.n_entities,
+                          store.n_relations, seed=0, init_scale=0.1)
         m.params = {k: v.astype(dtype) for k, v in m.params.items()}
         result = train(m, store, TrainConfig(epochs=2, batch_size=64, neg_samples=8,
                                              optimizer=optimizer, seed=0))
@@ -539,7 +540,9 @@ class TestConfigValidation:
     def test_rejects_bad_values(self):
         for kwargs in ({"epochs": -1}, {"batch_size": 0}, {"neg_samples": 0},
                        {"lr": 0.0}, {"optimizer": "sgd"}, {"eval_every": 0},
-                       {"patience": 0}):
+                       {"patience": 0}, {"lr": math.nan}, {"lr": math.inf},
+                       {"grad_clip": math.nan}, {"grad_clip": math.inf},
+                       {"init_scale": math.nan}, {"init_scale": math.inf}):
             with pytest.raises(ValueError):
                 TrainConfig(**kwargs).validate()
 
@@ -550,6 +553,10 @@ class TestConfigValidation:
 
     def test_grad_clip_none_means_no_clipping(self):
         TrainConfig(grad_clip=None).validate()
+
+    def test_negative_init_scale_rejected(self):
+        with pytest.raises(ValueError, match="init_scale must be >= 0"):
+            TrainConfig(init_scale=-0.1).validate()
 
 
 class TestRoundTripF32:
@@ -620,8 +627,8 @@ class TestTrainLoop:
         runs = []
         for n_cpus in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n_cpus: set(range(n)))
-            m = KGEModel.init(ModelConfig(dim=4, init_scale=3.0), store.n_entities,
-                              store.n_relations, seed=0)
+            m = KGEModel.init(ModelConfig(dim=4), store.n_entities,
+                              store.n_relations, seed=0, init_scale=3.0)
             runs.append(train(m, store, TrainConfig(epochs=4, batch_size=32, neg_samples=4,
                                                     eval_every=2, seed=0)))
         valid = [row for row in runs[0].history if row["split"] == "valid"]
@@ -734,10 +741,11 @@ class TestTrainLoop:
         # a non-finite loss in epoch 3 ends the run through the same exit
         # as a finished one: the best validated (epoch-2) snapshot comes back
         store = chain_store()
-        cfg = ModelConfig(dim=4, curvature_mode="attention", init_scale=0.1)
+        cfg = ModelConfig(dim=4, curvature_mode="attention")
         tcfg = TrainConfig(epochs=5, batch_size=8, neg_samples=2, lr=0.05,
                            eval_every=1, seed=0)
-        reference = train(KGEModel.init(cfg, store.n_entities, store.n_relations, seed=0),
+        reference = train(KGEModel.init(cfg, store.n_entities, store.n_relations, seed=0,
+                                        init_scale=0.1),
                           store, dataclasses.replace(tcfg, epochs=2))
         assert reference.best_epoch == 2
         batches_per_epoch = -(-len(store.train) // tcfg.batch_size)
@@ -750,7 +758,7 @@ class TestTrainLoop:
             return loss_and_grads(*args)
 
         monkeypatch.setattr(training, "loss_and_grads", failing)
-        m = KGEModel.init(cfg, store.n_entities, store.n_relations, seed=0)
+        m = KGEModel.init(cfg, store.n_entities, store.n_relations, seed=0, init_scale=0.1)
         result = train(m, store, tcfg)
         assert result.diverged and result.last_epoch == 3
         assert result.best_epoch == 2 and result.model is not m
@@ -765,10 +773,11 @@ class TestTrainLoop:
         # epoch-4 forward.  The run ends as diverged, naming that query, and
         # returns the best validated (epoch-2) snapshot.
         store = chain_store()
-        cfg = ModelConfig(dim=2, curvature_mode="fixed_one", init_scale=0.1)
+        cfg = ModelConfig(dim=2, curvature_mode="fixed_one")
         tcfg = TrainConfig(epochs=6, batch_size=len(store.train), neg_samples=2,
                            eval_every=2, seed=0)
-        reference = train(KGEModel.init(cfg, store.n_entities, store.n_relations, seed=0),
+        reference = train(KGEModel.init(cfg, store.n_entities, store.n_relations, seed=0,
+                                        init_scale=0.1),
                           store, dataclasses.replace(tcfg, epochs=2))
         h, r = (int(i) for i in store.train[0, :2])
         step, calls = training.Adagrad.step, []
@@ -782,7 +791,7 @@ class TestTrainLoop:
                 P["rel_scale"][r], P["rel_theta"][r] = 1.0, 0.0
 
         monkeypatch.setattr(training.Adagrad, "step", saturating)
-        m = KGEModel.init(cfg, store.n_entities, store.n_relations, seed=0)
+        m = KGEModel.init(cfg, store.n_entities, store.n_relations, seed=0, init_scale=0.1)
         result = train(m, store, tcfg)
         assert result.diverged and result.last_epoch == 4
         assert result.error == f"degenerate mobius denominator for query (h={h}, r={r})"
