@@ -60,13 +60,8 @@ def save(model, path):
         with os.fdopen(fd, "wb") as fh:
             fh.write(MAGIC)
             fh.write(header)
-            for name, shape in param_shapes(cfg, model.n_entities, model.n_relations).items():
-                arr = np.asarray(model.params[name], dtype=STORED)
-                if arr.shape != shape:
-                    raise CheckpointError(
-                        f"{name}: expected shape {shape}, model has {arr.shape}"
-                    )
-                fh.write(arr.tobytes())
+            for arr in model.params.values():  # the groups of param_shapes, in order
+                fh.write(np.asarray(arr, dtype=STORED).tobytes())
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

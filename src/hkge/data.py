@@ -77,10 +77,14 @@ SPLITS = ("train", "valid", "test")
 FIELDS = ("head", "relation", "tail")
 
 # [x, y] is True when a line whose first two bytes are x, y may begin with
-# a `str.isspace` character (none is past U+3000)
+# a `str.isspace` character (none is past U+3000); the 3-byte ones are also
+# listed whole, as x << 16 | y << 8 | z
 _SPACE_STARTS = np.zeros((256, 256), dtype=bool)
+_SPACE_TRIPLES = []
 for _code in (c.encode() for c in map(chr, range(0x3001)) if c.isspace()):
     _SPACE_STARTS[_code[0], _code[1] if len(_code) > 1 else slice(None)] = True
+    if len(_code) == 3:
+        _SPACE_TRIPLES.append(int.from_bytes(_code, "big"))
 
 
 @dataclass(frozen=True)
@@ -101,9 +105,14 @@ class Split:
 
 def _blank(b, starts, ends):
     """Which of the lines b[starts:ends] are blank: `str.strip` leaves nothing
-    (b must be valid UTF-8).  Only a line whose first two bytes can begin a
-    whitespace character is decoded."""
+    (b must be valid UTF-8).  Only a line that begins with the whole UTF-8
+    encoding of a whitespace character is decoded."""
     cand = np.flatnonzero(_SPACE_STARTS[b[starts], b.take(starts + 1, mode="clip")])
+    # a 3-byte character (lead byte 0xE0 or more) lies in its line: match all of it
+    lead = starts[cand]
+    three = np.flatnonzero(b[lead] >= 0xE0)
+    codes = b[lead[three, None] + np.arange(3)].astype(np.int64) @ (1 << 16, 1 << 8, 1)
+    cand = np.delete(cand, three[~np.isin(codes, _SPACE_TRIPLES)])
     blank = np.zeros(len(starts), dtype=bool)
     text = b.data
     blank[cand] = [not str(text[s:e], "utf-8").strip()

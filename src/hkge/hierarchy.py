@@ -9,22 +9,24 @@ d(a, m) against what a flat metric would predict; trees come out
 negative.
 
 A relation graph is held as its directed edge array plus one symmetric
-CSR adjacency matrix, both built with NumPy.  A triangle reads only a
-few distances, through a reader whose `[v]` walks v's BFS predecessors
-up to the nearest node whose distance it knows.  On a graph with a
-cycle, `bfs_distances` makes one `breadth_first_order` call per source.
-On a forest (|E| = |V| - components, which most hierarchies are) one
-call per graph suffices: from a virtual root joined to every tree, the
-predecessors are each node's parent, and a source's reader starts out
-knowing the distances to the source's ancestors.  Distances are exact
-small integers in float64 either way, so xi results are the same as
-from an unweighted Dijkstra.  A triangle is drawn inside one connected
-component of 4 or more nodes, picked with weight n_k(n_k - 1)(n_k - 2):
-every ordered triple of distinct nodes in one such component is equally
-likely, so a relation made of many small components yields samples as
-readily as a connected one.  No triangle in a component of 3 nodes is
-valid (a path's one even-distance pair has the third node as midpoint; a
-triangle has none), so such components get no weight.
+CSR adjacency matrix, both built with NumPy.  Triangles are drawn, then
+scored, in rounds.  On a forest (|E| = |V| - components, which most
+hierarchies are) one BFS per graph, from a virtual root joined to every
+tree, gives each node's parent; pointer doubling turns the parents into
+depths and 2^k-th ancestor tables, from which a whole round's lowest
+common ancestors, distances and midpoints are read as arrays.  On a
+graph with a cycle each triangle reads its few distances through a
+reader whose `[v]` walks v's BFS predecessors up to the nearest node
+whose distance it knows: one `breadth_first_order` call per source.
+Distances are exact small integers either way, so xi results are the
+same as from an unweighted Dijkstra.  A triangle is drawn inside one
+connected component of 4 or more nodes, picked with weight
+n_k(n_k - 1)(n_k - 2): every ordered triple of distinct nodes in one
+such component is equally likely, so a relation made of many small
+components yields samples as readily as a connected one.  No triangle
+in a component of 3 nodes is valid (a path's one even-distance pair has
+the third node as midpoint; a triangle has none), so such components
+get no weight.
 """
 
 from dataclasses import dataclass
@@ -110,7 +112,25 @@ class RelationGraph:
         rooted = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
         _, pred = breadth_first_order(rooted, n, directed=True, return_predecessors=True)
         pred[n] = n
-        return memoryview(pred)
+        return pred
+
+    @cached_property
+    def ancestors(self):
+        """Each node's depth below the virtual root of `forest_pred`, and its
+        2^k-th ancestors for every k with 2^k below the largest depth: a depth
+        array and a list of tables, n + 1 entries each, in which the virtual
+        root is its own ancestor.  Built by pointer doubling, up[k + 1] =
+        up[k][up[k]], with the hops summed alongside; for a forest only."""
+        root = self.n_nodes
+        up = self.forest_pred.astype(np.intp)
+        depth = np.ones(root + 1, dtype=np.intp)
+        depth[root] = 0
+        tables = []
+        while (up != root).any():
+            tables.append(up)
+            depth += depth[up]
+            up = up[up]
+        return depth, tables
 
 
 def _decode_unique(keys, n):
@@ -119,12 +139,16 @@ def _decode_unique(keys, n):
 
 
 def build_graph(relation, edge_list):
-    """RelationGraph from directed (head_id, tail_id) pairs."""
+    """RelationGraph from directed (head_id, tail_id) pairs of non-negative
+    entity ids."""
     edges = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
     if not len(edges):
         raise NoEdges(f"relation {relation!r} has no edges")
-    node_ids, compact = np.unique(edges, return_inverse=True)
-    compact = compact.reshape(-1, 2)
+    # the ids and inverse of np.unique(edges), by marking in place of sorting
+    seen = np.zeros(int(edges.max()) + 1, dtype=bool)
+    seen[edges] = True
+    node_ids = np.flatnonzero(seen)
+    compact = (np.cumsum(seen) - 1)[edges]
     n = len(node_ids)
     directed = _decode_unique(compact[:, 0] * n + compact[:, 1], n)
     i, j = compact[compact[:, 0] != compact[:, 1]].T
@@ -164,18 +188,17 @@ def khs(graph):
 class _Levels(dict):
     """d(source, v) as `[v]`, read off a BFS predecessor array.
 
-    Starts from the nodes whose distance is known (the source, or on a
-    forest the source's ancestors too); every node read is added, so
-    reading it again is a plain dict lookup.  Reading a new node walks
-    its predecessors up to the nearest known node and stores the
-    distance of every node it passes: each node is walked over at most
-    once per source.
+    Starts knowing only the source; every node read is added, so reading
+    it again is a plain dict lookup.  Reading a new node walks its
+    predecessors up to the nearest known node and stores the distance of
+    every node it passes: each node is walked over at most once per
+    source.
     """
 
     __slots__ = ("_pred",)
 
-    def __init__(self, known, pred):
-        super().__init__(known)
+    def __init__(self, source, pred):
+        super().__init__({source: 0.0})
         self._pred = pred
 
     def __missing__(self, v):
@@ -203,29 +226,7 @@ def bfs_distances(csgraph, source):
     """
     _, pred = breadth_first_order(
         csgraph, source, directed=True, return_predecessors=True)
-    return _Levels({int(source): 0.0}, memoryview(pred))
-
-
-def _distances(graph, source):
-    """Reader of d(source, v) on `graph`.
-
-    On a forest it walks the one rooted predecessor array: the source's
-    ancestors are known up front (the j-th at distance j, the virtual
-    root at inf), and any other node's walk stops at its lowest ancestor
-    shared with the source, or at the virtual root if there is none.
-    On a graph with a cycle it runs a BFS from the source.
-    """
-    pred = graph.forest_pred
-    if pred is None:
-        return bfs_distances(graph.csgraph, source)
-    root = len(pred) - 1
-    chain, v = [], int(source)
-    while v != root:
-        chain.append(v)
-        v = pred[v]
-    reader = _Levels({root: np.inf}, pred)
-    reader.update(zip(chain, count(0.0)))
-    return reader
+    return _Levels(int(source), memoryview(pred))
 
 
 def _midpoint(graph, dist_b, b, c):
@@ -249,18 +250,68 @@ def xi_triangle(graph, a, b, c):
     read is finite.  Rejections: b-c at odd distance; midpoint coincides
     with `a`.
     """
-    dist_b = _distances(graph, b)
+    dist_b = bfs_distances(graph.csgraph, b)
     d_bc = dist_b[c]
     if int(d_bc) % 2 == 1:
         return None
     m = _midpoint(graph, dist_b, b, c)
     if m == a:
         return None  # d(a, m) = 0 would divide by zero below
-    dist_a = _distances(graph, a)
+    dist_a = bfs_distances(graph.csgraph, a)
     d_ab, d_ac, d_am = dist_a[b], dist_a[c], dist_a[m]
     return float(
         (d_am ** 2 + d_bc ** 2 / 4.0 - (d_ab ** 2 + d_ac ** 2) / 2.0) / (2.0 * d_am)
     )
+
+
+def _lift(tables, v, steps):
+    """The `steps`-th ancestors of nodes v (arrays of equal length)."""
+    for k, up in enumerate(tables):
+        v = np.where(steps >> k & 1, up[v], v)
+    return v
+
+
+def _tree_distances(graph, u, v):
+    """d(u, v) for node arrays u and v on a forest, pair by pair, and each
+    pair's lowest common ancestor, by binary lifting over `ancestors`.
+    Each pair must lie in one tree."""
+    depth, tables = graph.ancestors
+    du, dv = depth[u], depth[v]
+    deeper = du > dv
+    u, v = _lift(tables, np.where(deeper, u, v), np.abs(du - dv)), np.where(deeper, v, u)
+    for up in reversed(tables):
+        pu, pv = up[u], up[v]
+        apart = pu != pv
+        u, v = np.where(apart, pu, u), np.where(apart, pv, v)
+    lca = np.where(u == v, u, tables[0][u])
+    return du + dv - 2 * depth[lca], lca
+
+
+def _xi_round(graph, triples):
+    """xi of each (a, b, c) row of `triples`, nan where it is rejected.
+
+    On a graph with a cycle each row is one `xi_triangle` call.  On a
+    forest the rows are scored together from the depth and ancestor
+    tables, to the same values and rejections: a tree has one b-c path,
+    so its midpoint is the node that `xi_triangle`'s walk reaches.
+    """
+    if graph.forest_pred is None:
+        return np.array([np.nan if (xi := xi_triangle(graph, *abc)) is None else xi
+                         for abc in triples.tolist()], dtype=float)
+    depth, tables = graph.ancestors
+    a, b, c = triples.T
+    d_bc, top = _tree_distances(graph, b, c)
+    half = d_bc // 2
+    # half-way up from c when the midpoint is on c's side of the top, else up from b
+    m = _lift(tables, np.where(half <= depth[c] - depth[top], c, b), half)
+    xi = np.full(len(triples), np.nan)
+    keep = (d_bc % 2 == 0) & (m != a)
+    a, d_bc = a[keep], d_bc[keep].astype(float)
+    d_ab, d_ac, d_am = _tree_distances(
+        graph, np.tile(a, 3), np.concatenate([b[keep], c[keep], m[keep]])
+    )[0].astype(float).reshape(3, -1)
+    xi[keep] = (d_am ** 2 + d_bc ** 2 / 4.0 - (d_ab ** 2 + d_ac ** 2) / 2.0) / (2.0 * d_am)
+    return xi
 
 
 @dataclass
@@ -281,6 +332,11 @@ def xi_estimate(graph, n_samples=DEFAULT_XI_SAMPLES, seed=0):
     connected graph thus gives the stream of `rng.choice(n, 3)`.  Raises
     `NoXiSample` before any draw if no component has 4 nodes, and after
     the last attempt if every one was rejected.
+
+    The draws are scored in rounds of as many as there are samples still
+    wanted (or attempts left), so a round never accepts more than needed:
+    the draws, the samples and their order are those of scoring one draw
+    at a time and stopping at the last sample wanted.
     """
     order, bounds, cum = graph.components
     if not cum[-1]:
@@ -291,27 +347,27 @@ def xi_estimate(graph, n_samples=DEFAULT_XI_SAMPLES, seed=0):
     max_attempts = max(20 * n_samples, 1000)
     rng = np.random.default_rng(seed)
     values = []
-    rejected = 0
-    attempts = 0
-    while len(values) < n_samples and attempts < max_attempts:
-        attempts += 1
-        if several:
-            k = int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
-        start = bounds[k]
-        a, b, c = order[start + rng.choice(bounds[k + 1] - start, size=3, replace=False)].tolist()
-        xi = xi_triangle(graph, a, b, c)
-        if xi is None:
-            rejected += 1
-        else:
-            values.append(xi)
-    if not values:
+    accepted = attempts = 0
+    while accepted < n_samples and attempts < max_attempts:
+        size = min(n_samples - accepted, max_attempts - attempts)
+        ks, picks = [], []
+        for _ in range(size):
+            if several:
+                k = int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
+            ks.append(k)
+            picks.append(rng.choice(bounds[k + 1] - bounds[k], size=3, replace=False))
+        xi = _xi_round(graph, order[bounds[ks][:, None] + np.array(picks)])
+        values.append(xi[~np.isnan(xi)])
+        accepted += len(values[-1])
+        attempts += size
+    if not accepted:
         raise NoXiSample(
             f"no valid xi sample in {attempts} attempts on relation {graph.relation!r}"
         )
-    arr = np.asarray(values)
-    stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    arr = np.concatenate(values)
+    stderr = float(arr.std(ddof=1) / np.sqrt(accepted)) if accepted > 1 else 0.0
     return XiResult(mean=float(arr.mean()), stderr=stderr,
-                    accepted=len(arr), rejected=rejected)
+                    accepted=accepted, rejected=attempts - accepted)
 
 
 HIERARCHY_HEADER = "relation,nodes,edges,khs,xi_mean,xi_stderr,samples_accepted,samples_rejected"

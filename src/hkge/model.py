@@ -203,12 +203,16 @@ def _segment_sum(values, index, n_segments):
 class KGEModel:
     def __init__(self, config, params):
         # the sizes are the rows of ent_emb and rel_trans; params must hold every
-        # group in param_shapes, which also validates the config; others are dropped
+        # group in param_shapes, in its shape (which also validates the config);
+        # others are dropped
         self.config = config
         self.n_entities = len(params["ent_emb"])
         self.n_relations = len(params["rel_trans"])  # after reciprocal augmentation
-        self.params = {name: params[name]
-                       for name in param_shapes(config, self.n_entities, self.n_relations)}
+        self.params = {}
+        for name, shape in param_shapes(config, self.n_entities, self.n_relations).items():
+            if np.shape(params[name]) != shape:
+                raise ValueError(f"{name}: expected shape {shape}, got {np.shape(params[name])}")
+            self.params[name] = params[name]
 
     # -- construction ------------------------------------------------
 

@@ -118,7 +118,8 @@ class TestLoadSplit:
         path.write_text("a\tr\tb\n\n   \nb\tr\tc\n")
         assert load_split(path).sizes == (2,)
 
-    @pytest.mark.parametrize("blank", ["   ", "\t\t", "\u3000", " \t\u2003\t\x0b\x1c\x85\xa0"])
+    @pytest.mark.parametrize("blank", ["   ", "\t\t", "\u3000", "\u2003",
+                                       " \t\u2003\t\x0b\x1c\x85\xa0"])
     def test_whitespace_only_lines_skipped(self, tmp_path, blank):
         path = tmp_path / "train.txt"
         path.write_text(f"a\tr\tb\n{blank}\n{blank}\nc\tr\td\n", encoding="utf-8")
@@ -133,6 +134,22 @@ class TestLoadSplit:
         expected = [[bytes([x]) in prefixes or bytes([x, y]) in prefixes for y in range(256)]
                     for x in range(256)]
         np.testing.assert_array_equal(data._SPACE_STARTS, expected)
+
+    def test_only_lines_led_by_whitespace_are_decoded(self, tmp_path, monkeypatch):
+        # U+2010 and U+3008 share their first two bytes with U+2000 and U+3000
+        decoded = []
+
+        def spy(raw, *args):
+            decoded.append(bytes(raw))
+            return str(raw, *args)
+
+        monkeypatch.setattr(data, "str", spy, raising=False)
+        path = tmp_path / "train.txt"
+        lines = ["\u2010a\tr\t\u2010b", "\u3008c\u3009\t\u2010r\t\u3008d", "\u3000", "\u2003"]
+        path.write_text("\n".join(lines * 3) + "\n", encoding="utf-8")
+        assert split_names(load_split(path)) == [
+            ("\u2010a", "r", "\u2010b"), ("\u3008c\u3009", "\u2010r", "\u3008d")] * 3
+        assert decoded == ["\u3000".encode(), "\u2003".encode()] * 3
 
     @pytest.mark.parametrize("line", ["\u2010", "\u3042", "\u3000\u3042", "\xa0x\u2003", "\u205f-"])
     def test_line_led_like_whitespace_is_not_blank(self, tmp_path, line):

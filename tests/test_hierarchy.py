@@ -12,7 +12,7 @@ from hkge.hierarchy import (
     HIERARCHY_HEADER,
     RelationGraph,
     UnknownRelation,
-    _distances,
+    _tree_distances,
     analyze_relation,
     bfs_distances,
     build_graph,
@@ -179,6 +179,20 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="no edges"):
             build_graph("r", [])
 
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_numbering_is_np_uniques(self, seed):
+        # gapped ids, a self-loop, a repeated edge, id 0 and a far largest id
+        edges = ([(7, 3), (3, 3), (40, 7), (7, 3), (0, 40), (1000, 0)] if seed is None
+                 else random_edge_list(np.random.default_rng(seed), 50))
+        g = build_graph("r", edges)
+        ids, inverse = np.unique(np.asarray(edges), return_inverse=True)
+        compact = inverse.reshape(-1, 2)
+        np.testing.assert_array_equal(g.node_ids, ids)
+        np.testing.assert_array_equal(g.directed_edges, np.unique(compact, axis=0))
+        loops = compact[:, 0] == compact[:, 1]
+        pairs = np.unique(np.concatenate([compact[~loops], compact[~loops][:, ::-1]]), axis=0)
+        np.testing.assert_array_equal(np.stack(g.csgraph.nonzero(), axis=1), pairs)
+
 
 class TestKhs:
     def test_pure_hierarchy(self):
@@ -273,18 +287,28 @@ class TestBfs:
 
 
 class TestForestReader:
-    """On a forest, distances come from one rooted BFS: every read must
-    equal the per-source BFS reader and SciPy's unweighted Dijkstra."""
+    """On a forest, distances come from the depth and 2^k-ancestor tables:
+    every pair in one tree must read as the per-source BFS reader and
+    SciPy's unweighted Dijkstra, and a pair across trees meets only at
+    the virtual root."""
 
     def assert_reads_match(self, g, sources):
         assert g.forest_pred is not None
+        n = g.n_nodes
+        depth, tables = g.ancestors
+        # ceil(log2(max depth + 1)) tables for a tree root at depth 0: it is 1
+        # below the virtual root
+        assert len(tables) == int(np.ceil(np.log2(depth.max())))
+        assert all(up.shape == (n + 1,) and up[n] == n for up in tables)
+        assert depth[n] == 0
         D = dijkstra(g.csgraph, directed=False, unweighted=True, indices=sources)
-        for src, want in zip(sources, D):
-            reader = _distances(g, src)
-            got = [reader[v] for v in range(g.n_nodes)]
-            assert all(type(d) is float for d in got)
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(got, read_all(g.csgraph, src))
+        u, v = np.repeat(sources, n), np.tile(np.arange(n), len(sources))
+        got, lca = _tree_distances(g, u, v)
+        apart = np.isinf(D.ravel())
+        np.testing.assert_array_equal(lca == n, apart)
+        np.testing.assert_array_equal(got[~apart], D.ravel()[~apart])
+        bfs = np.concatenate([read_all(g.csgraph, src) for src in sources])
+        np.testing.assert_array_equal(np.where(apart, np.inf, got), bfs)
 
     def test_random_forests(self):
         rng = np.random.default_rng(5)
@@ -308,15 +332,6 @@ class TestForestReader:
         g = build_graph("r", edges)
         self.assert_reads_match(g, [0, 1, 2, 500, 998, 999, 1000, 1500, g.n_nodes - 1])
 
-    def test_xi_estimate_makes_one_bfs_per_graph(self, monkeypatch):
-        calls = count_bfs_calls(monkeypatch)
-        rng = np.random.default_rng(8)
-        g = build_graph("r", random_forest_edges(rng, 300))
-        result = xi_estimate(g, n_samples=200, seed=0)
-        assert len(calls) == 1 and calls[0] == g.n_nodes  # from the virtual root
-        assert (result.mean, result.stderr, result.accepted, result.rejected) == \
-            pytest.approx(reference_xi_estimate(g, 200, 0), rel=1e-12)
-
     def test_one_extra_edge_takes_the_bfs_path(self, monkeypatch):
         rng = np.random.default_rng(9)
         edges = random_forest_edges(rng, 300)
@@ -331,6 +346,40 @@ class TestForestReader:
         assert (result.mean, result.stderr, result.accepted, result.rejected) == \
             pytest.approx(reference_xi_estimate(g, 200, 0), rel=1e-12)
 
+    @staticmethod
+    def bent_path():
+        """A 15-node path whose largest id, the root of its tree, sits in the
+        middle, so a b-c path can turn at a top between b and c."""
+        ids = list(range(9)) + [100] + list(range(9, 14))
+        return build_graph("r", list(zip(ids, ids[1:])))
+
+    def test_every_triangle_scores_as_xi_triangle(self):
+        g = self.bent_path()
+        triples = np.array(list(itertools.permutations(range(g.n_nodes), 3)))
+        got = hierarchy._xi_round(g, triples)
+        want = [xi_triangle(g, *abc) for abc in triples.tolist()]
+        np.testing.assert_array_equal(got, [np.nan if x is None else x for x in want])
+        # the midpoint is reached from c for some valid triangles, from b for others
+        depth = g.ancestors[0]
+        d_bc, top = _tree_distances(g, triples[:, 1], triples[:, 2])
+        valid = ~np.isnan(got)
+        from_c = d_bc // 2 <= depth[triples[:, 2]] - depth[top]
+        assert from_c[valid].any() and not from_c[valid].all()
+
+    @pytest.mark.parametrize("edges, n_samples", [
+        (None, 300),                                                             # bent path
+        ([(i, i + 1) for i in range(1999)], 300),                                # path
+        ([(i, i + 1) for i in range(999)] + [(i, 1000 + i) for i in range(999)], 300),  # caterpillar
+        ([(0, leaf) for leaf in range(1, 2000)], 100),                           # star
+        (random_forest_edges(np.random.default_rng(8), 300), 200),               # several trees
+    ], ids=["bent-path", "path", "caterpillar", "star", "forest"])
+    def test_xi_estimate_makes_one_bfs_per_graph(self, edges, n_samples, monkeypatch):
+        g = self.bent_path() if edges is None else build_graph("r", edges)
+        calls = count_bfs_calls(monkeypatch)
+        result = xi_estimate(g, n_samples=n_samples, seed=0)
+        assert len(calls) == 1 and calls[0] == g.n_nodes  # from the virtual root
+        assert (result.mean, result.stderr, result.accepted, result.rejected) == \
+            reference_xi_estimate(g, n_samples, 0)
 
 def stars(rng, n_stars, n_pairs):
     """Stars of 2-4 leaves (3-5 nodes) and disjoint pairs, over shuffled ids."""
@@ -370,7 +419,12 @@ class TestComponents:
         assert len(exact) == 84
         # every draw is rejected, so xi_estimate spends its 20 x 1,260 attempts
         drawn = []
-        monkeypatch.setattr(hierarchy, "xi_triangle", lambda graph, *abc: drawn.append(abc))
+
+        def reject_all(graph, triples):
+            drawn.extend(map(tuple, triples.tolist()))
+            return np.full(len(triples), np.nan)
+
+        monkeypatch.setattr(hierarchy, "_xi_round", reject_all)
         with pytest.raises(ValueError, match="no valid xi sample in 25200 attempts"):
             xi_estimate(g, n_samples=1260, seed=0)
         counts = collections.Counter(drawn)

@@ -264,6 +264,17 @@ class TestParamShapes:
         with pytest.raises(KeyError, match="attn_p"):
             KGEModel(m.config, m.params)
 
+    @pytest.mark.parametrize("name, rows, want", [
+        ("ent_bias", 7, r"ent_bias: expected shape \(5,\), got \(7,\)"),
+        ("rel_scale", 4, r"rel_scale: expected shape \(3, 2\), got \(4, 2\)"),
+    ])
+    def test_group_of_another_shape_raises(self, name, rows, want):
+        # a 7-entry ent_bias beside 5 entities, a 4-row rel_scale beside a 3-row rel_trans
+        params = KGEModel.init(ModelConfig(dim=4), 5, 3).params
+        params[name] = np.resize(params[name], (rows, *params[name].shape[1:]))
+        with pytest.raises(ValueError, match=want):
+            KGEModel(ModelConfig(dim=4), params)
+
     def test_sizes_are_the_table_rows(self):
         m = KGEModel(ModelConfig(dim=4), KGEModel.init(ModelConfig(dim=4), 5, 3).params)
         assert (m.n_entities, m.n_relations) == (5, 3)
