@@ -45,6 +45,9 @@ def round_trip_f32(model):
 
 
 def save(model, path):
+    # params is a plain dict that may have changed since the model was built:
+    # check it again, so no file is written that `load` would refuse or misread
+    model = KGEModel(model.config, model.params)
     cfg = model.config
     flags = (FLAG_INTER if cfg.use_inter_level else 0) | (
         FLAG_INTRA if cfg.use_intra_level else 0

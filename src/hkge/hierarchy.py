@@ -10,11 +10,13 @@ negative.
 
 A relation graph is held as its directed edge array plus one symmetric
 CSR adjacency matrix, both built with NumPy.  Triangles are drawn, then
-scored, in rounds.  On a forest (|E| = |V| - components, which most
-hierarchies are) one BFS per graph, from a virtual root joined to every
-tree, gives each node's parent; pointer doubling turns the parents into
-depths and 2^k-th ancestor tables, from which a whole round's lowest
-common ancestors, distances and midpoints are read as arrays.  On a
+scored, in rounds; a round's draws are four array calls to the random
+generator, whatever its size.  On a forest (|E| = |V| - components,
+which most hierarchies are) one BFS per graph, from a virtual root
+joined to every tree, gives each node's parent; pointer doubling turns
+the parents into depths and 2^k-th ancestor tables, from which a whole
+round's lowest common ancestors, distances and midpoints are read as
+arrays.  On a
 graph with a cycle each triangle reads its few distances through a
 reader whose `[v]` walks v's BFS predecessors up to the nearest node
 whose distance it knows: one `breadth_first_order` call per source.
@@ -86,9 +88,15 @@ class RelationGraph:
         each component's start in that order followed by the end, and the
         cumulative n_k(n_k - 1)(n_k - 2) over components of 4 or more nodes:
         how many ordered triples of distinct nodes lie in one of those among
-        components 0..k."""
+        components 0..k.  Raises ValueError if their total overflows int64."""
         labels = self.component_labels
         sizes = np.bincount(labels)
+        # the total first, in Python integers, which cannot wrap
+        distinct, counts = np.unique(sizes[sizes >= 4], return_counts=True)
+        total = sum(n * (n - 1) * (n - 2) * k for n, k in zip(distinct.tolist(), counts.tolist()))
+        if total > np.iinfo(np.int64).max:
+            raise ValueError(f"relation {self.relation!r}: its {total} ordered triples "
+                             "inside one component do not fit in int64")
         triples = np.cumsum(np.where(sizes >= 4, sizes * (sizes - 1) * (sizes - 2), 0))
         return np.argsort(labels, kind="stable"), np.append(0, np.cumsum(sizes)), triples
 
@@ -326,37 +334,40 @@ def xi_estimate(graph, n_samples=DEFAULT_XI_SAMPLES, seed=0):
     """Sampled mean and standard error of xi over valid triangles.
 
     Each draw is an ordered triple of distinct nodes of one component of
-    4 or more nodes, uniform over all such triples.  The component is
-    drawn by one `searchsorted` on a uniform integer below the number of
-    triples, and only when two or more components have 4 nodes; a
-    connected graph thus gives the stream of `rng.choice(n, 3)`.  Raises
-    `NoXiSample` before any draw if no component has 4 nodes, and after
-    the last attempt if every one was rejected.
+    4 or more nodes, uniform over all such triples.  The draws are made
+    and scored in rounds of as many as there are samples still wanted
+    (or attempts left), so a round never accepts more than needed: the
+    samples and their order are those of scoring one draw at a time and
+    stopping at the last sample wanted.  A round of `size` draws is four
+    `Generator.integers` calls: `size` components, each picked by a
+    `searchsorted` on a uniform integer below the number of triples, then
+    for each row i0 below n, i1 below n - 1 and i2 below n - 2, with n the
+    row's component size; i1 is shifted past i0, and i2 past the smaller
+    and then the larger of the two.
 
-    The draws are scored in rounds of as many as there are samples still
-    wanted (or attempts left), so a round never accepts more than needed:
-    the draws, the samples and their order are those of scoring one draw
-    at a time and stopping at the last sample wanted.
+    Raises ValueError if `n_samples` is below 1, and `NoXiSample` before
+    any draw if no component has 4 nodes, and after the last attempt if
+    every one was rejected.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     order, bounds, cum = graph.components
     if not cum[-1]:
         raise NoXiSample(f"no valid xi sample on relation {graph.relation!r}: "
                          "no connected component has more than 3 nodes")
-    k = int(np.searchsorted(cum, 0, side="right"))  # the first component with weight
-    several = cum[k] < cum[-1]
     max_attempts = max(20 * n_samples, 1000)
     rng = np.random.default_rng(seed)
     values = []
     accepted = attempts = 0
     while accepted < n_samples and attempts < max_attempts:
         size = min(n_samples - accepted, max_attempts - attempts)
-        ks, picks = [], []
-        for _ in range(size):
-            if several:
-                k = int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
-            ks.append(k)
-            picks.append(rng.choice(bounds[k + 1] - bounds[k], size=3, replace=False))
-        xi = _xi_round(graph, order[bounds[ks][:, None] + np.array(picks)])
+        ks = np.searchsorted(cum, rng.integers(cum[-1], size=size), side="right")
+        n = bounds[ks + 1] - bounds[ks]
+        i0, i1, i2 = rng.integers(n), rng.integers(n - 1), rng.integers(n - 2)
+        i1 += i1 >= i0
+        i2 += i2 >= np.minimum(i0, i1)
+        i2 += i2 >= np.maximum(i0, i1)
+        xi = _xi_round(graph, order[bounds[ks, None] + np.stack([i0, i1, i2], axis=1)])
         values.append(xi[~np.isnan(xi)])
         accepted += len(values[-1])
         attempts += size

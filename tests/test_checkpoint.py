@@ -153,6 +153,20 @@ def test_no_temp_file_left_behind(tmp_path):
     assert not (tmp_path / "broken.bin").exists()
 
 
+@pytest.mark.parametrize("change, match", [
+    (lambda emb: emb[:, :2], r"ent_emb: expected shape \(5, 4\), got \(5, 2\)"),
+    (lambda emb: emb.reshape(10, 2), r"ent_emb: expected shape \(10, 4\), got \(10, 2\)"),
+], ids=["cut", "reshaped"])
+def test_params_changed_after_construction_are_refused(tmp_path, change, match):
+    # params is a plain dict: a group replaced after the model was built is
+    # checked again by save, before any file is opened
+    m = KGEModel.init(ModelConfig(dim=4), 5, 3)
+    m.params["ent_emb"] = change(m.params["ent_emb"])
+    with pytest.raises(ValueError, match=match):
+        save(m, tmp_path / "model.bin")
+    assert os.listdir(tmp_path) == []
+
+
 def test_overwrite_is_atomic_replacement(tmp_path):
     path = tmp_path / "model.bin"
     m1 = make_model(mode="fixed_one")
