@@ -117,46 +117,70 @@ def count_bfs_calls(monkeypatch):
     return calls
 
 
-def reference_triangle_draws(g, rng):
-    """xi_estimate's draws written out on their own: the components with 4
-    or more nodes as index lists in label order, one picked by a linear
-    scan over n(n - 1)(n - 2) weights when there are several, then three
-    distinct positions in it."""
+def record_draws(monkeypatch):
+    """The triples xi_estimate draws, in order, each of them rejected."""
+    drawn = []
+
+    def reject_all(graph, triples):
+        drawn.extend(map(tuple, triples.tolist()))
+        return np.full(len(triples), np.nan)
+
+    monkeypatch.setattr(hierarchy, "_xi_round", reject_all)
+    return drawn
+
+
+def reference_triangle_draws(g, rng, size):
+    """One round of xi_estimate's draws written out on their own: the
+    components with 4 or more nodes as index lists in label order, then
+    `size` components picked by a linear scan over n(n - 1)(n - 2) weights,
+    then per row i0 < n, i1 < n - 1 and i2 < n - 2, drawn as arrays in that
+    order; i1 is the i1-th of the positions other than i0, and i2 the i2-th
+    of those other than both."""
     _, labels = connected_components(g.csgraph, directed=False)
     members = [np.flatnonzero(labels == k).tolist() for k in range(labels.max() + 1)]
     members = [nodes for nodes in members if len(nodes) >= 4]
     weights = [len(nodes) * (len(nodes) - 1) * (len(nodes) - 2) for nodes in members]
-    while True:
-        nodes = members[0]
-        if len(members) > 1:
-            r = int(rng.integers(sum(weights)))
-            for nodes, w in zip(members, weights):
-                if r < w:
-                    break
-                r -= w
-        yield tuple(nodes[int(i)] for i in rng.choice(len(nodes), size=3, replace=False))
+    picked = []
+    for r in rng.integers(sum(weights), size=size).tolist():
+        for nodes, w in zip(members, weights):
+            if r < w:
+                break
+            r -= w
+        picked.append(nodes)
+    n = np.array([len(nodes) for nodes in picked])
+    i0, i1, i2 = rng.integers(n), rng.integers(n - 1), rng.integers(n - 2)
+    draws = []
+    for nodes, p0, j1, j2 in zip(picked, i0.tolist(), i1.tolist(), i2.tolist()):
+        p1 = [p for p in range(len(nodes)) if p != p0][j1]
+        p2 = [p for p in range(len(nodes)) if p not in (p0, p1)][j2]
+        draws.append((nodes[p0], nodes[p1], nodes[p2]))
+    return draws
 
 
 def reference_xi_estimate(g, n_samples, seed):
     """xi_estimate written out over an all-pairs Dijkstra matrix: the same
-    sample stream, rejection rules and min-index midpoint walk."""
+    rounds of draws, rejection rules and min-index midpoint walk, one
+    triangle at a time."""
     D = dijkstra(g.csgraph, directed=False, unweighted=True)
     indptr, indices = g.csgraph.indptr, g.csgraph.indices
-    draws = reference_triangle_draws(g, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    max_attempts = max(20 * n_samples, 1000)
     values, rejected, attempts = [], 0, 0
-    while len(values) < n_samples and attempts < max(20 * n_samples, 1000):
-        attempts += 1
-        a, b, c = next(draws)
-        d_bc = D[b, c]
-        m = c
-        if np.isfinite(d_bc) and d_bc % 2 == 0:
-            for _ in range(int(d_bc) // 2):
-                m = min(int(x) for x in indices[indptr[m]:indptr[m + 1]] if D[b, x] == D[b, m] - 1)
-        if not np.isfinite(d_bc) or d_bc % 2 or m == a or not np.isfinite(D[a, [b, c, m]]).all():
-            rejected += 1
-            continue
-        values.append((D[a, m] ** 2 + d_bc ** 2 / 4.0 - (D[a, b] ** 2 + D[a, c] ** 2) / 2.0)
-                      / (2.0 * D[a, m]))
+    while len(values) < n_samples and attempts < max_attempts:
+        size = min(n_samples - len(values), max_attempts - attempts)
+        attempts += size
+        for a, b, c in reference_triangle_draws(g, rng, size):
+            d_bc = D[b, c]
+            m = c
+            if np.isfinite(d_bc) and d_bc % 2 == 0:
+                for _ in range(int(d_bc) // 2):
+                    m = min(int(x) for x in indices[indptr[m]:indptr[m + 1]]
+                            if D[b, x] == D[b, m] - 1)
+            if not np.isfinite(d_bc) or d_bc % 2 or m == a or not np.isfinite(D[a, [b, c, m]]).all():
+                rejected += 1
+                continue
+            values.append((D[a, m] ** 2 + d_bc ** 2 / 4.0 - (D[a, b] ** 2 + D[a, c] ** 2) / 2.0)
+                          / (2.0 * D[a, m]))
     arr = np.asarray(values)
     return arr.mean(), arr.std(ddof=1) / np.sqrt(len(arr)), len(arr), rejected
 
@@ -418,21 +442,27 @@ class TestComponents:
                  if len({a, b, c}) == 3 and labels[a] == labels[b] == labels[c] != labels[0]]
         assert len(exact) == 84
         # every draw is rejected, so xi_estimate spends its 20 x 1,260 attempts
-        drawn = []
-
-        def reject_all(graph, triples):
-            drawn.extend(map(tuple, triples.tolist()))
-            return np.full(len(triples), np.nan)
-
-        monkeypatch.setattr(hierarchy, "_xi_round", reject_all)
+        drawn = record_draws(monkeypatch)
         with pytest.raises(ValueError, match="no valid xi sample in 25200 attempts"):
             xi_estimate(g, n_samples=1260, seed=0)
         counts = collections.Counter(drawn)
         assert sorted(counts) == exact
         chi2 = sum((k - 300) ** 2 / 300 for k in counts.values())
         assert chi2 < stats.chi2.ppf(0.999, 83)
-        assert drawn == list(itertools.islice(
-            reference_triangle_draws(g, np.random.default_rng(0)), len(drawn)))
+        rng = np.random.default_rng(0)
+        assert drawn == [abc for _ in range(20) for abc in reference_triangle_draws(g, rng, 1260)]
+
+    def test_one_four_node_component_draws_all_24_triples(self, monkeypatch):
+        # n - 2 = 2: the smallest component a triangle is drawn in, alone
+        g = build_graph("r", [(0, 1), (1, 2), (2, 3)])
+        drawn = record_draws(monkeypatch)
+        with pytest.raises(ValueError, match="no valid xi sample in 4800 attempts"):
+            xi_estimate(g, n_samples=240, seed=0)
+        counts = collections.Counter(drawn)
+        assert sorted(counts) == list(itertools.permutations(range(4), 3))
+        assert sum((k - 200) ** 2 / 200 for k in counts.values()) < stats.chi2.ppf(0.999, 23)
+        rng = np.random.default_rng(0)
+        assert drawn == [abc for _ in range(20) for abc in reference_triangle_draws(g, rng, 240)]
 
     def test_one_bfs_per_source_read_and_same_estimate(self, monkeypatch):
         g = self.two_rings()
@@ -536,18 +566,28 @@ class TestXiEstimate:
         with pytest.raises(ValueError, match="no valid xi sample"):
             xi_estimate(g, n_samples=5)
 
-    def test_no_three_node_component_fails_before_any_draw(self, monkeypatch):
+    @staticmethod
+    def count_rng_calls(monkeypatch):
+        """Every method call on the Generators that xi_estimate makes, by name."""
         calls, default_rng = [], np.random.default_rng
 
         class CountingRng:
             def __init__(self, seed):
                 self.rng = default_rng(seed)
 
-            def choice(self, *args, **kwargs):
-                calls.append(1)
-                return self.rng.choice(*args, **kwargs)
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return method(*args, **kwargs)
+                return counted
 
         monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        return calls
+
+    def test_no_three_node_component_fails_before_any_draw(self, monkeypatch):
+        calls = self.count_rng_calls(monkeypatch)
         with pytest.raises(ValueError, match="no valid xi sample"):
             xi_estimate(build_graph("r", [(0, 1), (2, 3), (4, 5)]), n_samples=10_000)
         assert calls == []
@@ -555,9 +595,58 @@ class TestXiEstimate:
         with pytest.raises(ValueError, match="no valid xi sample"):
             xi_estimate(build_graph("r", [(0, 1), (1, 2)]), n_samples=5)
         assert calls == []
-        with pytest.raises(ValueError, match="no valid xi sample"):
+        # the counter sees draws where a 4-node component exists: 200 rounds of 5
+        with pytest.raises(ValueError, match="no valid xi sample in 1000 attempts"):
             xi_estimate(build_graph("r", list(itertools.combinations(range(4), 2))), n_samples=5)
-        assert len(calls) == 1000  # the counter sees draws where a 4-node component exists
+        assert calls == ["integers"] * 800
+
+    @pytest.mark.parametrize("edges, n_samples", [
+        ([(0, leaf) for leaf in range(1, 2000)], 10_000),     # 2 rounds: 10,000 and 15
+        (random_tree_edges(300, seed=4), 5_000),              # 14 rounds, from 5,000 down
+        (stars(np.random.default_rng(13), 400, 300), 3_000),  # 30 rounds, 700 components
+    ], ids=["star", "tree", "stars"])
+    def test_a_round_makes_four_generator_calls(self, edges, n_samples, monkeypatch):
+        # whatever a round's size, so no loop over its draws can come back
+        rounds = []
+        real = hierarchy._xi_round
+
+        def counted(graph, triples):
+            rounds.append(len(triples))
+            return real(graph, triples)
+
+        monkeypatch.setattr(hierarchy, "_xi_round", counted)
+        calls = self.count_rng_calls(monkeypatch)
+        result = xi_estimate(build_graph("r", edges), n_samples=n_samples, seed=0)
+        assert sum(rounds) == result.accepted + result.rejected
+        assert rounds[0] == n_samples
+        assert calls == ["integers"] * (4 * len(rounds))
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_fewer_than_one_sample_refused_before_any_draw(self, n_samples, monkeypatch):
+        calls = self.count_rng_calls(monkeypatch)
+        store = data.build_vocab({"train": [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d")],
+                                  "valid": [], "test": []})
+        message = f"n_samples must be at least 1, got {n_samples}$"
+        for refused in (lambda: xi_estimate(star_graph(5), n_samples=n_samples),
+                        lambda: analyze_relation(store, "r", n_samples=n_samples)):
+            with pytest.raises(ValueError, match=message) as excinfo:
+                refused()
+            assert not isinstance(excinfo.value, hierarchy.NoXiSample)
+        assert calls == []
+
+    def test_triple_count_past_int64_refused(self, monkeypatch):
+        # labels stand in for one connected component of that many nodes;
+        # 2,097,153 nodes is the largest whose n(n - 1)(n - 2) fits in int64
+        g = build_graph("r", [(0, 1), (1, 2), (2, 3)])
+        g.component_labels = np.zeros(2_097_153, dtype=np.intp)
+        assert g.components[2][-1] == 2_097_153 * 2_097_152 * 2_097_151
+        calls = self.count_rng_calls(monkeypatch)
+        g = build_graph("r", [(0, 1), (1, 2), (2, 3)])
+        g.component_labels = np.zeros(2_100_000, dtype=np.intp)
+        with pytest.raises(ValueError, match="relation 'r': its 9260986770004200000 ordered "
+                                             "triples inside one component do not fit in int64"):
+            xi_estimate(g)
+        assert calls == []
 
     def test_rejections_are_counted(self):
         g = build_graph("r", random_tree_edges(30, seed=3))
@@ -575,13 +664,13 @@ class TestXiExactness:
         return data.build_vocab({"train": tree + ring + back, "valid": [], "test": []})
 
     @pytest.mark.parametrize("seed, expected", [
-        (0, (-1.3518184523809524, 0.0922650324055066, 200, 147)),
-        (3, (-1.0256741071428572, 0.09570261774841736, 200, 186)),
+        (0, (-1.1577554563492063, 0.09055141175666848, 200, 177)),
+        (3, (-0.9516736111111112, 0.0953742711060059, 200, 186)),
     ])
     def test_pinned_output(self, seed, expected):
-        # expected values were computed with SciPy's unweighted Dijkstra
-        # distances; any drift in the sample stream, the rejection rules
-        # or the midpoint rule changes them
+        # expected values equal reference_xi_estimate's, from SciPy's
+        # unweighted Dijkstra distances; any drift in the sample stream,
+        # the rejection rules or the midpoint rule changes them
         assert relation_subgraph(self.store(), "r").forest_pred is None  # the BFS path
         row = analyze_relation(self.store(), "r", n_samples=200, seed=seed)
         assert (row["nodes"], row["edges"], row["khs"]) == (63, 80, 0.95)
@@ -602,12 +691,12 @@ class TestAnalyzeRelationPinned:
         return data.build_vocab({"train": tree + cross + back, "valid": [], "test": []})
 
     @pytest.mark.parametrize("seed, expected", [
-        (0, (-1.129071097883598, 0.07979977214427718, 300, 343)),
-        (1, (-0.9869689754689754, 0.07519935486530728, 300, 334)),
+        (0, (-0.995423611111111, 0.07889489740892704, 300, 284)),
+        (1, (-1.072871693121693, 0.07593601357930638, 300, 315)),
     ])
     def test_pinned_output(self, seed, expected):
-        # expected values were recorded with the full-array BFS levels
-        # (pointer jumping) that the distance reader replaced
+        # expected values equal reference_xi_estimate's, from the Dijkstra
+        # distances and the same rounds of draws
         assert relation_subgraph(self.store(), "r").forest_pred is None  # the BFS path
         row = analyze_relation(self.store(), "r", n_samples=300, seed=seed)
         assert (row["nodes"], row["edges"], row["khs"]) == (120, 136, 0.9264705882352942)
@@ -629,8 +718,8 @@ class TestForestPinned:
         return data.build_vocab({"train": tree + back + second, "valid": [], "test": []})
 
     @pytest.mark.parametrize("seed, expected", [
-        (0, (-1.7440091020091022, 0.08916688527348234, 300, 320)),
-        (1, (-1.7385328282828285, 0.08271718758281203, 300, 283)),
+        (0, (-1.5487911255411255, 0.07358164198941818, 300, 281)),
+        (1, (-1.7180670995670995, 0.07772765019122409, 300, 304)),
     ])
     def test_pinned_output(self, seed, expected, monkeypatch):
         # expected values equal reference_xi_estimate's, from the Dijkstra
