@@ -273,7 +273,7 @@ def cmd_ablate(cfg):
     else:
         euclidean = cfg["geometry"] == "euclidean"  # where curvature modes are all the same
         runs = [run for run in ABLATION_GRID if not euclidean or run[1] == "attention"]
-    rows = []
+    rows, diverged = [], False
     for label, mode, inter, intra in runs:
         mcfg = dataclasses.replace(base, curvature_mode=mode,
                                    use_inter_level=inter, use_intra_level=intra)
@@ -290,10 +290,13 @@ def cmd_ablate(cfg):
             **{k: best.get(k) for k in evaluation.METRIC_COLUMNS},
         })
         print(f"{label}: valid mrr={result.best_mrr}")
+        if result.diverged:
+            diverged = True
+            print(f"{label}: training aborted: {result.error}", file=sys.stderr)
     path = os.path.join(out_dir, "ablation.csv")
     data.write_csv(path, list(rows[0]), rows)
     print(f"ablation grid written to {path}")
-    return 0
+    return 2 if diverged else 0
 
 
 def cmd_analyze(cfg):

@@ -3,8 +3,9 @@
 Benchmark layout: a directory with `train.txt`, `valid.txt`, `test.txt`,
 one `head<TAB>relation<TAB>tail` triple per line.  A file is read as
 bytes: it must be UTF-8; LF, CRLF and a lone CR each end a line; lines
-`str.strip` leaves empty are skipped; every other line has exactly three
-non-empty tab-separated fields, and names are compared as exact bytes.
+`bytes.strip` leaves empty (only ASCII whitespace) are skipped; every
+other line has exactly three non-empty tab-separated fields, and names
+are compared as exact bytes.
 Separators are found and names numbered with NumPy, so one Python str
 is made per distinct name and none per line or field.  Vocabularies
 assign ids in first-appearance order over train, then valid, then test.
@@ -76,15 +77,7 @@ class TripleStore:
 SPLITS = ("train", "valid", "test")
 FIELDS = ("head", "relation", "tail")
 
-# [x, y] is True when a line whose first two bytes are x, y may begin with
-# a `str.isspace` character (none is past U+3000); the 3-byte ones are also
-# listed whole, as x << 16 | y << 8 | z
-_SPACE_STARTS = np.zeros((256, 256), dtype=bool)
-_SPACE_TRIPLES = []
-for _code in (c.encode() for c in map(chr, range(0x3001)) if c.isspace()):
-    _SPACE_STARTS[_code[0], _code[1] if len(_code) > 1 else slice(None)] = True
-    if len(_code) == 3:
-        _SPACE_TRIPLES.append(int.from_bytes(_code, "big"))
+_SPACE = np.array([bytes([x]).isspace() for x in range(256)])  # ASCII whitespace, "\n" too
 
 
 @dataclass(frozen=True)
@@ -104,18 +97,12 @@ class Split:
 
 
 def _blank(b, starts, ends):
-    """Which of the lines b[starts:ends] are blank: `str.strip` leaves nothing
-    (b must be valid UTF-8).  Only a line that begins with the whole UTF-8
-    encoding of a whitespace character is decoded."""
-    cand = np.flatnonzero(_SPACE_STARTS[b[starts], b.take(starts + 1, mode="clip")])
-    # a 3-byte character (lead byte 0xE0 or more) lies in its line: match all of it
-    lead = starts[cand]
-    three = np.flatnonzero(b[lead] >= 0xE0)
-    codes = b[lead[three, None] + np.arange(3)].astype(np.int64) @ (1 << 16, 1 << 8, 1)
-    cand = np.delete(cand, three[~np.isin(codes, _SPACE_TRIPLES)])
+    """Which of the lines b[starts:ends] are blank: `bytes.strip` leaves
+    nothing, so each is empty or holds only space, \\t, \\v or \\f.  Only a
+    line that begins with one of those, or with its "\\n" when empty, is stripped."""
+    cand = np.flatnonzero(_SPACE[b[starts]])
     blank = np.zeros(len(starts), dtype=bool)
-    text = b.data
-    blank[cand] = [not str(text[s:e], "utf-8").strip()
+    blank[cand] = [not b[s:e].tobytes().strip()
                    for s, e in zip(starts[cand].tolist(), ends[cand].tolist())]
     return blank
 
@@ -123,8 +110,9 @@ def _blank(b, starts, ends):
 def _parse(files):
     """Parse (where, bytes) triple files, in order, into one `Split`; errors name `where`.
 
-    UTF-8; LF, CRLF or CR line ends; blank lines (see `_blank`) skipped;
-    every other line exactly three non-empty tab-separated fields.
+    UTF-8; LF, CRLF or CR line ends; blank lines (only ASCII whitespace,
+    see `_blank`) skipped; every other line exactly three non-empty
+    tab-separated fields.
     """
     wheres, raws = [], []
     for where, raw in files:

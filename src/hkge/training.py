@@ -195,10 +195,6 @@ class Adam:
 OPTIMIZERS = {"adagrad": Adagrad, "adam": Adam}
 
 
-def make_optimizer(model, config):
-    return OPTIMIZERS[config.optimizer](model, config.lr)
-
-
 @dataclass
 class TrainResult:
     model: KGEModel
@@ -235,7 +231,7 @@ def train(model, store, config, filters=None, log=None):
     if n_train == 0:
         raise ValueError("empty training split")
 
-    optimizer = make_optimizer(model, config)
+    optimizer = OPTIMIZERS[config.optimizer](model, config.lr)
     result = TrainResult(model=model)
     bad_rounds = 0
 

@@ -449,6 +449,31 @@ class TestAblate:
         for row in rows:
             assert 0.0 <= float(row["mrr"]) <= 1.0
 
+    def test_diverged_run_exits_2_and_keeps_every_row(self, tree_dir, tmp_path, capsys,
+                                                      monkeypatch):
+        real = training.loss_and_grads
+
+        def failing(model, batch, negatives):
+            if not model.config.use_inter_level and model.config.use_intra_level:
+                raise training.NumericError("non-finite gradient in parameter group ent_emb")
+            return real(model, batch, negatives)
+
+        monkeypatch.setattr(training, "loss_and_grads", failing)
+        out = tmp_path / "ablate"
+        code = main(["ablate", "--dataset-dir", tree_dir, "--out-dir", str(out),
+                     "--dim", "4", "--epochs", "2", "--eval-every", "1",
+                     "--batch-size", "99", "--neg-samples", "4"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "no_inter_level: training aborted: non-finite gradient in parameter group ent_emb\n")
+        lines = (out / "ablation.csv").read_text().strip().split("\n")
+        header = lines[0].split(",")
+        rows = {line.split(",")[0]: dict(zip(header, line.split(","))) for line in lines[1:]}
+        assert list(rows) == [run[0] for run in cli.ABLATION_GRID]
+        assert rows.pop("no_inter_level")["mrr"] == ""
+        for row in rows.values():
+            assert 0.0 <= float(row["mrr"]) <= 1.0
+
     def test_curvature_sweep(self, tree_dir, tmp_path):
         out = tmp_path / "sweep"
         code = main(["ablate", "--dataset-dir", tree_dir, "--out-dir", str(out),
