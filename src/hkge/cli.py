@@ -6,17 +6,23 @@ built-in defaults < JSON config file (``--config``) < explicit flags, and a
 flag or config key that the command does not read is rejected.  The merged
 result is written to ``<out-dir>/config.json`` before any real work, so a
 run directory records exactly the settings its command read.
+
+This module writes every file of a run directory, each table through
+``write_csv``; of the library, only ``checkpoint.save`` writes a file.
 """
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
 import sys
 
+import numpy as np
+
 from . import checkpoint, data, evaluation, hierarchy
 from .model import CURVATURE_MODES, GEOMETRIES, KGEModel, ModelConfig
-from .training import OPTIMIZERS, MetricLog, NumericError, TrainConfig, train
+from .training import METRIC_LOG_COLUMNS, OPTIMIZERS, NumericError, TrainConfig, train
 
 RUN_DEFAULTS = {"dataset_dir": None, "out_dir": None, "seed": TrainConfig.seed}
 
@@ -158,6 +164,27 @@ def _require(cfg, *keys):
             raise CliError(f"--{key.replace('_', '-')} is required")
 
 
+def write_csv(path, header, rows, mode="w"):
+    """Write one run table: a header line, then each row dict's cells by column.
+
+    Comma-separated, LF line ends, quoted only where a cell needs it;
+    floats to 6 decimals, None as an empty cell, anything else as str.
+    With mode "a" the rows are appended to the table and no header is written.
+    """
+    with open(path, mode, encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if mode == "w":
+            writer.writerow(header)
+        writer.writerows([f"{row[k]:.6f}" if isinstance(row[k], float) else row[k]
+                          for k in header] for row in rows)
+
+
+def write_vocab_files(store, out_dir):
+    for fname, names in (("entities.tsv", store.entities), ("relations.tsv", store.relations)):
+        with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
+            fh.writelines(f"{i}\t{name}\n" for i, name in enumerate(names))
+
+
 def _prepare_out_dir(cfg):
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -197,13 +224,16 @@ def cmd_train(cfg):
     tcfg = train_config_from(cfg)
     out_dir = _prepare_out_dir(cfg)
     astore = data.augment_reciprocal(_load_store(cfg))
-    filters = data.build_filter_index(astore)
     model = KGEModel.init(mcfg, astore.n_entities, astore.n_relations, seed=cfg["seed"],
                           init_scale=tcfg.init_scale)
-    result = train(model, astore, tcfg, filters,
-                   log=MetricLog(os.path.join(out_dir, "metrics.csv")))
+    # each row reaches the file when it is made, so an interrupted run keeps its epochs
+    metrics = os.path.join(out_dir, "metrics.csv")
+    write_csv(metrics, METRIC_LOG_COLUMNS, [])
+    with np.errstate(all="ignore"):  # a run that overflows reports itself, in result.error
+        result = train(model, astore, tcfg,
+                       lambda row: write_csv(metrics, METRIC_LOG_COLUMNS, [row], mode="a"))
     checkpoint.save(result.model, os.path.join(out_dir, "checkpoint.bin"))
-    data.write_vocab_files(astore, out_dir)
+    write_vocab_files(astore, out_dir)
     if result.diverged:
         saved = (f"the best validated parameters, from epoch {result.best_epoch}"
                  if result.best_epoch is not None else
@@ -233,15 +263,12 @@ def cmd_eval(cfg):
     report = evaluation.aggregate(ranks)
     print(f"split={cfg['split']} n={report.n_queries} mrr={report.mrr:.4f} "
           + " ".join(f"h{k}={v:.4f}" for k, v in report.hits.items()))
-    evaluation.write_global_csv(os.path.join(out_dir, "metrics.csv"), report,
-                                cfg["split"])
+    write_csv(os.path.join(out_dir, "metrics.csv"), ("split", "n", *evaluation.METRIC_COLUMNS),
+              [{"split": cfg["split"], **report.row()}])
     if cfg["per_relation"]:
-        rows = evaluation.per_relation_report(
-            ranks, triples, astore.relations, astore.n_base_relations
-        )
-        evaluation.write_per_relation_csv(
-            os.path.join(out_dir, "per_relation.csv"), rows
-        )
+        rows = evaluation.per_relation_report(ranks, triples, astore.relations, astore.n_base_relations)
+        write_csv(os.path.join(out_dir, "per_relation.csv"),
+                  ("relation", "n", *evaluation.METRIC_COLUMNS), rows)
     return 0
 
 
@@ -266,7 +293,6 @@ def cmd_ablate(cfg):
     tcfg = train_config_from(cfg)
     out_dir = _prepare_out_dir(cfg)
     astore = data.augment_reciprocal(_load_store(cfg))
-    filters = data.build_filter_index(astore)
     if cfg["curvature_sweep"]:
         runs = [(label, mode, cfg["use_inter_level"], cfg["use_intra_level"])
                 for label, mode in CURVATURE_SWEEP]
@@ -279,7 +305,8 @@ def cmd_ablate(cfg):
                                    use_inter_level=inter, use_intra_level=intra)
         model = KGEModel.init(mcfg, astore.n_entities, astore.n_relations,
                               seed=cfg["seed"], init_scale=tcfg.init_scale)
-        result = train(model, astore, tcfg, filters)
+        with np.errstate(all="ignore"):
+            result = train(model, astore, tcfg)
         best = next((r for r in result.history
                      if r["split"] == "valid" and r["epoch"] == result.best_epoch), {})
         rows.append({
@@ -294,7 +321,7 @@ def cmd_ablate(cfg):
             diverged = True
             print(f"{label}: training aborted: {result.error}", file=sys.stderr)
     path = os.path.join(out_dir, "ablation.csv")
-    data.write_csv(path, list(rows[0]), rows)
+    write_csv(path, list(rows[0]), rows)
     print(f"ablation grid written to {path}")
     return 2 if diverged else 0
 
@@ -305,7 +332,9 @@ def cmd_analyze(cfg):
     store = _load_store(cfg)
     rows = [hierarchy.analyze_relation(store, name, n_samples=cfg["samples"], seed=cfg["seed"])
             for name in cfg["relations"] or store.relations]
-    hierarchy.write_hierarchy_csv(os.path.join(out_dir, "hierarchy.csv"), rows)
+    write_csv(os.path.join(out_dir, "hierarchy.csv"), hierarchy.HIERARCHY_COLUMNS, [
+        {**dict.fromkeys(hierarchy.HIERARCHY_COLUMNS), "relation": row["relation"],
+         "khs": f"error:{row['error']}"} if row.get("error") else row for row in rows])
     for row in rows:
         if row.get("error"):
             print(f"{row['relation']}: error:{row['error']}")

@@ -12,10 +12,9 @@ assign ids in first-appearance order over train, then valid, then test.
 Reciprocal augmentation gives every relation r a companion r + |R|
 (named `<r>^-1`, a name no base relation may have) and doubles every
 split with (t, r+|R|, h) triples, so head prediction is ordinary tail
-prediction downstream.
+prediction downstream.  Only `make_tree_dataset` writes a file.
 """
 
-import csv
 import operator
 import os
 from collections.abc import Mapping
@@ -395,29 +394,6 @@ def build_filter_index(store):
     hr, tails = np.divmod(sorted_unique((h * n_r + r) * n_t + t), n_t)
     starts = np.flatnonzero(np.diff(hr, prepend=-1))
     return FilterIndex(n_r, hr[starts], np.append(starts, len(hr)), tails)
-
-
-def write_csv(path, header, rows, mode="w"):
-    """Write one run table: a header line, then each row dict's cells by column.
-
-    Comma-separated, LF line ends, quoted only where a cell needs it;
-    floats to 6 decimals, None as an empty cell, anything else as str.
-    With mode "a" the rows are appended to the table and no header is written.
-    """
-    with open(path, mode, encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if mode == "w":
-            writer.writerow(header)
-        writer.writerows([f"{row[k]:.6f}" if isinstance(row[k], float) else row[k]
-                          for k in header] for row in rows)
-
-
-def write_vocab_files(store, out_dir):
-    for fname, names in (("entities.tsv", store.entities),
-                         ("relations.tsv", store.relations)):
-        with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
-            for i, name in enumerate(names):
-                fh.write(f"{i}\t{name}\n")
 
 
 def make_tree_dataset(out_dir, depth=6, seed=0):

@@ -6,6 +6,7 @@ under a per-query seed derived from (master seed, h, r, t): results are
 identical no matter what order queries are evaluated in.
 """
 
+import contextvars
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import sorted_unique, write_csv
+from .data import sorted_unique
 from .model import NumericError
 
 KS = (1, 3, 10)  # the Hits@K cutoffs: every metrics table has h1, h3, h10
@@ -84,8 +85,9 @@ def compute_ranks(model, triples, filters, seed=0):
     rest.  A query's scores and tie-break draw do not depend on the
     thread that ranks it, so the ranks do not depend on the CPU count,
     and an error names the first failing query in input order, as a
-    serial pass would.  Once an error or interrupt leaves the call, the
-    blocks after it stop at their next query.
+    serial pass would; pool threads run in a copy of the caller's context,
+    so NumPy's ``errstate`` too is the caller's.  Once an error or
+    interrupt leaves the call, the blocks after it stop at their next query.
     """
     triples = np.asarray(triples)
     seed = int(seed)
@@ -109,7 +111,7 @@ def compute_ranks(model, triples, filters, seed=0):
     k = max(1, min(_cpu_count(), n))
     blocks = [(n * j // k, n * (j + 1) // k) for j in range(k)]
     with ThreadPoolExecutor(max(1, k - 1)) as pool:  # k = 1 starts no thread
-        rest = [pool.submit(rank_block, *block) for block in blocks[1:]]
+        rest = [pool.submit(contextvars.copy_context().run, rank_block, *b) for b in blocks[1:]]
         try:
             rank_block(*blocks[0])
             for future in rest:  # in block order: the earliest failing query raises
@@ -154,11 +156,3 @@ def per_relation_report(ranks, triples, relation_names, n_base_relations):
         rows.append({"relation": relation_names[rel_id], **report.row()})
     rows.sort(key=lambda row: row["relation"])
     return rows
-
-
-def write_global_csv(path, report, split):
-    write_csv(path, ["split", "n", *METRIC_COLUMNS], [{"split": split, **report.row()}])
-
-
-def write_per_relation_csv(path, rows):
-    write_csv(path, ["relation", "n", *METRIC_COLUMNS], rows)

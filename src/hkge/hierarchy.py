@@ -39,7 +39,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .data import sorted_unique, write_csv
+from .data import sorted_unique
 
 DEFAULT_XI_SAMPLES = 10_000
 
@@ -381,7 +381,8 @@ def xi_estimate(graph, n_samples=DEFAULT_XI_SAMPLES, seed=0):
                     accepted=accepted, rejected=attempts - accepted)
 
 
-HIERARCHY_HEADER = "relation,nodes,edges,khs,xi_mean,xi_stderr,samples_accepted,samples_rejected"
+HIERARCHY_COLUMNS = ("relation", "nodes", "edges", "khs", "xi_mean", "xi_stderr",
+                     "samples_accepted", "samples_rejected")
 
 
 def analyze_relation(store, relation_name, n_samples=DEFAULT_XI_SAMPLES, seed=0):
@@ -398,11 +399,3 @@ def analyze_relation(store, relation_name, n_samples=DEFAULT_XI_SAMPLES, seed=0)
         "khs": score, "xi_mean": xi.mean, "xi_stderr": xi.stderr,
         "samples_accepted": xi.accepted, "samples_rejected": xi.rejected,
     }
-
-
-def write_hierarchy_csv(path, rows):
-    """One row per relation; a relation that failed gets `error:<label>` as its khs."""
-    header = HIERARCHY_HEADER.split(",")
-    write_csv(path, header, [
-        {**dict.fromkeys(header), "relation": row["relation"], "khs": f"error:{row['error']}"}
-        if row.get("error") else row for row in rows])

@@ -7,7 +7,8 @@ dtype (float32 for a model from ``KGEModel.init``): the loss terms,
 every gradient and the optimizer state.  A run is bitwise
 deterministic for a given seed.  Validation scores the float64 view of
 the float32-rounded weights (``round_trip_f32``), exactly as evaluating
-the saved checkpoint does.
+the saved checkpoint does.  Nothing here writes a file: ``train`` hands
+each history row to its caller's ``on_row`` as the row is made.
 """
 
 import math
@@ -19,7 +20,7 @@ from . import data, evaluation, geometry
 from .checkpoint import round_trip_f32
 from .model import INIT_SCALE, KGEModel, NumericError, sigmoid, softplus
 
-METRIC_LOG_HEADER = ",".join(["epoch", "split", "loss", *evaluation.METRIC_COLUMNS, "clamp_events"])
+METRIC_LOG_COLUMNS = ("epoch", "split", "loss", *evaluation.METRIC_COLUMNS, "clamp_events")
 
 
 @dataclass
@@ -207,21 +208,21 @@ class TrainResult:
     last_epoch: int = 0  # the epoch the run ended in
 
 
-def train(model, store, config, filters=None, log=None):
+def train(model, store, config, on_row=None):
     """Mini-batch training with periodic filtered validation.
 
-    `store` is an augmented TripleStore; `filters` a FilterIndex (built
-    from the store when omitted).  Returns the model with the best
-    validation MRR (float32-rounded, i.e. exactly what a checkpoint
-    holds), or the final parameters untouched if validation never ran.
-    A non-finite number or a degenerate Mobius denominator in training
-    or validation ends the run as diverged, and it returns the same way,
-    with the error's message in `error`.  Each history row goes to `log`
-    (a MetricLog) as soon as it is made.
+    `store` is an augmented TripleStore; validation, which runs when it
+    has a valid split, filters by every split's triples.  Returns the
+    model with the best validation MRR (float32-rounded, i.e. exactly
+    what a checkpoint holds), or the final parameters untouched if
+    validation never ran.  A non-finite number or a degenerate Mobius
+    denominator in training or validation ends the run as diverged, and
+    it returns the same way, with the error's message in `error`.  Each
+    history row, a dict of the METRIC_LOG_COLUMNS, is passed to `on_row`
+    as soon as it is made.
     """
     config.validate()
-    if filters is None and len(store.valid):
-        filters = data.build_filter_index(store)
+    filters = data.build_filter_index(store) if len(store.valid) else None
 
     ss = np.random.SeedSequence(config.seed)
     shuffle_rng, neg_rng = (np.random.default_rng(s) for s in ss.spawn(2))
@@ -236,12 +237,11 @@ def train(model, store, config, filters=None, log=None):
     bad_rounds = 0
 
     def record(epoch, split, **cells):
-        """Log one row: every METRIC_LOG_HEADER column, None where unset."""
-        row = dict.fromkeys(METRIC_LOG_HEADER.split(","))
-        row.update(epoch=epoch, split=split, **cells)
+        """Log one row: every METRIC_LOG_COLUMNS column, None where unset."""
+        row = {**dict.fromkeys(METRIC_LOG_COLUMNS), "epoch": epoch, "split": split, **cells}
         result.history.append(row)
-        if log is not None:
-            log.append(row)
+        if on_row is not None:
+            on_row(row)
 
     try:
         for epoch in range(1, config.epochs + 1):
@@ -284,18 +284,3 @@ def train(model, store, config, filters=None, log=None):
         result.diverged = True
         result.error = str(exc)
     return result
-
-
-class MetricLog:
-    """CSV metric log with the METRIC_LOG_HEADER columns.
-
-    Creating one writes the header; each row is appended, and reaches the
-    file, when it is logged, so an interrupted run keeps every finished row.
-    """
-
-    def __init__(self, path):
-        self.path = path
-        data.write_csv(path, METRIC_LOG_HEADER.split(","), [])
-
-    def append(self, row):
-        data.write_csv(self.path, METRIC_LOG_HEADER.split(","), [row], mode="a")

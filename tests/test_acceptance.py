@@ -307,7 +307,7 @@ def test_criterion_07_tree_learning_check(announce, tmp_path):
                                seed=0).mrr
     tcfg = TrainConfig(epochs=300, batch_size=99, neg_samples=16, lr=0.05,
                        eval_every=10, patience=30, seed=0)
-    result = train(model, store, tcfg, filters)
+    result = train(model, store, tcfg)
     elapsed = time.perf_counter() - t0
     ok = (result.best_mrr >= 0.60
           and result.best_mrr >= 5.0 * untrained
@@ -383,7 +383,6 @@ ABLATIONS = {
 def test_criterion_10_ablation_ordering_over_seeds(announce, tmp_path):
     t0 = time.perf_counter()
     store = tree_store(tmp_path)
-    filters = data.build_filter_index(store)
     means = {}
     for name, kwargs in ABLATIONS.items():
         mrrs = []
@@ -393,7 +392,7 @@ def test_criterion_10_ablation_ordering_over_seeds(announce, tmp_path):
                                   seed=seed)
             tcfg = TrainConfig(epochs=300, batch_size=99, neg_samples=16,
                                lr=0.05, eval_every=10, patience=30, seed=seed)
-            mrrs.append(train(model, store, tcfg, filters).best_mrr)
+            mrrs.append(train(model, store, tcfg).best_mrr)
         means[name] = float(np.mean(mrrs))
     elapsed = time.perf_counter() - t0
     losers = [n for n in ABLATIONS if n != "full" and means["full"] < means[n]]

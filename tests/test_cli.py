@@ -29,6 +29,21 @@ def run_train(tree_dir, out_dir, *extra):
     return main(args)
 
 
+def run_overflowing(command, tmp_path, capsys):
+    """A run whose step size overflows float32 in its first epoch: its exit
+    code and stderr lines.  Every NumPy warning fails a test, so a warning
+    that escapes the command ends the test."""
+    data.make_tree_dataset(tmp_path / "tree", depth=4)
+    code = main([command, "--dataset-dir", str(tmp_path / "tree"),
+                 "--out-dir", str(tmp_path / "run"), "--dim", "4", "--epochs", "3",
+                 "--batch-size", "10", "--neg-samples", "2", "--eval-every", "1",
+                 "--lr", "1e30"])
+    return code, capsys.readouterr().err.splitlines()
+
+
+ABORTED = r"training aborted: non-finite score for triple \(h=\d+, r=\d+, t=\d+\)"
+
+
 class TestTrain:
     def test_writes_run_directory(self, tree_dir, tmp_path):
         out = tmp_path / "run"
@@ -158,6 +173,12 @@ class TestTrain:
             message = f"saved the parameters at divergence, in epoch {fail_from}"
         assert message in capsys.readouterr().err
         assert (out / "checkpoint.bin").exists()
+
+    def test_overflow_reports_only_the_abort(self, tmp_path, capsys):
+        code, err = run_overflowing("train", tmp_path, capsys)
+        assert code == 2
+        assert len(err) == 1
+        assert re.fullmatch(ABORTED + "; saved the parameters at divergence, in epoch 1", err[0])
 
     def test_degenerate_denominator_saves_the_best_and_names_the_query(
             self, tree_dir, tmp_path, capsys, monkeypatch):
@@ -360,15 +381,16 @@ class TestEval:
         model = checkpoint.load(str(run_dir / "checkpoint.bin"))
         filters = data.build_filter_index(store)
         want_global = tmp_path / "want_metrics.csv"
-        evaluation.write_global_csv(
-            want_global, evaluation.evaluate_split(model, store.test, filters, seed=3), "test")
+        cli.write_csv(want_global, ("split", "n", *evaluation.METRIC_COLUMNS),
+                      [{"split": "test",
+                        **evaluation.evaluate_split(model, store.test, filters, seed=3).row()}])
         base = store.test[:, 1] % store.n_base_relations
         rows = sorted(({"relation": store.relations[rel],
                         **evaluation.evaluate_split(model, store.test[base == rel], filters,
                                                     seed=3).row()}
                        for rel in np.unique(base)), key=lambda row: row["relation"])
         want_rel = tmp_path / "want_per_relation.csv"
-        evaluation.write_per_relation_csv(want_rel, rows)
+        cli.write_csv(want_rel, ("relation", "n", *evaluation.METRIC_COLUMNS), rows)
         assert (eval_dir / "metrics.csv").read_text() == want_global.read_text()
         assert (eval_dir / "per_relation.csv").read_text() == want_rel.read_text()
 
@@ -448,6 +470,15 @@ class TestAblate:
         assert by_run["fixed_curvature"]["curvature_mode"] == "fixed_one"
         for row in rows:
             assert 0.0 <= float(row["mrr"]) <= 1.0
+
+    def test_overflow_reports_only_each_abort(self, tmp_path, capsys):
+        code, err = run_overflowing("ablate", tmp_path, capsys)
+        assert code == 2
+        assert err
+        labels = [run[0] for run in cli.ABLATION_GRID]
+        for line in err:
+            label, _, rest = line.partition(": ")
+            assert label in labels and re.fullmatch(ABORTED, rest), line
 
     def test_diverged_run_exits_2_and_keeps_every_row(self, tree_dir, tmp_path, capsys,
                                                       monkeypatch):
@@ -632,7 +663,7 @@ class TestAnalyze:
         code = main(["analyze", "--dataset-dir", shapes_dir, "--out-dir", str(out),
                      "--samples", "20", *(arg for r in relations for arg in ("--relations", r))])
         lines = (out / "hierarchy.csv").read_text().split("\n")
-        assert lines[0] == hierarchy.HIERARCHY_HEADER and lines[-1] == ""
+        assert lines[0] == ",".join(hierarchy.HIERARCHY_COLUMNS) and lines[-1] == ""
         assert not any(cell == "nan" for line in lines for cell in line.split(","))
         stdout = capsys.readouterr().out
         assert "nan" not in stdout

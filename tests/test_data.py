@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hkge import data
+from hkge import cli, data
 from hkge.data import (
     DatasetError,
     TripleStore,
@@ -17,7 +17,6 @@ from hkge.data import (
     make_tree_dataset,
     normalize_dataset_name,
     sorted_unique,
-    write_vocab_files,
 )
 
 TOY = {
@@ -507,7 +506,7 @@ class TestLoadDataset:
 class TestVocabFiles:
     def test_tsv_dump(self, tmp_path):
         store = build_vocab(TOY)
-        write_vocab_files(store, tmp_path)
+        cli.write_vocab_files(store, tmp_path)
         ents = (tmp_path / "entities.tsv").read_text().strip().split("\n")
         assert ents[0] == "0\ta"
         rels = (tmp_path / "relations.tsv").read_text().strip().split("\n")

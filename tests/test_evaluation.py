@@ -2,11 +2,12 @@ import os
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from hkge import data, geometry
+from hkge import checkpoint, cli, data, evaluation, geometry
 from hkge.evaluation import (
     MetricReport,
     aggregate,
@@ -14,8 +15,6 @@ from hkge.evaluation import (
     evaluate_split,
     per_relation_report,
     rank_filtered,
-    write_global_csv,
-    write_per_relation_csv,
 )
 from hkge.checkpoint import round_trip_f32
 from hkge.model import CURVATURE_MODES, GEOMETRIES, KGEModel, ModelConfig
@@ -335,6 +334,24 @@ class TestThreadedRanking:
         with pytest.raises(NumericError, match=r"query \(h=2, r=1\)"):
             compute_ranks(m, triples, None)
 
+    @pytest.mark.parametrize("n_cpus", (1, 2, 3))
+    def test_every_block_ranks_under_the_callers_error_state(self, monkeypatch, n_cpus):
+        # an overflow in any block is silenced by the caller's np.errstate,
+        # as it is in a serial pass; pool threads start with NumPy's default
+        m, triples, filters = boundary_model()
+        score = m.score_against_all
+
+        def overflowing(h, r, table=None):
+            np.multiply(np.array([1e308]), 10.0)
+            return score(h, r, table=table)
+
+        m.score_against_all = overflowing
+        use_cpus(monkeypatch, n_cpus)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore"):
+            warnings.simplefilter("always")
+            compute_ranks(m, triples, filters)
+        assert [str(w.message) for w in caught] == []
+
     def test_no_affinity_call_ranks_on_the_caller(self, monkeypatch):
         # platforms without os.sched_getaffinity (macOS, Windows) rank serially
         m, triples, filters = boundary_model()
@@ -461,18 +478,31 @@ class TestPerRelation:
 
 
 class TestCsvOutput:
-    def test_global_csv(self, tmp_path):
+    """The tables `hkge eval` writes, for a given report and per-relation rows."""
+
+    @staticmethod
+    def run_eval(tmp_path, *extra):
+        data.make_tree_dataset(tmp_path / "tree", depth=3)
+        store = data.augment_reciprocal(data.load_dataset(tmp_path / "tree"))
+        model = KGEModel.init(ModelConfig(dim=2), store.n_entities, store.n_relations, seed=0)
+        checkpoint.save(model, tmp_path / "model.bin")
+        assert cli.main(["eval", "--dataset-dir", str(tmp_path / "tree"),
+                         "--out-dir", str(tmp_path / "eval"),
+                         "--checkpoint", str(tmp_path / "model.bin"), *extra]) == 0
+        return tmp_path / "eval"
+
+    def test_global_csv(self, tmp_path, monkeypatch):
         report = MetricReport(mrr=0.5, hits={1: 0.25, 3: 0.5, 10: 0.75}, n_queries=4)
-        path = tmp_path / "metrics.csv"
-        write_global_csv(path, report, "test")
+        monkeypatch.setattr(evaluation, "aggregate", lambda ranks: report)
+        path = self.run_eval(tmp_path, "--split", "test") / "metrics.csv"
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "split,n,mrr,h1,h3,h10"
         assert lines[1] == "test,4,0.500000,0.250000,0.500000,0.750000"
 
-    def test_per_relation_csv(self, tmp_path):
+    def test_per_relation_csv(self, tmp_path, monkeypatch):
         rows = [{"relation": "r", "n": 2, "mrr": 1.0, "h1": 1.0, "h3": 1.0, "h10": 1.0}]
-        path = tmp_path / "per_relation.csv"
-        write_per_relation_csv(path, rows)
+        monkeypatch.setattr(evaluation, "per_relation_report", lambda *args: rows)
+        path = self.run_eval(tmp_path, "--per-relation") / "per_relation.csv"
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "relation,n,mrr,h1,h3,h10"
         assert lines[1].startswith("r,2,1.000000")

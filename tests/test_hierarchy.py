@@ -7,9 +7,9 @@ from scipy import stats
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from hkge import data, hierarchy
+from hkge import cli, data, hierarchy
 from hkge.hierarchy import (
-    HIERARCHY_HEADER,
+    HIERARCHY_COLUMNS,
     RelationGraph,
     UnknownRelation,
     _tree_distances,
@@ -18,7 +18,6 @@ from hkge.hierarchy import (
     build_graph,
     khs,
     relation_subgraph,
-    write_hierarchy_csv,
     xi_estimate,
     xi_triangle,
 )
@@ -782,16 +781,21 @@ class TestAnalyzeRelation:
         assert 0 < row["samples_accepted"] <= 300
         assert row["samples_rejected"] > 0
 
-    def test_csv_layout(self, tmp_path):
-        rows = [
-            {"relation": "r", "nodes": 5, "edges": 4, "khs": 1.0,
-             "xi_mean": -0.5, "xi_stderr": 0.01,
-             "samples_accepted": 10, "samples_rejected": 3},
-            {"relation": "broken", "error": "unknown-relation"},
-        ]
-        path = tmp_path / "hierarchy.csv"
-        write_hierarchy_csv(path, rows)
+    def test_csv_layout(self, tmp_path, monkeypatch):
+        # the hierarchy.csv that `hkge analyze` writes for these rows
+        rows = {
+            "r": {"relation": "r", "nodes": 5, "edges": 4, "khs": 1.0,
+                  "xi_mean": -0.5, "xi_stderr": 0.01,
+                  "samples_accepted": 10, "samples_rejected": 3},
+            "broken": {"relation": "broken", "error": "unknown-relation"},
+        }
+        monkeypatch.setattr(hierarchy, "analyze_relation", lambda store, name, **kw: rows[name])
+        data.make_tree_dataset(tmp_path / "tree", depth=3)
+        assert cli.main(["analyze", "--dataset-dir", str(tmp_path / "tree"),
+                         "--out-dir", str(tmp_path / "out"),
+                         "--relations", "r", "--relations", "broken"]) == 1
+        path = tmp_path / "out" / "hierarchy.csv"
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == HIERARCHY_HEADER
+        assert lines[0] == ",".join(HIERARCHY_COLUMNS)
         assert lines[1] == "r,5,4,1.000000,-0.500000,0.010000,10,3"
         assert lines[2] == "broken,,,error:unknown-relation,,,,"

@@ -10,7 +10,12 @@ directly.)  An import cycle cannot hide inside a function body.
 
 Two records are built only by the modules that own their rules: a
 ``TripleStore`` in ``data`` (which checks relation names), a ``KGEModel``
-in ``model`` and ``checkpoint`` (which make its tables)."""
+in ``model`` and ``checkpoint`` (which make its tables).
+
+``cli`` writes every file of a run directory, and every table through its
+``write_csv``: no other module names ``write_csv`` or opens a file for
+writing, apart from ``checkpoint.save``, which writes its own format, and
+``data.make_tree_dataset``, which writes a toy dataset."""
 
 import ast
 import graphlib
@@ -80,3 +85,44 @@ def test_records_are_built_only_by_their_owners():
                     built.add((name, path.name))
     assert built == {("TripleStore", "data.py"), ("KGEModel", "model.py"),
                      ("KGEModel", "checkpoint.py")}
+
+
+# callables that create or write a file whatever their arguments
+FILE_WRITERS = {"mkstemp", "NamedTemporaryFile", "write_text", "write_bytes", "tofile",
+                "savetxt", "savez", "savez_compressed"}
+
+
+def _writes_a_file(call):
+    """A call of one of FILE_WRITERS, or of open/fdopen with a mode that is not
+    a literal read mode (a mode held in a variable counts as writing)."""
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if name in ("open", "fdopen"):
+        mode = (call.args[1] if len(call.args) > 1 else
+                next((k.value for k in call.keywords if k.arg == "mode"), None))
+        return mode is not None and not (isinstance(mode, ast.Constant)
+                                         and set(mode.value) <= set("rbt"))
+    return name in FILE_WRITERS
+
+
+def _scopes(tree):
+    """(name, node) of each top-level statement; a class's are its members."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield f"{node.name}.{getattr(item, 'name', '<body>')}", item
+        else:
+            yield getattr(node, "name", "<module>"), node
+
+
+def test_only_cli_writes_run_files():
+    found = set()
+    for path, tree in _trees():
+        if path.name == "cli.py":
+            continue
+        for scope, node in _scopes(tree):
+            for sub in ast.walk(node):
+                # a read, an attribute, an import or a definition of the name
+                named = {getattr(sub, key, None) for key in ("id", "attr", "name")}
+                if "write_csv" in named or isinstance(sub, ast.Call) and _writes_a_file(sub):
+                    found.add(f"{path.stem}.{scope}")
+    assert found == {"checkpoint.save", "data.make_tree_dataset"}

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from hkge import data, geometry, training
+from hkge import cli, data, geometry, training
 from hkge.checkpoint import round_trip_f32
 from hkge.model import (
     CURVATURE_MODES,
@@ -21,7 +21,7 @@ from hkge.model import (
 )
 from hkge.training import (
     Adagrad,
-    METRIC_LOG_HEADER,
+    METRIC_LOG_COLUMNS,
     Adam,
     NumericError,
     TrainConfig,
@@ -596,7 +596,7 @@ class TestTrainLoop:
         result = train(m, store, TrainConfig(epochs=4, batch_size=8, neg_samples=2,
                                              eval_every=2, seed=5))
         assert [row["split"] for row in result.history] == ["train", "train", "valid"] * 2
-        header = METRIC_LOG_HEADER.split(",")
+        header = list(METRIC_LOG_COLUMNS)
         for row in result.history:
             assert list(row) == header
             unset = ("mrr", "h1", "h3", "h10") if row["split"] == "train" else ("loss",)
@@ -670,7 +670,7 @@ class TestTrainLoop:
         cfg = ModelConfig(dim=4, curvature_mode="attention")
         m = KGEModel.init(cfg, store.n_entities, store.n_relations, seed=2)
         tcfg = TrainConfig(epochs=12, batch_size=4, neg_samples=4, eval_every=3, seed=2)
-        result = train(m, store, tcfg, filters)
+        result = train(m, store, tcfg)
         valid_mrrs = [row["mrr"] for row in result.history if row["split"] == "valid"]
         assert result.best_mrr == max(valid_mrrs)
         report = evaluate_split(result.model, store.valid, filters, seed=tcfg.seed)
@@ -801,26 +801,22 @@ class TestTrainLoop:
         for key, value in reference.model.params.items():
             np.testing.assert_array_equal(result.model.params[key], value)
 
-    def test_metric_log_written(self, tmp_path):
-        from hkge.training import MetricLog
+    def test_metric_log_written(self):
         store = chain_store()
         cfg = ModelConfig(dim=4, curvature_mode="fixed_one")
         m = KGEModel.init(cfg, store.n_entities, store.n_relations, seed=5)
-        path = tmp_path / "metrics.csv"
-        train(m, store, TrainConfig(epochs=4, batch_size=8, neg_samples=2,
-                                    eval_every=2, seed=5), log=MetricLog(path))
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "epoch,split,loss,mrr,h1,h3,h10,clamp_events"
-        # 4 train rows + evals at epochs 2 and 4
-        assert len(lines) == 1 + 4 + 2
-        assert lines[1].startswith("1,train,")
+        rows = []
+        result = train(m, store, TrainConfig(epochs=4, batch_size=8, neg_samples=2,
+                                             eval_every=2, seed=5), on_row=rows.append)
+        assert ",".join(METRIC_LOG_COLUMNS) == "epoch,split,loss,mrr,h1,h3,h10,clamp_events"
+        # 4 train rows + evals at epochs 2 and 4, each handed over as it is made
+        assert len(rows) == 4 + 2
+        assert rows == result.history
+        assert (rows[0]["epoch"], rows[0]["split"]) == (1, "train")
 
-    def test_metric_log_keeps_rows_of_an_interrupted_run(self, tmp_path, monkeypatch):
-        from hkge.training import MetricLog
-        store = chain_store()
-        cfg = ModelConfig(dim=4, curvature_mode="fixed_one")
-        tcfg = TrainConfig(epochs=4, batch_size=8, neg_samples=2, eval_every=2, seed=5)
-        steps_per_epoch = -(-len(store.train) // tcfg.batch_size)
+    @staticmethod
+    def interrupt_after_two_epochs(monkeypatch, n_train, batch_size):
+        steps_per_epoch = -(-n_train // batch_size)
         step, calls = training.Adagrad.step, []
 
         def interrupted(self, model, grads):
@@ -830,11 +826,30 @@ class TestTrainLoop:
             step(self, model, grads)
 
         monkeypatch.setattr(training.Adagrad, "step", interrupted)
+
+    def test_metric_log_keeps_rows_of_an_interrupted_run(self, tmp_path, monkeypatch):
+        store = chain_store()
+        cfg = ModelConfig(dim=4, curvature_mode="fixed_one")
+        tcfg = TrainConfig(epochs=4, batch_size=8, neg_samples=2, eval_every=2, seed=5)
+        self.interrupt_after_two_epochs(monkeypatch, len(store.train), tcfg.batch_size)
         m = KGEModel.init(cfg, store.n_entities, store.n_relations, seed=5)
-        path = tmp_path / "metrics.csv"
+        rows = []
         with pytest.raises(KeyboardInterrupt):
-            train(m, store, tcfg, log=MetricLog(path))
-        lines = path.read_text().split("\n")
-        assert lines[0] == METRIC_LOG_HEADER and lines[-1] == ""
+            train(m, store, tcfg, on_row=rows.append)
+        assert [(row["epoch"], row["split"]) for row in rows] == [
+            (1, "train"), (2, "train"), (2, "valid")]
+
+        # `hkge train` appends each row to metrics.csv as it is handed over
+        data.make_tree_dataset(tmp_path / "tree", depth=3)
+        n_train = len(data.augment_reciprocal(data.load_dataset(tmp_path / "tree")).train)
+        monkeypatch.undo()
+        self.interrupt_after_two_epochs(monkeypatch, n_train, tcfg.batch_size)
+        run_dir = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["train", "--dataset-dir", str(tmp_path / "tree"),
+                      "--out-dir", str(run_dir), "--dim", "4", "--epochs", "4",
+                      "--batch-size", "8", "--neg-samples", "2", "--eval-every", "2"])
+        lines = (run_dir / "metrics.csv").read_text().split("\n")
+        assert lines[0] == ",".join(METRIC_LOG_COLUMNS) and lines[-1] == ""
         assert [line.split(",")[:2] for line in lines[1:-1]] == [
             ["1", "train"], ["2", "train"], ["2", "valid"]]
