@@ -11,29 +11,30 @@ negative.
 A relation graph is held as its directed edge array plus one symmetric
 CSR adjacency matrix, both built with NumPy.  Triangles are drawn, then
 scored, in rounds; a round's draws are four array calls to the random
-generator, whatever its size.  On a forest (|E| = |V| - components,
-which most hierarchies are) one BFS per graph, from a virtual root
-joined to every tree, gives each node's parent; pointer doubling turns
-the parents into depths and 2^k-th ancestor tables, from which a whole
-round's lowest common ancestors, distances and midpoints are read as
-arrays.  On a
-graph with a cycle each triangle reads its few distances through a
-reader whose `[v]` walks v's BFS predecessors up to the nearest node
-whose distance it knows: one `breadth_first_order` call per source.
-Distances are exact small integers either way, so xi results are the
-same as from an unweighted Dijkstra.  A triangle is drawn inside one
-connected component of 4 or more nodes, picked with weight
-n_k(n_k - 1)(n_k - 2): every ordered triple of distinct nodes in one
-such component is equally likely, so a relation made of many small
-components yields samples as readily as a connected one.  No triangle
-in a component of 3 nodes is valid (a path's one even-distance pair has
-the third node as midpoint; a triangle has none), so such components
-get no weight.
+generator, whatever its size.  On every graph m is the node d(b, c)/2
+steps from c up b's BFS tree, in which each node's parent is its first
+discoverer in `breadth_first_order` over the sorted adjacency.  On a
+forest (|E| = |V| - components, which most hierarchies are) that is
+the middle of the one b-c path, so one BFS per graph, from a virtual
+root joined to every tree, gives each node's parent; pointer doubling
+turns the parents into depths and 2^k-th ancestor tables, from which a
+whole round's lowest common ancestors, distances and midpoints are read
+as arrays.  On a graph with a cycle each triangle makes one
+`breadth_first_order` call from b and, unless rejected, one from a, and
+reads each distance by walking up a predecessor array.  Distances are
+exact small integers either way, equal to an unweighted Dijkstra's.
+
+A triangle is drawn inside one connected component of 4 or more nodes,
+picked with weight n_k(n_k - 1)(n_k - 2): every ordered triple of
+distinct nodes in one such component is equally likely, so a relation
+made of many small components yields samples as readily as a connected
+one.  No triangle in a component of 3 nodes is valid (a path's one
+even-distance pair has the third node as midpoint; a triangle has
+none), so such components get no weight.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -193,39 +194,10 @@ def khs(graph):
     return one_way / graph.n_edges
 
 
-class _Levels(dict):
-    """d(source, v) as `[v]`, read off a BFS predecessor array.
-
-    Starts knowing only the source; every node read is added, so reading
-    it again is a plain dict lookup.  Reading a new node walks its
-    predecessors up to the nearest known node and stores the distance of
-    every node it passes: each node is walked over at most once per
-    source.
-    """
-
-    __slots__ = ("_pred",)
-
-    def __init__(self, source, pred):
-        super().__init__({source: 0.0})
-        self._pred = pred
-
-    def __missing__(self, v):
-        pred = self._pred
-        v = int(v)
-        if pred[v] < 0:  # the source is known, so v was not reached
-            self[v] = np.inf
-            return np.inf
-        path = []
-        while v not in self:
-            path.append(v)
-            v = pred[v]
-        self.update(zip(reversed(path), count(self[v] + 1.0)))
-        return self[path[0]]
-
-
 def bfs_distances(csgraph, source):
-    """Unweighted shortest-path distances from `source`, as a reader:
-    `[v]` is d(source, v) as a float, inf if v is unreachable.
+    """The BFS predecessors of every node from `source`, as a memoryview:
+    walking v's up to the source takes d(source, v) steps.  The source
+    and every node it does not reach have a negative predecessor.
 
     `csgraph` must be symmetric, as `RelationGraph.csgraph` is by
     construction: the search runs with `directed=True`, which on a
@@ -234,39 +206,42 @@ def bfs_distances(csgraph, source):
     """
     _, pred = breadth_first_order(
         csgraph, source, directed=True, return_predecessors=True)
-    return _Levels(int(source), memoryview(pred))
+    return memoryview(pred)
 
 
-def _midpoint(graph, dist_b, b, c):
-    """Walk half of a shortest c->b path along min-index BFS parents."""
-    indptr, indices = graph.csgraph.indptr, graph.csgraph.indices
-    steps = int(dist_b[c]) // 2
-    cur = c
-    for _ in range(steps):
-        target = dist_b[cur] - 1
-        for nbr in indices[indptr[cur]:indptr[cur + 1]]:  # sorted: first hit is smallest
-            if dist_b[nbr] == target:
-                cur = int(nbr)
-                break
-    return cur
+def _path_up(pred, v):
+    """v and its predecessors in `pred`, up to the BFS source."""
+    path = [v]
+    while (v := pred[v]) >= 0:
+        path.append(v)
+    return path
+
+
+def _midpoint(pred_b, c):
+    """d(b, c) and the node d(b, c) // 2 steps from c up b's BFS tree."""
+    path = _path_up(pred_b, c)
+    d_bc = len(path) - 1
+    return d_bc, path[d_bc // 2]
 
 
 def xi_triangle(graph, a, b, c):
     """xi for one sampled triangle, or None if the sample is rejected.
 
-    The three nodes must lie in one component, so that every distance
-    read is finite.  Rejections: b-c at odd distance; midpoint coincides
-    with `a`.
+    m is the node d(b, c)/2 steps from c up b's BFS tree.  Rejections:
+    b-c at odd distance; m coincides with `a`.  Raises ValueError,
+    before any BFS, unless the three nodes lie in one component.
     """
-    dist_b = bfs_distances(graph.csgraph, b)
-    d_bc = dist_b[c]
-    if int(d_bc) % 2 == 1:
+    labels = graph.component_labels
+    if not labels[a] == labels[b] == labels[c]:
+        raise ValueError(f"relation {graph.relation!r}: nodes {a}, {b} and {c} "
+                         "do not lie in one component")
+    d_bc, m = _midpoint(bfs_distances(graph.csgraph, b), c)
+    if d_bc % 2 == 1:
         return None
-    m = _midpoint(graph, dist_b, b, c)
     if m == a:
         return None  # d(a, m) = 0 would divide by zero below
-    dist_a = bfs_distances(graph.csgraph, a)
-    d_ab, d_ac, d_am = dist_a[b], dist_a[c], dist_a[m]
+    pred_a = bfs_distances(graph.csgraph, a)
+    d_ab, d_ac, d_am = (len(_path_up(pred_a, v)) - 1 for v in (b, c, m))
     return float(
         (d_am ** 2 + d_bc ** 2 / 4.0 - (d_ab ** 2 + d_ac ** 2) / 2.0) / (2.0 * d_am)
     )

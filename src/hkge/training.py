@@ -47,6 +47,11 @@ class TrainConfig:
                 raise ValueError(f"{key} must be >= {low}")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
+        f32_max = float(np.finfo(np.float32).max)
+        for key in ("lr", "init_scale"):  # both multiply float32 parameters or draws
+            if getattr(self, key) > f32_max:
+                raise ValueError(f"{key} must be at most float32's largest value {f32_max:.6g}, "
+                                 f"got {getattr(self, key)}")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ValueError("grad_clip must be > 0")
         if self.optimizer not in OPTIMIZERS:

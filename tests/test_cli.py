@@ -111,6 +111,7 @@ class TestTrain:
     @pytest.mark.parametrize("key,value", (
         ("grad_clip", 0), ("grad_clip", -1), ("grad_clip", math.nan),
         ("lr", math.nan), ("lr", math.inf), ("init_scale", math.nan), ("init_scale", -math.inf),
+        ("lr", 1e39), ("init_scale", 1e39),
     ))
     def test_bad_float_setting_rejected_before_any_work(self, tree_dir, tmp_path, capsys,
                                                         command, source, key, value):
@@ -123,7 +124,12 @@ class TestTrain:
             cfg_path.write_text(json.dumps({key: value}))
             args += ["--config", str(cfg_path)]
         assert main(args) == 1
-        err = f"{key} must be > 0" if math.isfinite(value) else f"{key} must be finite, got {value}"
+        if not math.isfinite(value):
+            err = f"{key} must be finite, got {value}"
+        elif value > 0:  # above float32's range
+            err = f"{key} must be at most float32's largest value 3.40282e+38, got {value}"
+        else:
+            err = f"{key} must be > 0"
         assert capsys.readouterr().err == f"error: {err}\n"
         assert not out.exists()
 

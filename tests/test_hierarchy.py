@@ -12,6 +12,7 @@ from hkge.hierarchy import (
     HIERARCHY_COLUMNS,
     RelationGraph,
     UnknownRelation,
+    _midpoint,
     _tree_distances,
     analyze_relation,
     bfs_distances,
@@ -79,10 +80,38 @@ def reference_distances(g, edge_list):
     return dijkstra(adj.tocsr(), directed=False, unweighted=True)
 
 
+def walk_all(csgraph, src):
+    """Every node's distance from `src` and midpoint to it, walked up the
+    BFS tree from `src`; inf and -1 for a node it does not reach."""
+    pred = bfs_distances(csgraph, src)
+    walks = [_midpoint(pred, v) if v == src or pred[v] >= 0 else (np.inf, -1)
+             for v in range(csgraph.shape[0])]
+    return np.array([d for d, _ in walks]), np.array([m for _, m in walks])
+
+
 def read_all(csgraph, src):
-    """Every node's distance from `src`, read one by one through the reader."""
-    reader = bfs_distances(csgraph, src)
-    return np.array([reader[v] for v in range(csgraph.shape[0])])
+    """Every node's distance from `src`, walked up the BFS tree from `src`."""
+    return walk_all(csgraph, src)[0]
+
+
+def first_discoverers(g, source):
+    """Each node's parent in a deque BFS from `source` over neighbour lists
+    built from `directed_edges` and visited in sorted order, the first node
+    to reach it kept: -1 for the source and for nodes it never reaches."""
+    neighbours = [set() for _ in range(g.n_nodes)]
+    for i, j in g.directed_edges.tolist():
+        if i != j:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+    parent, seen, queue = [-1] * g.n_nodes, {source}, collections.deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in sorted(neighbours[u]):
+            if v not in seen:
+                seen.add(v)
+                parent[v] = u
+                queue.append(v)
+    return parent
 
 
 def star_graph(k):
@@ -158,13 +187,12 @@ def reference_triangle_draws(g, rng, size):
 
 def reference_xi_estimate(g, n_samples, seed):
     """xi_estimate written out over an all-pairs Dijkstra matrix: the same
-    rounds of draws, rejection rules and min-index midpoint walk, one
-    triangle at a time."""
+    rounds of draws and rejection rules, one triangle at a time, with m
+    d(b, c)/2 parents up from c in `first_discoverers` from b."""
     D = dijkstra(g.csgraph, directed=False, unweighted=True)
-    indptr, indices = g.csgraph.indptr, g.csgraph.indices
     rng = np.random.default_rng(seed)
     max_attempts = max(20 * n_samples, 1000)
-    values, rejected, attempts = [], 0, 0
+    values, rejected, attempts, parents = [], 0, 0, {}
     while len(values) < n_samples and attempts < max_attempts:
         size = min(n_samples - len(values), max_attempts - attempts)
         attempts += size
@@ -172,9 +200,10 @@ def reference_xi_estimate(g, n_samples, seed):
             d_bc = D[b, c]
             m = c
             if np.isfinite(d_bc) and d_bc % 2 == 0:
+                if b not in parents:
+                    parents[b] = first_discoverers(g, b)
                 for _ in range(int(d_bc) // 2):
-                    m = min(int(x) for x in indices[indptr[m]:indptr[m + 1]]
-                            if D[b, x] == D[b, m] - 1)
+                    m = parents[b][m]
             if not np.isfinite(d_bc) or d_bc % 2 or m == a or not np.isfinite(D[a, [b, c, m]]).all():
                 rejected += 1
                 continue
@@ -262,19 +291,20 @@ class TestBfs:
             for src in range(g.n_nodes):
                 np.testing.assert_array_equal(read_all(cs, src), D[src])
 
-    def test_disconnected_is_inf(self):
-        g = build_graph("r", [(0, 1), (2, 3)])
-        d = bfs_distances(g.csgraph, 0)
-        assert d[1] == 1.0 and np.isinf(d[2]) and np.isinf(d[3])
-
     def test_matches_dijkstra(self):
+        # and every midpoint lies half-way along a shortest path
         rng = np.random.default_rng(3)
         for _ in range(40):
             edge_list = random_edge_list(rng, int(rng.integers(2, 50)))
             g = build_graph("r", edge_list)
             D = reference_distances(g, edge_list)
             for src in range(g.n_nodes):
-                np.testing.assert_array_equal(read_all(g.csgraph, src), D[src])
+                dist, mid = walk_all(g.csgraph, src)
+                np.testing.assert_array_equal(dist, D[src])
+                reached = np.flatnonzero(np.isfinite(dist))
+                half = D[src, reached] // 2
+                np.testing.assert_array_equal(D[reached, mid[reached]], half)
+                np.testing.assert_array_equal(D[src, mid[reached]], D[src, reached] - half)
 
     def test_deep_graph_matches_dijkstra(self):
         # a path with side branches: hundreds of levels, long walks
@@ -285,34 +315,29 @@ class TestBfs:
         for src in (0, 1, n // 2, n - 1, n + 7):
             np.testing.assert_array_equal(read_all(g.csgraph, src), D[src])
 
-    def test_read_order_does_not_matter(self):
-        # a 9x9 grid has many shortest paths between most pairs, and a
-        # 4-cycle beside it is unreachable from the grid; reading the
-        # deepest nodes first, in shuffled order, then everything again
-        # in another order, must give the reference distances each time
-        side = 9
-        grid = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
-        grid += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
-        far = side * side
-        edge_list = grid + [(far, far + 1), (far + 1, far + 2), (far + 2, far + 3), (far + 3, far)]
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+    def test_predecessors_are_first_discoverers(self, seed):
+        # cyclic xi follows SciPy's predecessors, so they must stay each
+        # node's first discoverer over the sorted adjacency; a 9x9 grid has
+        # many shortest paths between most pairs
+        if seed is None:
+            side = 9
+            edge_list = [(r * side + c, r * side + c + 1)
+                         for r in range(side) for c in range(side - 1)]
+            edge_list += [(r * side + c, (r + 1) * side + c)
+                          for r in range(side - 1) for c in range(side)]
+        else:
+            edge_list = random_edge_list(np.random.default_rng(seed), 60)
         g = build_graph("r", edge_list)
-        D = reference_distances(g, edge_list)
-        rng = np.random.default_rng(11)
-        for src in (0, side // 2, far // 2, far - 1, far + 2):
-            reader = bfs_distances(g.csgraph, src)
-            order = rng.permutation(g.n_nodes)
-            order = order[np.argsort(-D[src][order], kind="stable")]  # deepest first
-            got = {int(v): reader[np.int32(v)] for v in order}
-            assert all(type(d) is float for d in got.values())
-            np.testing.assert_array_equal([got[v] for v in range(g.n_nodes)], D[src])
-            again = rng.permutation(g.n_nodes)
-            np.testing.assert_array_equal([reader[int(v)] for v in again], D[src][again])
+        for src in range(g.n_nodes):
+            pred = np.array(bfs_distances(g.csgraph, src))
+            np.testing.assert_array_equal(np.maximum(pred, -1), first_discoverers(g, src))
 
 
 class TestForestReader:
     """On a forest, distances come from the depth and 2^k-ancestor tables:
-    every pair in one tree must read as the per-source BFS reader and
-    SciPy's unweighted Dijkstra, and a pair across trees meets only at
+    every pair in one tree must read as the walk up a per-source BFS tree
+    and SciPy's unweighted Dijkstra, and a pair across trees meets only at
     the virtual root."""
 
     def assert_reads_match(self, g, sources):
@@ -525,6 +550,17 @@ class TestXiTriangle:
         g = build_graph("r", [(0, 1), (1, 2)])
         assert xi_triangle(g, 1, 0, 2) is None
 
+    def test_nodes_in_different_components_refused_before_any_bfs(self, monkeypatch):
+        g = build_graph("two-rings", [(0, 1), (1, 2), (2, 3), (3, 0),
+                                      (4, 5), (5, 6), (6, 7), (7, 4)])
+        calls = count_bfs_calls(monkeypatch)
+        for abc in ((0, 1, 5), (4, 1, 2), (0, 5, 6)):
+            with pytest.raises(ValueError, match="relation 'two-rings': nodes .* do not lie "
+                                                 "in one component"):
+                xi_triangle(g, *abc)
+        assert calls == []
+        assert xi_triangle(g, 7, 4, 6) == 1.0
+
     def test_matches_tree_oracle(self):
         for seed in range(4):
             edges = random_tree_edges(25, seed=seed)
@@ -690,12 +726,12 @@ class TestAnalyzeRelationPinned:
         return data.build_vocab({"train": tree + cross + back, "valid": [], "test": []})
 
     @pytest.mark.parametrize("seed, expected", [
-        (0, (-0.995423611111111, 0.07889489740892704, 300, 284)),
-        (1, (-1.072871693121693, 0.07593601357930638, 300, 315)),
+        (0, (-1.0323492063492063, 0.07778603232042765, 300, 284)),
+        (1, (-1.121857804232804, 0.07746163468073278, 300, 315)),
     ])
     def test_pinned_output(self, seed, expected):
         # expected values equal reference_xi_estimate's, from the Dijkstra
-        # distances and the same rounds of draws
+        # distances, the same rounds of draws and the first-discoverer midpoint
         assert relation_subgraph(self.store(), "r").forest_pred is None  # the BFS path
         row = analyze_relation(self.store(), "r", n_samples=300, seed=seed)
         assert (row["nodes"], row["edges"], row["khs"]) == (120, 136, 0.9264705882352942)

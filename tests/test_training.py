@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import types
 import warnings
 
@@ -553,6 +554,16 @@ class TestConfigValidation:
 
     def test_grad_clip_none_means_no_clipping(self):
         TrainConfig(grad_clip=None).validate()
+
+    @pytest.mark.parametrize("key", ("lr", "init_scale"))
+    def test_rejects_values_float32_cannot_hold(self, key):
+        # the parameters are float32: a larger step or draw std overflows on use
+        top = float(np.finfo(np.float32).max)
+        TrainConfig(**{key: top}).validate()
+        for value in (np.nextafter(top, math.inf), 1e39, 1e300):
+            message = f"{key} must be at most float32's largest value 3.40282e+38, got {value}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TrainConfig(**{key: value}).validate()
 
     def test_negative_init_scale_rejected(self):
         with pytest.raises(ValueError, match="init_scale must be >= 0"):
